@@ -53,6 +53,7 @@ from .relay import (
     bell_detect,
     build_relay,
     cluster_closed_form,
+    condition_homodynes,
     diff_x_variance,
     displacement_correction,
     embed_orthogonal,
@@ -94,6 +95,7 @@ __all__ = [
     "relay_orthogonal",
     "relay_from_cascade",
     "embed_orthogonal",
+    "condition_homodynes",
     "homodyne_condition",
     "bell_detect",
     "displacement_correction",

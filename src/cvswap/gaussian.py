@@ -50,9 +50,8 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    k = np.arange(n_modes)
+    omega.reshape(n_modes, 2, n_modes, 2)[k, :, k, :] = [[0.0, 1.0], [-1.0, 0.0]]
     return omega
 
 

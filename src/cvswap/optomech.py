@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
-from scipy.linalg import solve_continuous_lyapunov
 
 from .gaussian import (
     GaussianState,
@@ -40,6 +38,11 @@ __all__ = [
     "mechanical_cluster",
     "detuning_sweep",
 ]
+
+# Exact SI values (identical to scipy.constants); scipy itself is imported only
+# by the Lyapunov solves, so importing cvswap does not load it.
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 STABILITY_MARGIN = 1e-12
 _RESIDUAL_LIMIT = 1e-8
@@ -158,6 +161,8 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
     solution is invariant under the common rescaling), checks the residual
     against 1e-8 relative, and asserts the result is a bona fide state.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     A, D = drift_diffusion(p)
     if not is_stable(A):
         raise ValueError("drift matrix is not stable; no steady state exists")
@@ -174,6 +179,8 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
 
 def lyapunov_residual(p: OptomechParams) -> float:
     """Max-abs residual of the normalized Lyapunov solve, relative to ||D||."""
+    from scipy.linalg import solve_continuous_lyapunov
+
     A, D = drift_diffusion(p)
     An = A / p.omega_m
     Dn = D / p.omega_m

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    apply_symplectic,
-    reduce as reduce_state,
-    tensor,
-)
+from .gaussian import GaussianState
 
 __all__ = [
     "RelayPlan",
@@ -28,6 +23,7 @@ __all__ = [
     "relay_orthogonal",
     "relay_from_cascade",
     "embed_orthogonal",
+    "condition_homodynes",
     "homodyne_condition",
     "bell_detect",
     "displacement_correction",
@@ -86,6 +82,8 @@ class RelayPlan:
 
     ``measurements`` is an ordered list of (port index, quadrature) pairs with
     ports numbered from 0; the relay measures P on port 0 and X on the rest.
+    Ports must be distinct (joint conditioning is exact only for commuting
+    readouts) and quadratures ``"X"`` or ``"P"``.
     """
 
     n_users: int
@@ -98,7 +96,14 @@ class RelayPlan:
             raise ValueError("relay matrix is not orthogonal")
         if self.measurements is None:
             meas = ((0, "P"),) + tuple((k, "X") for k in range(1, self.n_users))
-            object.__setattr__(self, "measurements", meas)
+        else:
+            meas = tuple((int(port), q) for port, q in self.measurements)
+        ports = [port for port, _ in meas]
+        if len(set(ports)) != len(ports) or not all(0 <= p < self.n_users for p in ports):
+            raise ValueError("measured ports must be distinct and in range(n_users)")
+        if not all(q in ("X", "P") for _, q in meas):
+            raise ValueError("quadrature must be 'X' or 'P'")
+        object.__setattr__(self, "measurements", meas)
 
 
 def build_relay(n_users: int) -> RelayPlan:
@@ -113,16 +118,84 @@ def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
     alone.
     """
     U = np.asarray(U, dtype=float)
-    modes = [int(m) for m in modes]
+    modes = np.array([int(m) for m in modes], dtype=int)
     if U.shape != (len(modes), len(modes)):
         raise ValueError("matrix size does not match the mode list")
+    if len(set(modes.tolist())) != len(modes):
+        raise ValueError("duplicate mode indices")
+    if np.any((modes < 0) | (modes >= n_modes_total)):
+        raise IndexError("mode index out of range")
     S = np.eye(2 * n_modes_total)
-    for i, mi in enumerate(modes):
-        S[2 * mi, 2 * mi] = S[2 * mi + 1, 2 * mi + 1] = 0.0
-        for j, mj in enumerate(modes):
-            S[2 * mi, 2 * mj] = U[i, j]
-            S[2 * mi + 1, 2 * mj + 1] = U[i, j]
+    x = 2 * modes
+    S[np.ix_(x, x)] = U
+    S[np.ix_(x + 1, x + 1)] = U
     return S
+
+
+def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None):
+    """Condition on homodynes of several distinct modes at once and drop them.
+
+    ``measured`` lists (mode, quadrature) pairs on distinct modes. Their
+    quadratures commute, so one Schur complement is exact: with q the
+    measured quadratures, M = cov[q, q] and C = cov[kept, q],
+
+        cov -> V_B - C M^-1 C^T
+        mean -> mean_B + C M^-1 (outcomes - mean_q)
+
+    evaluated through the Cholesky factor M = L L^T and one solve for
+    L^-1 [C^T | outcomes - mean_q]. The pivots of L are the conditional
+    variances of a measurement chain in list order; each must be at least
+    1e-12. ``outcomes`` is a vector in list order, None for all zeros, or
+    ``"sample"``: gamma = mean_q + L @ rng.standard_normal(k), which is the
+    same draw as measuring one by one in list order with ``rng.normal``.
+
+    Returns ``(state, gamma)``: the validated state of the kept modes, in
+    their original order, and the outcome vector that was used.
+    """
+    measured = tuple((int(m), q) for m, q in measured)
+    modes = [m for m, _ in measured]
+    n = state.n_modes
+    if not measured:
+        raise ValueError("no homodynes to condition on")
+    if len(set(modes)) != len(modes):
+        raise ValueError("measured modes must be distinct")
+    if len(modes) >= n:
+        raise ValueError("conditioning must keep at least one mode")
+    for m, q in measured:
+        if not 0 <= m < n:
+            raise IndexError(f"mode index {m} out of range")
+        if q not in ("X", "P"):
+            raise ValueError("quadrature must be 'X' or 'P'")
+    qidx = np.array([2 * m + (q == "P") for m, q in measured], dtype=int)
+    kidx = np.array([2 * m + j for m in range(n) if m not in modes for j in (0, 1)], dtype=int)
+
+    try:
+        L = np.linalg.cholesky(state.cov[np.ix_(qidx, qidx)])
+        degenerate = np.min(np.diag(L)) ** 2 < 1e-12
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
+        raise ValueError("measured quadrature variance is numerically degenerate")
+
+    mean_q = state.mean[qidx]
+    k = len(measured)
+    if isinstance(outcomes, str) and outcomes == "sample":
+        if rng is None:
+            raise ValueError("sampling outcomes requires an rng")
+        gamma = mean_q + L @ rng.standard_normal(k)
+    elif outcomes is None:
+        gamma = np.zeros(k)
+    else:
+        gamma = np.asarray(outcomes, dtype=float).reshape(-1)
+        if gamma.shape[0] != k:
+            raise ValueError("outcome vector has wrong length")
+
+    # numpy has no triangular solver; k is small, so a general solve on L is cheap
+    W = np.linalg.solve(L, np.column_stack([state.cov[np.ix_(qidx, kidx)], gamma - mean_q]))
+    G, r = W[:, :-1], W[:, -1]
+    cov = state.cov[np.ix_(kidx, kidx)] - G.T @ G
+    mean = state.mean[kidx] + G.T @ r
+    return GaussianState(cov, mean), gamma
 
 
 def homodyne_condition(
@@ -130,53 +203,31 @@ def homodyne_condition(
 ) -> GaussianState:
     """Condition on a quadrature measurement of one mode and drop that mode.
 
-    With Pi the rank-1 projector on the measured direction pi inside the
-    measured mode's 2x2 block, the kept block transforms as
+    The one-element case of ``condition_homodynes``: with q the measured
+    quadrature, C = cov[kept, q] and var = cov[q, q] >= 1e-12,
 
-        cov -> V_B - C (Pi V_A Pi)^+ C^T
-        mean -> mean_B + C (Pi V_A Pi)^+ (outcome * pi - Pi mean_A)
+        cov -> V_B - C C^T / var
+        mean -> mean_B + C (outcome - mean_q) / var
 
-    The pseudo-inverse uses a 1e-12 singular-value cutoff. The conditional
-    covariance does not depend on the outcome.
+    The conditional covariance does not depend on the outcome.
     """
-    if state.n_modes < 2:
-        raise ValueError("conditioning needs at least two modes")
-    if not 0 <= mode < state.n_modes:
-        raise IndexError(f"mode index {mode} out of range")
-    if quadrature not in ("X", "P"):
-        raise ValueError("quadrature must be 'X' or 'P'")
-    q = 2 * mode + (0 if quadrature == "X" else 1)
-
-    var = state.cov[q, q]
-    if var < 1e-12:
-        raise ValueError("measured quadrature variance is numerically degenerate")
-
-    keep = [m for m in range(state.n_modes) if m != mode]
-    kidx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)
-    aidx = np.array([2 * mode, 2 * mode + 1])
-
-    VA = state.cov[np.ix_(aidx, aidx)]
-    C = state.cov[np.ix_(kidx, aidx)]
-    pi = np.zeros(2)
-    pi[q - 2 * mode] = 1.0
-    Pi = np.outer(pi, pi)
-    core = np.linalg.pinv(Pi @ VA @ Pi, rcond=1e-12)
-
-    cov = state.cov[np.ix_(kidx, kidx)] - C @ core @ C.T
-    mean_a = state.mean[aidx]
-    mean = state.mean[kidx] + C @ core @ (outcome * pi - Pi @ mean_a)
-    return GaussianState(cov, mean)
+    out, _ = condition_homodynes(state, [(mode, quadrature)], [outcome])
+    return out
 
 
 def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
     """Run the multipartite Bell detection on N two-mode copies.
 
     Each copy is a state on modes (A, B) with A the mode sent to the relay.
-    The copies are tensored as (A1, B1, ..., AN, BN), the relay matrix is
-    applied to the A modes, and the planned homodynes are conditioned in
-    order. ``outcomes`` may be a length-N vector, ``"sample"`` (draw each
-    readout from its exact Gaussian marginal using ``rng``), or None for all
-    zeros.
+    The copies are placed on the register (A1, B1, ..., AN, BN), the relay
+    matrix is applied to the A modes, and the planned homodynes are
+    conditioned on jointly (``condition_homodynes``). ``outcomes`` may be a
+    vector with one entry per planned homodyne, ``"sample"`` (draw the
+    readouts from their exact joint Gaussian law using ``rng``), or None for
+    all zeros.
+
+    The mixed register is symplectic by construction and is not re-validated;
+    only the returned state is.
 
     Returns ``(state, gamma)``: the conditional N-mode state on (B1..BN) with
     its conditional mean, and the outcome vector that was used.
@@ -189,41 +240,14 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
         if c.n_modes != 2:
             raise ValueError("each copy must have exactly two modes (A, B)")
 
-    state = copies[0]
-    for c in copies[1:]:
-        state = tensor(state, c)
-    a_modes = [2 * k for k in range(N)]
+    # block-diagonal register: copy k fills modes (2k, 2k + 1)
+    cov = np.zeros((4 * N, 4 * N))
+    cov.reshape(N, 4, N, 4)[np.arange(N), :, np.arange(N), :] = [c.cov for c in copies]
+    mean = np.concatenate([c.mean for c in copies])
 
-    S = embed_orthogonal(plan.ortho, a_modes, 2 * N)
-    state = apply_symplectic(state, S)
-
-    sample = isinstance(outcomes, str) and outcomes == "sample"
-    if sample:
-        if rng is None:
-            raise ValueError("sampling outcomes requires an rng")
-        gamma = np.empty(N)
-    elif outcomes is None:
-        gamma = np.zeros(N)
-    else:
-        gamma = np.asarray(outcomes, dtype=float).reshape(-1)
-        if gamma.shape[0] != N:
-            raise ValueError("outcome vector has wrong length")
-
-    # measured ports live on the A slots; track current positions as modes drop
-    position = {m: m for m in range(2 * N)}
-    for i, (port, quad) in enumerate(plan.measurements):
-        mode_now = position[a_modes[port]]
-        if sample:
-            q = 2 * mode_now + (0 if quad == "X" else 1)
-            gamma[i] = rng.normal(state.mean[q], np.sqrt(state.cov[q, q]))
-        state = homodyne_condition(state, mode_now, quad, gamma[i])
-        removed = a_modes[port]
-        for m in position:
-            if position[m] > position[removed]:
-                position[m] -= 1
-        del position[removed]
-
-    return state, gamma
+    S = embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N)
+    mixed = GaussianState(S @ cov @ S.T, S @ mean, check=False)
+    return condition_homodynes(mixed, [(2 * port, q) for port, q in plan.measurements], outcomes, rng)
 
 
 def displacement_correction(state: GaussianState) -> GaussianState:

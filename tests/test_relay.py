@@ -1,12 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cvswap.gaussian import GaussianState, is_symplectic, log_negativity, tensor, vacuum
+from cvswap.gaussian import (
+    GaussianState,
+    apply_symplectic,
+    is_symplectic,
+    log_negativity,
+    reduce,
+    rotation,
+    tensor,
+    vacuum,
+)
 from cvswap.relay import (
     RelayPlan,
     bell_detect,
     build_relay,
     cluster_closed_form,
+    condition_homodynes,
     diff_x_variance,
     embed_orthogonal,
     homodyne_condition,
@@ -45,6 +58,20 @@ def test_relay_plan_validates_orthogonality():
     assert all(q == "X" for _, q in plan.measurements[1:])
 
 
+@pytest.mark.parametrize(
+    "measurements",
+    [
+        ((0, "P"), (0, "X")),  # repeated port: the readouts would not commute
+        ((0, "P"), (2, "X")),  # port out of range
+        ((-1, "P"), (1, "X")),
+        ((0, "P"), (1, "Y")),
+    ],
+)
+def test_relay_plan_validates_measurements(measurements):
+    with pytest.raises(ValueError):
+        RelayPlan(n_users=2, ortho=relay_orthogonal(2), measurements=measurements)
+
+
 def test_embed_orthogonal_is_symplectic():
     U = relay_orthogonal(3)
     S = embed_orthogonal(U, [0, 2, 4], 6)
@@ -52,6 +79,8 @@ def test_embed_orthogonal_is_symplectic():
     assert is_symplectic(S)
     # untouched mode keeps its identity block
     np.testing.assert_array_equal(S[2:4, 2:4], np.eye(2))
+    with pytest.raises(ValueError):
+        embed_orthogonal(U, [0, 2, 2], 6)
 
 
 def test_homodyne_condition_on_tmsv():
@@ -159,3 +188,85 @@ def test_swap_never_creates_entanglement():
         nf = sample_normal_form(rng, 10.0)
         out, _ = bell_detect([nf.state(), nf.state()], build_relay(2))
         assert log_negativity(out, [0]) <= nf.log_negativity() + 1e-12
+
+
+def test_bell_detect_input_that_broke_intermediate_validation():
+    # This input once raised "Eigenvalues did not converge" while an
+    # intermediate 4/5-mode register was being validated; the joint
+    # conditioning never forms those states.
+    nf = TwoModeNormalForm(1.7452248606983198, 3.689976418177474, 1.8060857378774924)
+    out, _ = bell_detect([nf.state() for _ in range(3)], build_relay(3))
+    closed = cluster_closed_form(nf.x, nf.y, nf.z, 3).assemble()
+    assert np.max(np.abs(out.cov - closed)) < 1e-9
+
+
+def _random_state(rng, n_modes):
+    """Bona fide state: normal-form pairs, a random passive mixer, local rotations."""
+    pairs = [sample_normal_form(rng, 10.0).state() for _ in range((n_modes + 1) // 2)]
+    state = pairs[0]
+    for pair in pairs[1:]:
+        state = tensor(state, pair)
+    state = reduce(state, range(n_modes))
+    U, _ = np.linalg.qr(rng.normal(size=(n_modes, n_modes)))
+    S = embed_orthogonal(U, range(n_modes), n_modes)
+    for m in range(n_modes):
+        R = np.eye(2 * n_modes)
+        R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0, np.pi))
+        S = R @ S
+    return GaussianState(S @ state.cov @ S.T, rng.normal(size=2 * n_modes))
+
+
+def _condition_in_order(state, order):
+    """Chain single homodynes over (mode, quadrature, outcome) in the given order."""
+    removed = []
+    for mode, quad, outcome in order:
+        state = homodyne_condition(state, mode - sum(r < mode for r in removed), quad, outcome)
+        removed.append(mode)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(2, 4), data=st.data())
+def test_joint_conditioning_equals_sequential_in_every_order(seed, n_modes, data):
+    rng = np.random.default_rng(seed)
+    state = _random_state(rng, n_modes)
+    k = data.draw(st.integers(1, n_modes - 1))
+    modes = rng.permutation(n_modes)[:k].tolist()
+    measured = [(m, "X" if rng.random() < 0.5 else "P") for m in modes]
+    outcomes = rng.normal(size=k)
+    joint, gamma = condition_homodynes(state, measured, outcomes)
+    np.testing.assert_array_equal(gamma, outcomes)
+    tol = 1e-12 * np.linalg.norm(state.cov, 2)
+    for order in itertools.permutations(zip(modes, (q for _, q in measured), outcomes)):
+        chained = _condition_in_order(state, order)
+        np.testing.assert_allclose(joint.cov, chained.cov, rtol=0, atol=tol)
+        np.testing.assert_allclose(joint.mean, chained.mean, rtol=0, atol=tol)
+
+
+def _bell_detect_sequential(copies, plan, rng):
+    """Reference: one homodyne at a time, each readout drawn from its marginal."""
+    state = copies[0]
+    for c in copies[1:]:
+        state = tensor(state, c)
+    N = plan.n_users
+    state = apply_symplectic(state, embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N))
+    gamma, removed = [], []
+    for port, quad in plan.measurements:
+        mode = 2 * port - sum(r < 2 * port for r in removed)
+        q = 2 * mode + (quad == "P")
+        gamma.append(rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
+        state = homodyne_condition(state, mode, quad, gamma[-1])
+        removed.append(2 * port)
+    return state, np.array(gamma)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_sampled_outcomes_match_sequential_draw(n):
+    rng = np.random.default_rng(41 + n)
+    copies = [_random_state(rng, 2) for _ in range(n)]
+    plan = build_relay(n)
+    joint, g_joint = bell_detect(copies, plan, outcomes="sample", rng=np.random.default_rng(n))
+    seq, g_seq = _bell_detect_sequential(copies, plan, np.random.default_rng(n))
+    np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joint.cov, seq.cov, rtol=0, atol=1e-12)
