@@ -16,15 +16,14 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    apply_symplectic,
     log_negativity,
     partial_transpose,
     reduce as reduce_state,
     rotation,
     symplectic_eigenvalues,
 )
-from .relay import bell_detect, build_relay, cluster_closed_form, homodyne_condition
-from .sources import TwoModeNormalForm, thermal_loss_on_a, tmsv
+from .relay import bell_detect, build_relay, cluster_closed_form, condition_homodynes
+from .sources import TwoModeNormalForm, _golden_max, thermal_loss_on_a, tmsv
 
 __all__ = [
     "NetworkPoint",
@@ -137,11 +136,22 @@ def network_cluster_cm(pt: NetworkPoint, pipeline: bool = False) -> np.ndarray:
     return cluster_closed_form(nf.x, nf.y, nf.z, pt.n_users).assemble()
 
 
+def _pt_spectrum(cluster_cov: np.ndarray, group_a, group_b) -> np.ndarray:
+    """Williamson spectrum of the (group_a, group_b) marginal with group_a partially transposed."""
+    group_a = [int(m) for m in group_a]
+    group_b = [int(m) for m in group_b]
+    if not group_a or not group_b:
+        raise ValueError("partition must be a nonempty proper subset of modes")
+    if set(group_a) & set(group_b):
+        raise ValueError("groups must be disjoint")
+    sub = reduce_state(GaussianState(cluster_cov, check=False), group_a + group_b)
+    return symplectic_eigenvalues(partial_transpose(sub.cov, range(len(group_a))))
+
+
 def pairwise_logneg_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Log-negativity of the (i, j) pair reduced out of the cluster."""
-    state = GaussianState(cluster_cov, check=False)
-    pair = reduce_state(state, [i, j])
-    return log_negativity(pair, [0])
+    nus = _pt_spectrum(cluster_cov, [i], [j])
+    return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
 
 
 def pairwise_logneg_numeric_raw(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
@@ -150,119 +160,76 @@ def pairwise_logneg_numeric_raw(cluster_cov: np.ndarray, i: int = 0, j: int = 1)
     Negative values mean the pair is separable with that much margin; this is
     the matrix-side twin of the unclamped formulas.
     """
-    state = GaussianState(cluster_cov, check=False)
-    pair = reduce_state(state, [i, j])
-    nus = symplectic_eigenvalues(partial_transpose(pair.cov, [0]))
-    return float(-np.log(nus[0]))
+    return float(-np.log(_pt_spectrum(cluster_cov, [i], [j])[0]))
 
 
 def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
     """Log-negativity across two disjoint groups of cluster modes."""
-    group_a = [int(m) for m in group_a]
-    group_b = [int(m) for m in group_b]
-    if set(group_a) & set(group_b):
-        raise ValueError("groups must be disjoint")
-    state = GaussianState(cluster_cov, check=False)
-    sub = reduce_state(state, group_a + group_b)
-    return log_negativity(sub, range(len(group_a)))
+    nus = _pt_spectrum(cluster_cov, group_a, group_b)
+    return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
 
 
 def block_logneg_numeric_raw(cluster_cov: np.ndarray, group_a, group_b) -> float:
     """Unclamped -ln(nu_min) across two disjoint groups of cluster modes."""
-    group_a = [int(m) for m in group_a]
-    group_b = [int(m) for m in group_b]
-    state = GaussianState(cluster_cov, check=False)
-    sub = reduce_state(state, group_a + group_b)
-    nus = symplectic_eigenvalues(partial_transpose(sub.cov, range(len(group_a))))
-    return float(-np.log(nus[0]))
+    return float(-np.log(_pt_spectrum(cluster_cov, group_a, group_b)[0]))
 
 
-def _measure_rotated_x(state: GaussianState, mode: int, theta: float) -> GaussianState:
-    """Homodyne mode ``mode`` along the quadrature rotated by theta."""
-    S = np.eye(2 * state.n_modes)
-    S[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = rotation(theta)
-    rotated = apply_symplectic(state, S)
-    return homodyne_condition(rotated, mode, "X", 0.0)
+#: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops when a full pass
+#: gains less than _GLE_TOL, or after _GLE_MAX_PASSES passes.
+_GLE_GRID = 64
+_GLE_TOL = 1e-8
+_GLE_MAX_PASSES = 40
 
 
-def gle_numeric(
-    cluster_cov: np.ndarray,
-    i: int = 0,
-    j: int = 1,
-    coarse: int = 64,
-    tol: float = 1e-8,
-    max_passes: int = 40,
-) -> float:
+def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Localizable entanglement by optimized homodynes on the other modes.
 
     Every mode except (i, j) is measured along an adjustable quadrature
-    angle. The ascent starts from the best common angle on a ``coarse``
-    grid, then optimizes one angle at a time (grid scan plus golden-section
-    refinement) until a full pass improves the pair log-negativity by less
-    than ``tol``.
+    angle. The readouts sit on distinct modes and commute, so each angle set
+    is one block rotation of the assisting modes plus one joint
+    ``condition_homodynes`` call. The ascent starts from the best common
+    angle on a grid, then optimizes one angle at a time (grid scan plus
+    golden-section refinement) until a full pass improves the pair
+    log-negativity by less than 1e-8.
     """
     state = GaussianState(cluster_cov, check=False)
     n = state.n_modes
+    pair = reduce_state(state, [i, j])  # rejects a repeated or out-of-range pair
     others = [m for m in range(n) if m not in (i, j)]
     if not others:
-        return log_negativity(reduce_state(state, [i, j]), [0])
+        return log_negativity(pair, [0])
+    measured = [(m, "X") for m in others]
 
-    def condition_all(thetas, skip=None):
-        """Measure every assisting mode except ``skip``; conditioning is
-        order-independent, so this fixes the context for one coordinate."""
-        out = state
-        current = list(range(n))
-        for k in sorted(range(len(others)), key=lambda m: -others[m]):
-            if k == skip:
-                continue
-            mode = others[k]
-            out = _measure_rotated_x(out, current.index(mode), thetas[k])
-            current.remove(mode)
-        return out, current
+    def objective(thetas):
+        S = np.eye(2 * n)
+        S.reshape(n, 2, n, 2)[others, :, others, :] = [rotation(t) for t in thetas]
+        rotated = GaussianState(S @ state.cov @ S.T, check=False)
+        out, _ = condition_homodynes(rotated, measured)
+        return log_negativity(out, [0])
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     # Coordinate moves cannot leave a configuration whose whole single-angle
     # neighborhood is separable (the clamped value is identically zero there),
     # so seed the ascent with the best common angle instead of a fixed corner.
-    seed_grid = np.linspace(0.0, np.pi, coarse, endpoint=False)
-    seed_vals = [
-        log_negativity(condition_all(np.full(len(others), g))[0], [0])
-        for g in seed_grid
-    ]
-    thetas = np.full(len(others), seed_grid[int(np.argmax(seed_vals))])
+    grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
+    half_step = np.pi / _GLE_GRID
+    seed_vals = [objective(np.full(len(others), g)) for g in grid]
+    thetas = np.full(len(others), grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
-    for _ in range(max_passes):
-        improved = best
+    for _ in range(_GLE_MAX_PASSES):
+        start = best
         for k in range(len(others)):
-            prep, current = condition_all(thetas, skip=k)
-            pos = current.index(others[k])
 
             def f(theta):
-                return log_negativity(_measure_rotated_x(prep, pos, theta), [0])
+                trial = thetas.copy()
+                trial[k] = theta
+                return objective(trial)
 
-            grid = np.linspace(0.0, np.pi, coarse, endpoint=False)
-            vals = [f(g) for g in grid]
-            kbest = int(np.argmax(vals))
-            a = grid[kbest] - np.pi / coarse
-            b = grid[kbest] + np.pi / coarse
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = f(c), f(d)
-            while abs(b - a) > 1e-10:
-                if fc > fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = f(d)
-            theta_k = c if fc > fd else d
-            val = max(fc, fd)
+            centre = grid[int(np.argmax([f(g) for g in grid]))]
+            theta_k, val = _golden_max(f, centre - half_step, centre + half_step, 1e-10)
             if val > best:
                 best = val
                 thetas[k] = theta_k
-        if best - improved < tol:
+        if best - start < _GLE_TOL:
             break
     return float(best)
 

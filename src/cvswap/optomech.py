@@ -154,6 +154,18 @@ def is_stable(A: np.ndarray) -> bool:
     return bool(np.max(np.linalg.eigvals(A).real) < -STABILITY_MARGIN * scale)
 
 
+def _solve_lyapunov(p: OptomechParams) -> tuple[np.ndarray, float]:
+    """Normalized solve of A V + V A^T = -D: (V in (q, p, X, P) order, relative residual)."""
+    from scipy.linalg import solve_continuous_lyapunov
+
+    A, D = drift_diffusion(p)
+    An = A / p.omega_m
+    Dn = D / p.omega_m
+    V = solve_continuous_lyapunov(An, -Dn)
+    V = 0.5 * (V + V.T)
+    return V, float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
+
+
 def steady_state_cm(p: OptomechParams) -> GaussianState:
     """Steady-state two-mode covariance, reordered to (cavity, mechanics).
 
@@ -161,16 +173,10 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
     solution is invariant under the common rescaling), checks the residual
     against 1e-8 relative, and asserts the result is a bona fide state.
     """
-    from scipy.linalg import solve_continuous_lyapunov
-
-    A, D = drift_diffusion(p)
+    A, _ = drift_diffusion(p)
     if not is_stable(A):
         raise ValueError("drift matrix is not stable; no steady state exists")
-    An = A / p.omega_m
-    Dn = D / p.omega_m
-    V = solve_continuous_lyapunov(An, -Dn)
-    V = 0.5 * (V + V.T)
-    residual = np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn))
+    V, residual = _solve_lyapunov(p)
     if residual > _RESIDUAL_LIMIT:
         raise RuntimeError(f"Lyapunov solver residual {residual:.3e} exceeds {_RESIDUAL_LIMIT}")
     order = [2, 3, 0, 1]  # (q, p, X, P) -> (X, P, q, p)
@@ -179,18 +185,16 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
 
 def lyapunov_residual(p: OptomechParams) -> float:
     """Max-abs residual of the normalized Lyapunov solve, relative to ||D||."""
-    from scipy.linalg import solve_continuous_lyapunov
-
-    A, D = drift_diffusion(p)
-    An = A / p.omega_m
-    Dn = D / p.omega_m
-    V = solve_continuous_lyapunov(An, -Dn)
-    return float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
+    return _solve_lyapunov(p)[1]
 
 
-def _standard_form_symplectic(state: GaussianState) -> np.ndarray:
-    _, _, _, _, S = two_mode_standard_form(state.cov)
-    return S
+def _swap_blocks(single: GaussianState, n_users: int, local_preprocessing: bool):
+    """``mechanical_cluster`` on a solved single-block state."""
+    if local_preprocessing:
+        _, _, _, _, S = two_mode_standard_form(single.cov)
+        single = apply_symplectic(single, S)
+    cluster, _ = bell_detect([single] * n_users, build_relay(n_users))
+    return cluster, log_negativity(reduce_state(cluster, [0, 1]), [0])
 
 
 def mechanical_cluster(
@@ -207,14 +211,7 @@ def mechanical_cluster(
     measurement pattern. Returns the mechanical state and the pairwise
     log-negativity between the first two mechanics.
     """
-    single = steady_state_cm(p)
-    if local_preprocessing:
-        S = _standard_form_symplectic(single)
-        single = apply_symplectic(single, S)
-    copies = [single for _ in range(n_users)]
-    cluster, _ = bell_detect(copies, build_relay(n_users))
-    pair = reduce_state(cluster, [0, 1])
-    return cluster, log_negativity(pair, [0])
+    return _swap_blocks(steady_state_cm(p), n_users, local_preprocessing)
 
 
 def detuning_sweep(
@@ -240,6 +237,6 @@ def detuning_sweep(
         state = steady_state_cm(p)
         e_in = log_negativity(state, [0])
         for n in n_users:
-            _, e_pair = mechanical_cluster(p, int(n), local_preprocessing)
+            _, e_pair = _swap_blocks(state, int(n), local_preprocessing)
             rows.append((p.delta / p.omega_m, int(n), e_in, e_pair, 1))
     return rows

@@ -159,8 +159,8 @@ def sample_normal_form(
     raise RuntimeError("rejection sampling budget exhausted")
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-8):
-    """Golden-section maximization of a unimodal scalar function."""
+def _golden_max(f, lo: float, hi: float, tol: float):
+    """Golden-section maximization of a unimodal f on [lo, hi] to a bracket of tol."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -179,9 +179,13 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-8):
     return xbest, max(fc, fd)
 
 
-def max_swap_logneg_at_asymmetry(
-    d: float, x_max: float, grid: int = 200, tol: float = 1e-8
-) -> float:
+#: The frontier search scans _FRONTIER_GRID values of x and refines both x
+#: and z by golden section to a bracket of _FRONTIER_TOL.
+_FRONTIER_GRID = 200
+_FRONTIER_TOL = 1e-8
+
+
+def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     """Largest two-user swapped log-negativity at fixed asymmetry d.
 
     Maximizes the swapped output -ln(y - z^2/x) over x (with y = x - 2d) and
@@ -199,17 +203,17 @@ def max_swap_logneg_at_asymmetry(
         zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
         if zm == 0.0:
             return 0.0
-        _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, tol)
+        _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
         return max(0.0, val)
 
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, _FRONTIER_GRID)
     vals = [best_over_z(x) for x in xs]
     k = int(np.argmax(vals))
     a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, grid - 1)]
+    b = xs[min(k + 1, _FRONTIER_GRID - 1)]
     if a == b:
         return float(vals[k])
-    _, val = _golden_max(best_over_z, a, b, tol)
+    _, val = _golden_max(best_over_z, a, b, _FRONTIER_TOL)
     return float(max(val, vals[k]))
 
 

@@ -17,6 +17,7 @@ from cvswap.analysis import (
     swap_logneg_two,
     tmsv_swap_bound,
 )
+from cvswap.gaussian import tensor, vacuum
 from cvswap.sources import tmsv
 
 
@@ -155,6 +156,33 @@ def test_gle_numeric_escapes_separable_plateau():
     value = gle_numeric(network_cluster_cm(pt))
     assert value == pytest.approx(0.8610847463670371, abs=1e-9)
     assert value == pytest.approx(gle_formula(pt), abs=1e-9)
+
+
+def test_gle_numeric_pair_choice_is_irrelevant():
+    cm = network_cluster_cm(NetworkPoint(3.0, 0.8, 1.2, 5))
+    value = gle_numeric(cm)
+    assert gle_numeric(cm, 2, 4) == pytest.approx(value, abs=1e-9)
+    assert gle_numeric(cm, 4, 2) == pytest.approx(value, abs=1e-9)
+
+
+def test_gle_numeric_keeps_the_requested_pair():
+    # a TMSV on modes (0, 1) next to a vacuum mode 2: only pairs inside the
+    # TMSV carry entanglement, whichever mode is measured
+    cm = tensor(tmsv(3.0).state(), vacuum(1)).cov
+    e_tmsv = np.log(3.0 + np.sqrt(8.0))
+    assert gle_numeric(cm, 1, 0) == pytest.approx(e_tmsv, abs=1e-9)
+    assert gle_numeric(cm, 0, 2) == pytest.approx(0.0, abs=1e-9)
+    assert gle_numeric(cm, 2, 1) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_gle_numeric_rejects_bad_pair():
+    cm = network_cluster_cm(NetworkPoint(3.0, 0.8, 1.2, 5))
+    with pytest.raises(ValueError, match="duplicate mode indices"):
+        gle_numeric(cm, 1, 1)
+    with pytest.raises(IndexError, match="out of range"):
+        gle_numeric(cm, 0, 7)
+    with pytest.raises(IndexError, match="out of range"):
+        gle_numeric(cm, -1, 2)
 
 
 def test_gle_numeric_dominates_pairwise():
