@@ -4,25 +4,28 @@ The closed forms describe N users who each share a two-mode squeezed vacuum
 of variance mu whose travelling arm crossed a thermal-loss channel
 (transmissivity eta, noise omega) before the relay. Every formula here has a
 matrix-side twin computed directly from the output covariance matrix via
-Williamson spectra — the two roads are kept separate on purpose and the
-tests drive them against each other.
+Williamson spectra (the GLE optimizer uses the closed-form two-mode spectrum
+of the conditioned pair) — the two roads are kept separate on purpose and
+the tests drive them against each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import (
+    BONA_FIDE_TOL,
     GaussianState,
-    log_negativity,
+    PhysicalityError,
+    _two_mode_spectra,
     partial_transpose,
     reduce as reduce_state,
-    rotation,
     symplectic_eigenvalues,
 )
-from .relay import bell_detect, build_relay, cluster_closed_form, condition_homodynes
+from .relay import bell_detect, build_relay, cluster_closed_form
 from .sources import TwoModeNormalForm, _golden_max, thermal_loss_on_a, tmsv
 
 __all__ = [
@@ -185,50 +188,75 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Localizable entanglement by optimized homodynes on the other modes.
 
     Every mode except (i, j) is measured along an adjustable quadrature
-    angle. The readouts sit on distinct modes and commute, so each angle set
-    is one block rotation of the assisting modes plus one joint
-    ``condition_homodynes`` call. The ascent starts from the best common
-    angle on a grid, then optimizes one angle at a time (grid scan plus
-    golden-section refinement) until a full pass improves the pair
-    log-negativity by less than 1e-8.
+    angle; the input is validated once. The readouts sit on distinct modes
+    and commute, so each angle set is one Schur complement: with U the rows
+    (cos theta, -sin theta) of the rotated X quadratures, the pair keeps
+    V_pp - C M^-1 C^T with M = U V_oo U^T and C = V_po U^T, taken through a
+    Cholesky factor of M, and its log-negativity comes from the closed-form
+    two-mode spectrum. The ascent starts from the best common angle on a
+    grid, then optimizes one angle at a time (grid scan plus golden-section
+    refinement) until a full pass improves the pair log-negativity by less
+    than 1e-8.
     """
-    state = GaussianState(cluster_cov, check=False)
+    state = GaussianState(cluster_cov)
     n = state.n_modes
-    pair = reduce_state(state, [i, j])  # rejects a repeated or out-of-range pair
+    reduce_state(state, [i, j])  # rejects a repeated or out-of-range pair
     others = [m for m in range(n) if m not in (i, j)]
-    if not others:
-        return log_negativity(pair, [0])
-    measured = [(m, "X") for m in others]
+    p_idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    o_idx = [2 * m + q for m in others for q in (0, 1)]
+    v_pp = state.cov[np.ix_(p_idx, p_idx)]
+    v_po = state.cov[np.ix_(p_idx, o_idx)]
+    v_oo = state.cov[np.ix_(o_idx, o_idx)]
+    k = len(others)
+    U = np.zeros((k, 2 * k))
+    u_x = U.reshape(-1)[0 :: 2 * k + 2]  # U[m, 2m], the X weight of row m
+    u_p = U.reshape(-1)[1 :: 2 * k + 2]  # U[m, 2m + 1], its P weight
+
+    def pair_logneg(cov):
+        (nu_min, _), pt_nus = _two_mode_spectra(cov)
+        if nu_min < 1.0 - BONA_FIDE_TOL:
+            raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {nu_min!r}")
+        return sum(max(0.0, -math.log(nu)) for nu in pt_nus)
 
     def objective(thetas):
-        S = np.eye(2 * n)
-        S.reshape(n, 2, n, 2)[others, :, others, :] = [rotation(t) for t in thetas]
-        rotated = GaussianState(S @ state.cov @ S.T, check=False)
-        out, _ = condition_homodynes(rotated, measured)
-        return log_negativity(out, [0])
+        u_x[:] = np.cos(thetas)
+        u_p[:] = -np.sin(thetas)
+        C = v_po @ U.T
+        try:
+            L = np.linalg.cholesky(U @ v_oo @ U.T)
+            degenerate = L.diagonal().min() ** 2 < 1e-12
+        except np.linalg.LinAlgError:
+            degenerate = True
+        if degenerate:
+            raise ValueError("measured quadrature variance is numerically degenerate")
+        G = np.linalg.solve(L, C.T)
+        return pair_logneg(v_pp - G.T @ G)
+
+    if not others:
+        return pair_logneg(v_pp)
 
     # Coordinate moves cannot leave a configuration whose whole single-angle
     # neighborhood is separable (the clamped value is identically zero there),
     # so seed the ascent with the best common angle instead of a fixed corner.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
     half_step = np.pi / _GLE_GRID
-    seed_vals = [objective(np.full(len(others), g)) for g in grid]
-    thetas = np.full(len(others), grid[int(np.argmax(seed_vals))])
+    seed_vals = [objective(np.full(k, g)) for g in grid]
+    thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
     for _ in range(_GLE_MAX_PASSES):
         start = best
-        for k in range(len(others)):
+        for m in range(k):
 
             def f(theta):
                 trial = thetas.copy()
-                trial[k] = theta
+                trial[m] = theta
                 return objective(trial)
 
             centre = grid[int(np.argmax([f(g) for g in grid]))]
-            theta_k, val = _golden_max(f, centre - half_step, centre + half_step, 1e-10)
+            theta_m, val = _golden_max(f, centre - half_step, centre + half_step, 1e-10)
             if val > best:
                 best = val
-                thetas[k] = theta_k
+                thetas[m] = theta_m
         if best - start < _GLE_TOL:
             break
     return float(best)

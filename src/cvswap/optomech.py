@@ -176,6 +176,11 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
     A, _ = drift_diffusion(p)
     if not is_stable(A):
         raise ValueError("drift matrix is not stable; no steady state exists")
+    return _stable_steady_state(p)
+
+
+def _stable_steady_state(p: OptomechParams) -> GaussianState:
+    """``steady_state_cm`` for parameters already known to be stable."""
     V, residual = _solve_lyapunov(p)
     if residual > _RESIDUAL_LIMIT:
         raise RuntimeError(f"Lyapunov solver residual {residual:.3e} exceeds {_RESIDUAL_LIMIT}")
@@ -234,7 +239,7 @@ def detuning_sweep(
             for n in n_users:
                 rows.append((p.delta / p.omega_m, int(n), float("nan"), float("nan"), 0))
             continue
-        state = steady_state_cm(p)
+        state = _stable_steady_state(p)
         e_in = log_negativity(state, [0])
         for n in n_users:
             _, e_pair = _swap_blocks(state, int(n), local_preprocessing)

@@ -10,11 +10,12 @@ under the thermal-loss channel used in the optical-network analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, log_negativity
+from .gaussian import GaussianState, _two_mode_spectra
 
 __all__ = [
     "TwoModeNormalForm",
@@ -73,12 +74,8 @@ class TwoModeNormalForm:
 
     def log_negativity(self) -> float:
         """Input entanglement across A | B."""
-        x, y, z2 = self.x, self.y, self.z * self.z
-        delta = x * x + y * y + 2.0 * z2  # PT flips the sign of the z P-block
-        det = (x * y - z2) ** 2
-        nu2 = 0.5 * (delta - np.sqrt(max(delta * delta - 4.0 * det, 0.0)))
-        nu = np.sqrt(max(nu2, 0.0))
-        return float(max(0.0, -np.log(nu))) if nu > 0 else 0.0
+        _, (nu, _) = _two_mode_spectra(self.cov())
+        return max(0.0, -math.log(nu))
 
 
 def tmsv(mu: float) -> TwoModeNormalForm:

@@ -17,7 +17,7 @@ from cvswap.analysis import (
     swap_logneg_two,
     tmsv_swap_bound,
 )
-from cvswap.gaussian import tensor, vacuum
+from cvswap.gaussian import PhysicalityError, tensor, vacuum
 from cvswap.sources import tmsv
 
 
@@ -183,6 +183,17 @@ def test_gle_numeric_rejects_bad_pair():
         gle_numeric(cm, 0, 7)
     with pytest.raises(IndexError, match="out of range"):
         gle_numeric(cm, -1, 2)
+
+
+def test_gle_numeric_rejects_unphysical_input():
+    # an assisting mode with variance below vacuum in both quadratures is no
+    # state, whatever the pair holds
+    for pair, assist in ((vacuum(2).cov, 0.5), (tmsv(3.0).cov(), 0.3)):
+        cm = np.zeros((6, 6))
+        cm[:4, :4] = pair
+        cm[4:, 4:] = assist * np.eye(2)
+        with pytest.raises(PhysicalityError):
+            gle_numeric(cm)
 
 
 def test_gle_numeric_dominates_pairwise():

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvswap.gaussian import (
     GaussianState,
     PhysicalityError,
+    _two_mode_spectra,
     apply_symplectic,
     displace,
     is_symplectic,
@@ -197,3 +199,65 @@ def test_two_mode_standard_form_preserves_entanglement():
     e_after = log_negativity(apply_symplectic(scrambled, S), [0])
     assert e_after == pytest.approx(e_before, abs=1e-10)
     assert e_after == pytest.approx(nf.log_negativity(), abs=1e-10)
+
+
+# --- closed-form two-mode spectra ------------------------------------------
+
+
+def _beam_splitter(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_two_mode_spectra_match_williamson(seed):
+    # thermal pair -> local squeezers -> beam splitter -> local squeezers
+    rng = np.random.default_rng(seed)
+    nu_1, nu_2 = rng.uniform(1.0, 4.0, 2)
+    locals_ = []
+    for _ in range(2):
+        S_loc = np.zeros((4, 4))
+        S_loc[:2, :2] = _random_local_symplectic(rng)
+        S_loc[2:, 2:] = _random_local_symplectic(rng)
+        locals_.append(S_loc)
+    S = locals_[0] @ _beam_splitter(rng.uniform(0, 2 * np.pi)) @ locals_[1]
+    V = S @ np.diag([nu_1, nu_1, nu_2, nu_2]) @ S.T
+    V = 0.5 * (V + V.T)
+    nus, pt_nus = _two_mode_spectra(V)
+    tol = 1e-12 * np.linalg.norm(V, 2)
+    np.testing.assert_allclose(nus, symplectic_eigenvalues(V), rtol=0, atol=tol)
+    np.testing.assert_allclose(
+        pt_nus, symplectic_eigenvalues(partial_transpose(V, [0])), rtol=0, atol=tol
+    )
+    np.testing.assert_allclose(sorted(nus), sorted([nu_1, nu_2]), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("m", [8, 14, 21])
+def test_two_mode_spectra_of_strongly_squeezed_tmsv(m):
+    # mu = cosh(2r) with e^{2r} = 2^m (mu ~ 1e2, 1e4, 1e6): mu and sinh(2r) are
+    # exact doubles, so the stored matrix is an exactly pure TMSV, whose
+    # partial transpose has nu~_- = 1 / (mu + sqrt(mu^2 - 1)) = 2^-m
+    t = 2.0**m
+    mu, z = 0.5 * (t + 1.0 / t), 0.5 * (t - 1.0 / t)
+    nf = TwoModeNormalForm(mu, mu, z)
+    (_, _), (pt_minus, pt_plus) = _two_mode_spectra(nf.cov())
+    exact = 1.0 / (mu + np.sqrt(mu * mu - 1.0))
+    assert pt_minus == pytest.approx(exact, rel=1e-12, abs=0)
+    assert pt_plus == pytest.approx(1.0 / exact, rel=1e-12, abs=0)
+    assert nf.log_negativity() == pytest.approx(-np.log(exact), rel=1e-12, abs=0)
+
+
+def test_two_mode_spectra_of_pure_products_are_exactly_one():
+    # degenerate spectra: the invariant quadratic formula would lose sqrt(eps) here
+    squeezed = np.diag([4.0, 0.25])
+    for V in (np.eye(4), np.block([[squeezed, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])):
+        nus, pt_nus = _two_mode_spectra(V)
+        np.testing.assert_allclose(nus, [1.0, 1.0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pt_nus, [1.0, 1.0], rtol=0, atol=1e-15)
+
+
+def test_two_mode_spectra_reject_non_positive_definite():
+    for V in (np.diag([1.0, 1.0, 1.0, -1.0]), np.zeros((4, 4)), tmsv(2.0).cov() - np.eye(4)):
+        with pytest.raises(ValueError, match="positive-definite"):
+            _two_mode_spectra(V)

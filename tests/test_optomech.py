@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvswap import optomech
 from cvswap.gaussian import log_negativity, min_symplectic_eigenvalue, two_mode_standard_form
 from cvswap.optomech import (
     OptomechParams,
@@ -214,6 +215,21 @@ def test_detuning_sweep_rows_and_flags():
         assert e_in > 0.0 and e_pair >= 0.0
     for _ratio, _n, e_in, e_pair, _flag in unstable_rows:
         assert np.isnan(e_in) and np.isnan(e_pair)
+
+
+def test_detuning_sweep_checks_stability_once_per_point(monkeypatch):
+    calls = []
+
+    def counting_is_stable(A):
+        calls.append(1)
+        return is_stable(A)
+
+    monkeypatch.setattr(optomech, "is_stable", counting_is_stable)
+    base = standard_params()
+    deltas = [0.5 * OMEGA_M, OMEGA_M, -OMEGA_M]  # the last point is unstable
+    rows = detuning_sweep(base, deltas, n_users=(2, 3))
+    assert len(calls) == len(deltas)
+    assert [r[4] for r in rows] == [1, 1, 1, 1, 0, 0]
 
 
 def test_conditional_determinant_keeps_mirrors_separable():
