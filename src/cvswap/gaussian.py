@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -69,7 +68,12 @@ def _require_symmetric(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    scale = max(1.0, np.max(np.abs(cov)))
+    # NaN and inf both reach this max; test it before max(1.0, .), which
+    # would drop a NaN
+    peak = float(np.max(np.abs(cov)))
+    if not math.isfinite(peak):
+        raise ValueError("covariance matrix has non-finite entries")
+    scale = max(1.0, peak)
     if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
         raise ValueError("covariance matrix is not symmetric")
     # Symmetrize exactly so downstream linear algebra sees a clean input.
@@ -101,11 +105,27 @@ def min_symplectic_eigenvalue(cov: np.ndarray) -> float:
     return float(symplectic_eigenvalues(cov)[0])
 
 
+def _smallest_nu(cov: np.ndarray) -> float:
+    """Smallest symplectic eigenvalue of a symmetric covariance, for the bona-fide check.
+
+    Two-mode (4x4) matrices go through the closed-form :func:`_two_mode_spectra`;
+    one mode and three or more keep the Williamson eigensolve.
+    """
+    if cov.shape[0] == 4:
+        (nu_minus, _), _ = _two_mode_spectra(cov)
+        return nu_minus
+    return min_symplectic_eigenvalue(cov)
+
+
 class GaussianState:
     """A Gaussian state: mean vector + covariance matrix + mode count.
 
-    The constructor validates symmetry and (by default) physicality: every
-    symplectic eigenvalue must be >= 1 - 1e-9. Instances are value-like; all
+    The constructor validates symmetry, finiteness and (by default)
+    physicality: every symplectic eigenvalue must be >= 1 - 1e-9. Two-mode
+    states are checked through the closed-form two-mode spectrum (no
+    eigensolve); states of one mode or of three or more through the
+    Williamson spectrum of :func:`symplectic_eigenvalues`. ``is_bona_fide``
+    uses the same route as the constructor. Instances are value-like; all
     operations return new states and never mutate their inputs.
     """
 
@@ -120,7 +140,7 @@ class GaussianState:
         if mean.shape[0] != 2 * n:
             raise ValueError("mean vector length does not match covariance size")
         if check:
-            nu_min = min_symplectic_eigenvalue(cov)
+            nu_min = _smallest_nu(cov)
             if nu_min < 1.0 - BONA_FIDE_TOL:
                 raise PhysicalityError(
                     f"state is not bona fide: min symplectic eigenvalue {nu_min!r}"
@@ -136,25 +156,7 @@ class GaussianState:
         return symplectic_eigenvalues(self.cov)
 
     def is_bona_fide(self, tol: float = BONA_FIDE_TOL) -> bool:
-        return min_symplectic_eigenvalue(self.cov) >= 1.0 - tol
-
-    # --- serialization (CLI interchange) -------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_modes": self.n_modes,
-                "mean": self.mean.tolist(),
-                "cov": self.cov.reshape(-1).tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        doc = json.loads(text)
-        n = int(doc["n_modes"])
-        cov = np.array(doc["cov"], dtype=float).reshape(2 * n, 2 * n)
-        return cls(cov, np.array(doc["mean"], dtype=float))
+        return _smallest_nu(self.cov) >= 1.0 - tol
 
 
 def vacuum(n_modes: int) -> GaussianState:

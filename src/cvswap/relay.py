@@ -266,9 +266,10 @@ class ClusterBlocks:
     def assemble(self) -> np.ndarray:
         """Full 2N x 2N covariance: V' on the diagonal, C' everywhere else."""
         N = self.n_users
-        cov = np.kron(np.eye(N), self.v_prime) + np.kron(
-            np.ones((N, N)) - np.eye(N), self.c_prime
-        )
+        cov = np.empty((2 * N, 2 * N))
+        blocks = cov.reshape(N, 2, N, 2)
+        blocks[...] = self.c_prime[:, None, :]
+        blocks[np.arange(N), :, np.arange(N), :] = self.v_prime
         return cov
 
 

@@ -1,10 +1,9 @@
-import json
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cvswap.gaussian import (
+    BONA_FIDE_TOL,
     GaussianState,
     PhysicalityError,
     _two_mode_spectra,
@@ -75,6 +74,20 @@ def test_bona_fide_tolerance_band():
     assert min_symplectic_eigenvalue(st.cov) < 1.0
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_non_finite_entries_raise_value_error(n_modes, bad, where):
+    cov = np.eye(2 * n_modes)
+    i, j = (0, 0) if where == "diagonal" else (0, 2 * n_modes - 1)
+    cov[i, j] = cov[j, i] = bad
+    for call in (GaussianState, symplectic_eigenvalues, lambda V: GaussianState(V, check=False)):
+        with pytest.raises(ValueError, match="non-finite") as info:
+            call(cov)
+        # LinAlgError subclasses ValueError; the refusal must come before any solver
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 def test_partial_transpose_flips_momenta():
     cov = tmsv(2.0).cov()
     pt = partial_transpose(cov, [0])
@@ -133,15 +146,6 @@ def test_tensor_and_reduce_round_trip():
     # reduce can also reorder
     swapped = reduce(joint, [1, 0])
     np.testing.assert_array_equal(swapped.cov[:2, :2], a.cov[2:, 2:])
-
-
-def test_json_round_trip():
-    st = displace(tmsv(2.5).state(), 0, 0.25, -1.0)
-    again = GaussianState.from_json(st.to_json())
-    np.testing.assert_array_equal(again.cov, st.cov)
-    np.testing.assert_array_equal(again.mean, st.mean)
-    payload = json.loads(st.to_json())
-    assert payload["n_modes"] == 2
 
 
 def _random_local_symplectic(rng):
@@ -261,3 +265,35 @@ def test_two_mode_spectra_reject_non_positive_definite():
     for V in (np.diag([1.0, 1.0, 1.0, -1.0]), np.zeros((4, 4)), tmsv(2.0).cov() - np.eye(4)):
         with pytest.raises(ValueError, match="positive-definite"):
             _two_mode_spectra(V)
+
+
+def _near_pure_two_mode_state(rng):
+    # thermal pair -> local squeezers -> beam splitter -> local squeezers
+    nu_1, nu_2 = rng.uniform(1.0, 1.1, 2)
+    locals_ = []
+    for _ in range(2):
+        S_loc = np.zeros((4, 4))
+        S_loc[:2, :2] = _random_local_symplectic(rng)
+        S_loc[2:, 2:] = _random_local_symplectic(rng)
+        locals_.append(S_loc)
+    S = locals_[0] @ _beam_splitter(rng.uniform(0, 2 * np.pi)) @ locals_[1]
+    V = S @ np.diag([nu_1, nu_1, nu_2, nu_2]) @ S.T
+    return 0.5 * (V + V.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(0.9, 1.1))
+def test_two_mode_verdict_matches_williamson(seed, s):
+    # scaling by s pushes some states below bona fide; the two-mode check runs
+    # through the closed-form kernel and must agree with the Williamson spectrum
+    V = s * _near_pure_two_mode_state(np.random.default_rng(seed))
+    nu_min = symplectic_eigenvalues(V)[0]
+    edge = 1.0 - BONA_FIDE_TOL
+    assume(abs(nu_min - edge) > 1e-10 * np.linalg.norm(V, 2))
+    try:
+        GaussianState(V)
+        accepted = True
+    except PhysicalityError:
+        accepted = False
+    assert accepted == (nu_min >= edge)
+    assert GaussianState(V, check=False).is_bona_fide() == accepted

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cvswap import gaussian
 from cvswap.gaussian import (
     GaussianState,
     apply_symplectic,
@@ -270,3 +271,30 @@ def test_sampled_outcomes_match_sequential_draw(n):
     np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=1e-12)
     np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(joint.cov, seq.cov, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_cluster_blocks_assemble_matches_block_loop(n):
+    blocks = cluster_closed_form(3.1, 2.4, 2.2, n)
+    expected = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        for j in range(n):
+            expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blocks.v_prime if i == j else blocks.c_prime
+    np.testing.assert_array_equal(blocks.assemble(), expected)
+
+
+def test_bell_detect_validates_copies_without_williamson(monkeypatch):
+    # two-mode copies are checked by the closed-form kernel; only the 3-mode
+    # output of the relay goes through the Williamson eigensolve
+    calls = []
+    original = gaussian.symplectic_eigenvalues
+
+    def counted(cov):
+        calls.append(cov.shape[0] // 2)
+        return original(cov)
+
+    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+    nf = TwoModeNormalForm(3.0, 2.0, 1.9)
+    out, _ = bell_detect([nf.state() for _ in range(3)], build_relay(3))
+    assert out.n_modes == 3
+    assert calls == [3]
