@@ -183,34 +183,114 @@ _GLE_GRID = 64
 _GLE_TOL = 1e-8
 _GLE_MAX_PASSES = 40
 
+#: A measured readout whose conditional variance falls below this is degenerate.
+_MIN_READOUT_VARIANCE = 1e-12
+_DEGENERATE = "measured quadrature variance is numerically degenerate"
+
+
+def _readout_factor(m: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a readout covariance (or a stack of them).
+
+    Its pivots are the conditional variances of the readouts, one after
+    another; each must be at least _MIN_READOUT_VARIANCE.
+    """
+    try:
+        L = np.linalg.cholesky(m)
+        degenerate = np.min(np.diagonal(L, axis1=-2, axis2=-1)) ** 2 < _MIN_READOUT_VARIANCE
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
+        raise ValueError(_DEGENERATE)
+    return L
+
+
+def _common_angle_pairs(v: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Pair covariances left when every measured mode is read at one angle, per angle.
+
+    ``v`` orders the quadratures as (pair, measured modes). With all readouts
+    at theta, M = U V_oo U^T and C^T = U V_op have closed entries in cos theta
+    and sin theta, so the angles stack into one Cholesky factorization and one
+    solve. Returns an array of shape (len(thetas), 4, 4).
+    """
+    cos, sin = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
+    v_op, v_oo = v[4:, :4], v[4:, 4:]
+    M = (
+        cos * cos * v_oo[0::2, 0::2]
+        - cos * sin * (v_oo[0::2, 1::2] + v_oo[1::2, 0::2])
+        + sin * sin * v_oo[1::2, 1::2]
+    )
+    G = np.linalg.solve(_readout_factor(M), cos * v_op[0::2] - sin * v_op[1::2])
+    return v[:4, :4] - np.swapaxes(G, 1, 2) @ G
+
+
+def _coordinate_block(v: np.ndarray, thetas: np.ndarray, a: int) -> np.ndarray:
+    """Covariance W of the pair and measured mode ``a``, given every other readout.
+
+    ``v`` orders the quadratures as (pair, measured modes), and measured mode
+    b is read along X cos(thetas[b]) - P sin(thetas[b]). Every readout except
+    that of mode ``a`` is conditioned on in one Schur complement, which leaves
+    the 6x6 covariance of (pair, a); thetas[a] is not read.
+    """
+    k = len(thetas)
+    t = [0, 1, 2, 3, 4 + 2 * a, 5 + 2 * a]
+    W = v[np.ix_(t, t)]
+    rest = [b for b in range(k) if b != a]
+    if rest:
+        U = np.zeros((k - 1, 2 * k))
+        rows, cols = np.arange(k - 1), 2 * np.array(rest)
+        U[rows, cols] = np.cos(thetas[rest])
+        U[rows, cols + 1] = -np.sin(thetas[rest])
+        G = np.linalg.solve(_readout_factor(U @ v[4:, 4:] @ U.T), U @ v[4:, t])
+        W = W - G.T @ G
+    return W
+
+
+def _rank_one_pairs(W: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Pair covariances left by reading mode ``a`` of ``W`` at each angle of ``thetas``.
+
+    With u = (cos theta, -sin theta), c = W_pm u and M = u^T W_mm u, the pair
+    keeps W_pp - c c^T / M. Returns an array of shape (len(thetas), 4, 4).
+    """
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    var = cos * cos * W[4, 4] - 2.0 * cos * sin * W[4, 5] + sin * sin * W[5, 5]
+    if not np.min(var) >= _MIN_READOUT_VARIANCE:
+        raise ValueError(_DEGENERATE)
+    c = np.outer(cos, W[:4, 4]) - np.outer(sin, W[:4, 5])
+    return W[:4, :4] - c[:, :, None] * c[:, None, :] / var[:, None, None]
+
+
+def _rank_one_pair(w: list, theta: float) -> list:
+    """:func:`_rank_one_pairs` at one angle, in Python floats; ``w`` is ``W.tolist()``."""
+    cos, sin = math.cos(theta), math.sin(theta)
+    var = cos * cos * w[4][4] - 2.0 * cos * sin * w[4][5] + sin * sin * w[5][5]
+    if not var >= _MIN_READOUT_VARIANCE:
+        raise ValueError(_DEGENERATE)
+    c = [cos * row[4] - sin * row[5] for row in w[:4]]
+    return [[row[s] - cr * c[s] / var for s in range(4)] for row, cr in zip(w, c)]
+
 
 def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Localizable entanglement by optimized homodynes on the other modes.
 
     Every mode except (i, j) is measured along an adjustable quadrature
-    angle; the input is validated once. The readouts sit on distinct modes
-    and commute, so each angle set is one Schur complement: with U the rows
-    (cos theta, -sin theta) of the rotated X quadratures, the pair keeps
-    V_pp - C M^-1 C^T with M = U V_oo U^T and C = V_po U^T, taken through a
-    Cholesky factor of M, and its log-negativity comes from the closed-form
-    two-mode spectrum. The ascent starts from the best common angle on a
-    grid, then optimizes one angle at a time (grid scan plus golden-section
-    refinement) until a full pass improves the pair log-negativity by less
-    than 1e-8.
+    angle; the input is validated once, and every candidate pair is checked
+    for physicality and read through the closed-form two-mode spectrum. The
+    readouts sit on distinct modes and commute, so one Schur complement
+    conditions the pair on all of them. The ascent starts from the best
+    common angle on a grid: the 64 grid angles stack into one Cholesky
+    factorization and one solve. It then optimizes one angle at a time (grid
+    scan plus golden-section refinement) until a full pass improves the pair
+    log-negativity by less than 1e-8. Each coordinate m conditions the pair
+    and mode m on every other readout once (:func:`_coordinate_block`); each
+    angle of m is then a rank-one update of that 6x6 covariance, taken on
+    arrays for the grid scan and in Python floats for the golden steps.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
     reduce_state(state, [i, j])  # rejects a repeated or out-of-range pair
     others = [m for m in range(n) if m not in (i, j)]
-    p_idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-    o_idx = [2 * m + q for m in others for q in (0, 1)]
-    v_pp = state.cov[np.ix_(p_idx, p_idx)]
-    v_po = state.cov[np.ix_(p_idx, o_idx)]
-    v_oo = state.cov[np.ix_(o_idx, o_idx)]
-    k = len(others)
-    U = np.zeros((k, 2 * k))
-    u_x = U.reshape(-1)[0 :: 2 * k + 2]  # U[m, 2m], the X weight of row m
-    u_p = U.reshape(-1)[1 :: 2 * k + 2]  # U[m, 2m + 1], its P weight
+    order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
+    v = state.cov[np.ix_(order, order)]
 
     def pair_logneg(cov):
         (nu_min, _), pt_nus = _two_mode_spectra(cov)
@@ -218,45 +298,33 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
             raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {nu_min!r}")
         return sum(max(0.0, -math.log(nu)) for nu in pt_nus)
 
-    def objective(thetas):
-        u_x[:] = np.cos(thetas)
-        u_p[:] = -np.sin(thetas)
-        C = v_po @ U.T
-        try:
-            L = np.linalg.cholesky(U @ v_oo @ U.T)
-            degenerate = L.diagonal().min() ** 2 < 1e-12
-        except np.linalg.LinAlgError:
-            degenerate = True
-        if degenerate:
-            raise ValueError("measured quadrature variance is numerically degenerate")
-        G = np.linalg.solve(L, C.T)
-        return pair_logneg(v_pp - G.T @ G)
-
     if not others:
-        return pair_logneg(v_pp)
+        return pair_logneg(v)
 
     # Coordinate moves cannot leave a configuration whose whole single-angle
     # neighborhood is separable (the clamped value is identically zero there),
     # so seed the ascent with the best common angle instead of a fixed corner.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
     half_step = np.pi / _GLE_GRID
-    seed_vals = [objective(np.full(k, g)) for g in grid]
-    thetas = np.full(k, grid[int(np.argmax(seed_vals))])
-    best = float(np.max(seed_vals))
+    seed_vals = [pair_logneg(p) for p in _common_angle_pairs(v, grid)]
+    thetas = np.full(len(others), grid[int(np.argmax(seed_vals))])
+    best = max(seed_vals)
     for _ in range(_GLE_MAX_PASSES):
         start = best
-        for m in range(k):
-
-            def f(theta):
-                trial = thetas.copy()
-                trial[m] = theta
-                return objective(trial)
-
-            centre = grid[int(np.argmax([f(g) for g in grid]))]
-            theta_m, val = _golden_max(f, centre - half_step, centre + half_step, 1e-10)
+        for a in range(len(others)):
+            W = _coordinate_block(v, thetas, a)
+            scan = [pair_logneg(p) for p in _rank_one_pairs(W, grid)]
+            centre = float(grid[int(np.argmax(scan))])
+            w = W.tolist()
+            theta_a, val = _golden_max(
+                lambda t: pair_logneg(_rank_one_pair(w, t)),
+                centre - half_step,
+                centre + half_step,
+                1e-10,
+            )
             if val > best:
                 best = val
-                thetas[m] = theta_m
+                thetas[a] = theta_a
         if best - start < _GLE_TOL:
             break
     return float(best)

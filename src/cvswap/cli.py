@@ -7,17 +7,22 @@ with the same seed; the manifest is the only place timing lives.
 
 Configuration is flat ``key = value`` text; command-line flags override
 file values. Grid-valued keys accept comma lists (``1,2,5``), inclusive
-integer ranges (``2..8``) and ``linspace(a,b,n)``.
+integer ranges (``2..8``) and ``linspace(a,b,n)``; a grid that starts with a
+negative value must be joined to its flag (``--d=-1,0.5``), or argparse reads
+it as an option.
 
-Exit codes: 0 success, 2 unknown experiment, 3 invalid configuration or
-grid, 4 unwritable output path.
+Exit codes: 0 success, 2 unknown experiment or command-line usage error
+(argparse), 3 invalid configuration or grid, 4 unwritable output path. Data
+file and manifest are each written to a temp file and renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -144,6 +149,24 @@ def _format_cell(value):
     return str(value)
 
 
+def _write_atomic(path, payload):
+    """Write ``payload`` to ``path`` through a temp file in the same directory.
+
+    The temp file is renamed over ``path`` only once it is complete, so a
+    failed write leaves any previous file as it was, and no temp file stays.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_table(path, fmt, columns, rows):
     if fmt == "csv":
         lines = [",".join(columns)]
@@ -151,24 +174,24 @@ def write_table(path, fmt, columns, rows):
         payload = "\n".join(lines) + "\n"
     else:
         # floats go through the same 12-digit formatter as the CSV path, so
-        # the two formats carry identical values
+        # the two formats carry identical values; strict JSON has no NaN or
+        # infinity, so a non-finite value (an unstable point) is written null
         clean = [
             [
-                float(_FLOAT_FMT.format(float(v)))
+                (float(_FLOAT_FMT.format(float(v))) if math.isfinite(v) else None)
                 if isinstance(v, (float, np.floating))
                 else int(v)
                 for v in row
             ]
             for row in rows
         ]
-        payload = json.dumps({"columns": list(columns), "rows": clean}, indent=1) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        table = {"columns": list(columns), "rows": clean}
+        payload = json.dumps(table, indent=1, allow_nan=False) + "\n"
+    _write_atomic(path, payload)
 
 
 def write_manifest(path, manifest):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # --- experiment runners -----------------------------------------------------

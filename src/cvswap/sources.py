@@ -156,21 +156,23 @@ def sample_normal_form(
     raise RuntimeError("rejection sampling budget exhausted")
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _golden_max(f, lo: float, hi: float, tol: float):
     """Golden-section maximization of a unimodal f on [lo, hi] to a bracket of tol."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     while abs(b - a) > tol:
         if fc > fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
+            c = b - _INVPHI * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
+            d = a + _INVPHI * (b - a)
             fd = f(d)
     xbest = c if fc > fd else d
     return xbest, max(fc, fd)
@@ -182,13 +184,58 @@ _FRONTIER_GRID = 200
 _FRONTIER_TOL = 1e-8
 
 
+def _best_over_z_lockstep(d: float, xs: np.ndarray) -> np.ndarray:
+    """Largest swapped output over z at each x of ``xs``, with y = x - 2d.
+
+    Runs the golden-section search of :func:`_golden_max` on -ln(y - z^2/x)
+    over z in [0, z_max(x)] for every x at once, in the same floating-point
+    operations: each element takes the step its own comparison picks, and it
+    leaves the batch, with max(0, max(f(c), f(d))), as soon as its bracket is
+    no wider than _FRONTIER_TOL. So every value equals that of the scalar
+    search bit for bit. An x with z_max = 0 reads 0.
+    """
+    best = np.zeros(len(xs))
+    ys = xs - 2.0 * d
+    zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
+    idx = np.flatnonzero(zm != 0.0)
+    x, y, a, b = xs[idx], ys[idx], np.zeros(idx.size), zm[idx]
+    c = b - _INVPHI * (b - a)
+    dd = a + _INVPHI * (b - a)
+    fc, fd = -np.log(y - c * c / x), -np.log(y - dd * dd / x)
+    while idx.size:
+        done = ~(np.abs(b - a) > _FRONTIER_TOL)
+        if done.any():
+            val = np.maximum(fc[done], fd[done])
+            best[idx[done]] = np.where(val > 0.0, val, 0.0)
+            live = ~done
+            idx, x, y, a, b, c, dd, fc, fd = (arr[live] for arr in (idx, x, y, a, b, c, dd, fc, fd))
+            if not idx.size:
+                break
+        left = fc > fd  # the maximum lies left of d: [a, b] -> [a, d]
+        b = np.where(left, dd, b)
+        a = np.where(left, a, c)
+        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_new = -np.log(y - new * new / x)
+        c, dd, fc, fd = (
+            np.where(left, new, dd),
+            np.where(left, c, new),
+            np.where(left, f_new, fd),
+            np.where(left, fc, f_new),
+        )
+    return best
+
+
 def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     """Largest two-user swapped log-negativity at fixed asymmetry d.
 
     Maximizes the swapped output -ln(y - z^2/x) over x (with y = x - 2d) and
-    z within the physical region, by golden-section search over z at each
-    grid x followed by refinement around the best x. Both variances are
-    capped at x_max.
+    z within the physical region. A golden-section search over z at each of
+    _FRONTIER_GRID grid values of x, all run in lockstep on arrays
+    (:func:`_best_over_z_lockstep`), picks the best grid x; a golden-section
+    search over x around it, with a scalar golden-section search over z at
+    each step, refines it. Both variances are capped at x_max. This search
+    never reads :func:`frontier_closed_form`, which the tests check it
+    against.
     """
     lo = max(1.0, 1.0 + 2.0 * d)  # ensures x >= 1 and y = x - 2d >= 1
     hi = min(x_max, x_max + 2.0 * d)  # ensures both x and y stay <= x_max
@@ -197,17 +244,17 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
 
     def best_over_z(x):
         y = x - 2.0 * d
-        zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
+        zm = math.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
         if zm == 0.0:
             return 0.0
-        _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
+        _, val = _golden_max(lambda z: -math.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
         return max(0.0, val)
 
     xs = np.linspace(lo, hi, _FRONTIER_GRID)
-    vals = [best_over_z(x) for x in xs]
+    vals = _best_over_z_lockstep(d, xs)
     k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, _FRONTIER_GRID - 1)]
+    a = float(xs[max(k - 1, 0)])
+    b = float(xs[min(k + 1, _FRONTIER_GRID - 1)])
     if a == b:
         return float(vals[k])
     _, val = _golden_max(best_over_z, a, b, _FRONTIER_TOL)

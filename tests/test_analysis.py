@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvswap.analysis import (
     NetworkPoint,
+    _common_angle_pairs,
+    _coordinate_block,
+    _rank_one_pair,
+    _rank_one_pairs,
     block_logneg_formula,
     block_logneg_numeric,
     block_logneg_numeric_raw,
@@ -17,8 +22,9 @@ from cvswap.analysis import (
     swap_logneg_two,
     tmsv_swap_bound,
 )
-from cvswap.gaussian import PhysicalityError, tensor, vacuum
-from cvswap.sources import tmsv
+from cvswap.gaussian import GaussianState, PhysicalityError, rotation, tensor, vacuum
+from cvswap.relay import cluster_closed_form, condition_homodynes, embed_orthogonal
+from cvswap.sources import sample_normal_form, tmsv
 
 
 def test_network_point_validation():
@@ -194,6 +200,52 @@ def test_gle_numeric_rejects_unphysical_input():
         cm[4:, 4:] = assist * np.eye(2)
         with pytest.raises(PhysicalityError):
             gle_numeric(cm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(3, 6), common=st.booleans())
+def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
+    """The optimizer's pair covariance at one angle set, against a second route.
+
+    The second route rotates every measured mode by gaussian.rotation(theta)
+    and conditions on all their X quadratures with condition_homodynes. The
+    optimizer's routes: the stacked common-angle seeds, and the rank-one
+    update of one coordinate (on arrays and in Python floats).
+    """
+    rng = np.random.default_rng(seed)
+    nf = sample_normal_form(rng, 10.0)
+    cov = cluster_closed_form(nf.x, nf.y, nf.z, n_modes).assemble()
+    # a passive mixer and local rotations leave no symmetry to hide behind
+    Q, _ = np.linalg.qr(rng.normal(size=(n_modes, n_modes)))
+    S = embed_orthogonal(Q, range(n_modes), n_modes)
+    for m in range(n_modes):
+        S[2 * m : 2 * m + 2] = rotation(rng.uniform(0.0, np.pi)) @ S[2 * m : 2 * m + 2]
+    cov = S @ cov @ S.T
+    i, j = (int(m) for m in rng.choice(n_modes, 2, replace=False))
+    others = [m for m in range(n_modes) if m not in (i, j)]
+    thetas = rng.uniform(0.0, np.pi, len(others))
+    if common:
+        thetas[:] = thetas[0]
+    a = int(rng.integers(len(others)))
+
+    R = np.eye(2 * n_modes)
+    for m, theta in zip(others, thetas):
+        R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(theta)
+    pair, _ = condition_homodynes(GaussianState(R @ cov @ R.T), [(m, "X") for m in others])
+    kept = [0, 1, 2, 3] if i < j else [2, 3, 0, 1]  # condition_homodynes keeps mode order
+    reference = pair.cov[np.ix_(kept, kept)]
+
+    order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
+    v = cov[np.ix_(order, order)]
+    tol = 1e-12 * np.linalg.norm(cov, 2)
+    if common:
+        seeded = _common_angle_pairs(v, thetas[:1])[0]
+        np.testing.assert_allclose(seeded, reference, rtol=0.0, atol=tol)
+    W = _coordinate_block(v, thetas, a)
+    batch = _rank_one_pairs(W, thetas[a : a + 1])[0]
+    np.testing.assert_allclose(batch, reference, rtol=0.0, atol=tol)
+    scalar = np.array(_rank_one_pair(W.tolist(), float(thetas[a])))
+    np.testing.assert_allclose(scalar, reference, rtol=0.0, atol=tol)
 
 
 def test_gle_numeric_dominates_pairwise():

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cvswap import cli
 from cvswap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -76,6 +78,81 @@ def test_unwritable_output_exits_4(capsys, tmp_path):
     code = main(["ghz-limit", "--mu", "2", "--n", "2..3", "--out", str(missing_dir)])
     assert code == EXIT_UNWRITABLE
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing_write", [1, 2])
+def test_failed_write_keeps_previous_files(tmp_path, monkeypatch, capsys, failing_write):
+    out = tmp_path / "ghz.csv"
+    manifest = tmp_path / "ghz.csv.manifest.json"
+    assert main(["ghz-limit", "--mu", "2", "--n", "2..3", "--out", str(out)]) == EXIT_OK
+    before = {path: path.read_bytes() for path in (out, manifest)}
+
+    writes = []
+
+    class DiskFull:
+        """A file whose write lands half its text and then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        writes.append(path)
+        return DiskFull(fh) if len(writes) == failing_write else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code = main(["ghz-limit", "--mu", "3,4", "--n", "2..3", "--out", str(out)])
+    assert code == EXIT_UNWRITABLE
+    assert "No space left" in capsys.readouterr().err
+    assert len(writes) == failing_write
+    # the failed file keeps its old bytes; only a table written before a
+    # failed manifest is new
+    assert manifest.read_bytes() == before[manifest]
+    assert (out.read_bytes() == before[out]) == (failing_write == 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
+
+
+def test_json_writes_null_for_unstable_points(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["fig2c", "--format", "json", "--delta-over-omega-m=-1,0.5", "--g-eff-mhz", "8"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    columns = payload["columns"]
+    by_delta = {row[columns.index("delta_over_omega_m")]: row for row in payload["rows"]}
+    unstable, stable = by_delta[-1.0], by_delta[0.5]
+    assert unstable[columns.index("stable")] == 0
+    assert unstable[columns.index("e_in_optomech")] is None
+    assert unstable[columns.index("e_mech_pairwise")] is None
+    assert stable[columns.index("stable")] == 1
+    assert stable[columns.index("e_in_optomech")] > 0.0
+    capsys.readouterr()
+
+
+def test_negative_grid_start_needs_the_equals_form(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    flag = "--delta-over-omega-m"
+    assert main(["fig2c", f"{flag}=-1,0.5", "--g-eff-mhz", "8", "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == [-1.0, 0.5]
+    # written apart, "-1,0.5" reads as an option: an argparse usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2c", flag, "-1,0.5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_ghz_limit_csv_schema_and_values(tmp_path, capsys):

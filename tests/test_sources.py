@@ -4,7 +4,11 @@ import pytest
 from cvswap.analysis import swap_logneg_two, tmsv_swap_bound
 from cvswap.gaussian import log_negativity, symplectic_eigenvalues
 from cvswap.sources import (
+    _FRONTIER_GRID,
+    _FRONTIER_TOL,
     TwoModeNormalForm,
+    _best_over_z_lockstep,
+    _golden_max,
     frontier_closed_form,
     frontier_curve,
     max_swap_logneg_at_asymmetry,
@@ -170,6 +174,21 @@ def test_frontier_numeric_matches_closed_form():
         numeric = max_swap_logneg_at_asymmetry(float(d), 10.0)
         analytic = frontier_closed_form(float(d), 10.0)
         assert numeric == pytest.approx(analytic, abs=1e-6)
+
+
+@pytest.mark.parametrize("d", [-1.5, -0.3, 0.0, 0.7, 1.5])
+def test_frontier_lockstep_grid_equals_scalar_searches(d):
+    xs = np.linspace(max(1.0, 1.0 + 2.0 * d), min(10.0, 10.0 + 2.0 * d), _FRONTIER_GRID)
+    expected = []
+    for x in xs:
+        y = x - 2.0 * d
+        zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
+        if zm == 0.0:
+            expected.append(0.0)
+            continue
+        _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
+        expected.append(max(0.0, val))
+    assert _best_over_z_lockstep(d, xs).tobytes() == np.array(expected).tobytes()
 
 
 def test_frontier_symmetric_point_is_log_xmax():
