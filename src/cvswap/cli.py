@@ -12,8 +12,10 @@ negative value must be joined to its flag (``--d=-1,0.5``), or argparse reads
 it as an option.
 
 Exit codes: 0 success, 2 unknown experiment or command-line usage error
-(argparse), 3 invalid configuration or grid, 4 unwritable output path. Data
-file and manifest are each written to a temp file and renamed into place.
+(argparse), 3 invalid configuration or grid (including a non-finite grid
+value), 4 unwritable output path, 5 numerical failure (a Lyapunov residual
+over its limit, or the state sampler out of attempts). Data file and
+manifest are each written to a temp file and renamed into place.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_UNKNOWN_EXPERIMENT = 2
 EXIT_BAD_CONFIG = 3
 EXIT_UNWRITABLE = 4
+EXIT_NUMERICAL = 5
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -66,8 +69,17 @@ class ConfigError(ValueError):
 # --- grid / config parsing ------------------------------------------------
 
 
+def _require_finite(values, text):
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
+    return values
+
+
 def parse_grid(text):
-    """Parse a grid spec: comma list, integer range a..b, or linspace(a,b,n)."""
+    """Parse a grid spec: comma list, integer range a..b, or linspace(a,b,n).
+
+    Every value must be finite: ``nan`` and ``inf`` are refused.
+    """
     text = str(text).strip()
     if not text:
         raise ConfigError("empty grid")
@@ -81,7 +93,10 @@ def parse_grid(text):
             raise ConfigError(f"bad linspace spec: {text!r}") from exc
         if n < 1:
             raise ConfigError("linspace needs at least one point")
-        return [float(v) for v in np.linspace(a, b, n)]
+        # the endpoints first, so numpy never sees them; then the points,
+        # which overflow when b - a does
+        _require_finite([a, b], text)
+        return _require_finite([float(v) for v in np.linspace(a, b, n)], text)
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -97,7 +112,7 @@ def parse_grid(text):
         raise ConfigError(f"bad grid value in {text!r}") from exc
     if not values:
         raise ConfigError("empty grid")
-    return values
+    return _require_finite(values, text)
 
 
 def parse_int_grid(text):
@@ -524,6 +539,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except RuntimeError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     wall = time.perf_counter() - started
 
     manifest = {

@@ -186,11 +186,19 @@ def log_negativity(state: GaussianState, partition) -> float:
     """Logarithmic negativity across ``partition`` | rest.
 
     Partial-transposes the modes in ``partition``, takes the symplectic
-    eigenvalues nu~ of the result and returns sum(max(0, -ln nu~)).
+    eigenvalues nu~ of the result and returns sum(max(0, -ln nu~)). A
+    two-mode state reads nu~ from :func:`_two_mode_spectra` (transposing
+    either mode gives the same spectrum); larger states go through the
+    Williamson eigensolve.
     """
     part = sorted(set(int(m) for m in partition))
     if not part or len(part) >= state.n_modes:
         raise ValueError("partition must be a nonempty proper subset of modes")
+    if state.n_modes == 2:
+        if not 0 <= part[0] < 2:
+            raise IndexError(f"mode index {part[0]} out of range")
+        _, nus = _two_mode_spectra(state.cov)
+        return sum(max(0.0, -math.log(nu)) for nu in nus)
     nus = symplectic_eigenvalues(partial_transpose(state.cov, part))
     return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
 

@@ -39,8 +39,7 @@ __all__ = [
     "detuning_sweep",
 ]
 
-# Exact SI values (identical to scipy.constants); scipy itself is imported only
-# by the Lyapunov solves, so importing cvswap does not load it.
+# Exact SI values of the 2019 redefinition.
 hbar = 6.62607015e-34 / (2 * math.pi)
 k_B = 1.380649e-23
 
@@ -154,14 +153,26 @@ def is_stable(A: np.ndarray) -> bool:
     return bool(np.max(np.linalg.eigvals(A).real) < -STABILITY_MARGIN * scale)
 
 
+_I4 = np.eye(4)
+
+
+def _kron_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Solve A V + V A^T = -D for 4 x 4 matrices as one 16 x 16 linear system.
+
+    In row-major vec order the equation is K vec(V) = -vec(D) with
+    K = A (x) I + I (x) A, built by broadcasting:
+    K[i, j, k, l] = A[i, k] delta_jl + delta_ik A[j, l].
+    """
+    K = A[:, None, :, None] * _I4[None, :, None, :] + _I4[:, None, :, None] * A[None, :, None, :]
+    return np.linalg.solve(K.reshape(16, 16), -D.reshape(16)).reshape(4, 4)
+
+
 def _solve_lyapunov(p: OptomechParams) -> tuple[np.ndarray, float]:
     """Normalized solve of A V + V A^T = -D: (V in (q, p, X, P) order, relative residual)."""
-    from scipy.linalg import solve_continuous_lyapunov
-
     A, D = drift_diffusion(p)
     An = A / p.omega_m
     Dn = D / p.omega_m
-    V = solve_continuous_lyapunov(An, -Dn)
+    V = _kron_lyapunov(An, Dn)
     V = 0.5 * (V + V.T)
     return V, float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
 

@@ -6,6 +6,10 @@ equivalent to one orthogonal N x N matrix acting identically on the X and P
 quadrature vectors. Port 1 is homodyned in P, ports 2..N in X; broadcasting
 the outcomes lets each user cancel the conditional displacement locally, so
 the state left on the kept modes is a covariance-only object.
+
+Both ``condition_homodynes`` (on an explicit state) and ``bell_detect`` (from
+the copies' 2 x 2 blocks, with no register of all 2N modes) condition
+through one Schur complement, ``_schur_condition``.
 """
 
 from __future__ import annotations
@@ -78,12 +82,13 @@ def relay_from_cascade(n_users: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelayPlan:
-    """Orthogonal mixing matrix plus the list of homodynes to perform.
+    """Orthogonal mixing matrix plus the homodynes of one Bell detection.
 
     ``measurements`` is an ordered list of (port index, quadrature) pairs with
     ports numbered from 0; the relay measures P on port 0 and X on the rest.
-    Ports must be distinct (joint conditioning is exact only for commuting
-    readouts) and quadratures ``"X"`` or ``"P"``.
+    A Bell detection reads every port exactly once, in any order (distinct
+    ports also make the readouts commute, so joint conditioning is exact);
+    quadratures are ``"X"`` or ``"P"``.
     """
 
     n_users: int
@@ -98,11 +103,11 @@ class RelayPlan:
             meas = ((0, "P"),) + tuple((k, "X") for k in range(1, self.n_users))
         else:
             meas = tuple((int(port), q) for port, q in self.measurements)
-        ports = [port for port, _ in meas]
-        if len(set(ports)) != len(ports) or not all(0 <= p < self.n_users for p in ports):
-            raise ValueError("measured ports must be distinct and in range(n_users)")
+        if sorted(port for port, _ in meas) != list(range(self.n_users)):
+            raise ValueError("every port in range(n_users) must be measured exactly once")
         if not all(q in ("X", "P") for _, q in meas):
             raise ValueError("quadrature must be 'X' or 'P'")
+        object.__setattr__(self, "ortho", U)
         object.__setattr__(self, "measurements", meas)
 
 
@@ -132,22 +137,59 @@ def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
     return S
 
 
-def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None):
-    """Condition on homodynes of several distinct modes at once and drop them.
+def _schur_condition(v_kept, cross, m_cov, mean_kept, mean_q, outcomes, rng):
+    """Condition kept quadratures on k jointly Gaussian readouts: one Schur complement.
 
-    ``measured`` lists (mode, quadrature) pairs on distinct modes. Their
-    quadratures commute, so one Schur complement is exact: with q the
-    measured quadratures, M = cov[q, q] and C = cov[kept, q],
+    ``m_cov`` is the readouts' covariance M, ``cross`` their covariance with
+    the kept quadratures (k rows), ``v_kept`` the kept quadratures' own:
 
         cov -> V_B - C M^-1 C^T
         mean -> mean_B + C M^-1 (outcomes - mean_q)
 
     evaluated through the Cholesky factor M = L L^T and one solve for
     L^-1 [C^T | outcomes - mean_q]. The pivots of L are the conditional
-    variances of a measurement chain in list order; each must be at least
-    1e-12. ``outcomes`` is a vector in list order, None for all zeros, or
+    variances of a measurement chain in readout order; each must be at least
+    1e-12. ``outcomes`` is a vector in readout order, None for all zeros, or
     ``"sample"``: gamma = mean_q + L @ rng.standard_normal(k), which is the
-    same draw as measuring one by one in list order with ``rng.normal``.
+    same draw as measuring one by one in readout order with ``rng.normal``.
+
+    Returns ``(cov, mean, gamma)`` of the kept quadratures, unvalidated.
+    """
+    try:
+        L = np.linalg.cholesky(m_cov)
+        degenerate = np.min(np.diag(L)) ** 2 < 1e-12
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
+        raise ValueError("measured quadrature variance is numerically degenerate")
+
+    k = len(mean_q)
+    if isinstance(outcomes, str) and outcomes == "sample":
+        if rng is None:
+            raise ValueError("sampling outcomes requires an rng")
+        gamma = mean_q + L @ rng.standard_normal(k)
+    elif outcomes is None:
+        gamma = np.zeros(k)
+    else:
+        gamma = np.asarray(outcomes, dtype=float).reshape(-1)
+        if gamma.shape[0] != k:
+            raise ValueError("outcome vector has wrong length")
+
+    # numpy has no triangular solver; k is small, so a general solve on L is cheap
+    W = np.linalg.solve(L, np.column_stack([cross, gamma - mean_q]))
+    G, r = W[:, :-1], W[:, -1]
+    return v_kept - G.T @ G, mean_kept + G.T @ r, gamma
+
+
+def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None):
+    """Condition on homodynes of several distinct modes at once and drop them.
+
+    ``measured`` lists (mode, quadrature) pairs on distinct modes. Their
+    quadratures commute, so one Schur complement is exact
+    (``_schur_condition``, with M = cov[q, q] and C = cov[kept, q] for q the
+    measured quadratures). ``outcomes`` is a vector in list order, None for
+    all zeros, or ``"sample"`` (draw them with ``rng``, the same draw as
+    measuring one by one in list order with ``rng.normal``).
 
     Returns ``(state, gamma)``: the validated state of the kept modes, in
     their original order, and the outcome vector that was used.
@@ -169,33 +211,17 @@ def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None)
     qidx = np.array([2 * m + (q == "P") for m, q in measured], dtype=int)
     kidx = np.array([2 * m + j for m in range(n) if m not in modes for j in (0, 1)], dtype=int)
 
-    try:
-        L = np.linalg.cholesky(state.cov[np.ix_(qidx, qidx)])
-        degenerate = np.min(np.diag(L)) ** 2 < 1e-12
-    except np.linalg.LinAlgError:
-        degenerate = True
-    if degenerate:
-        raise ValueError("measured quadrature variance is numerically degenerate")
-
-    mean_q = state.mean[qidx]
-    k = len(measured)
-    if isinstance(outcomes, str) and outcomes == "sample":
-        if rng is None:
-            raise ValueError("sampling outcomes requires an rng")
-        gamma = mean_q + L @ rng.standard_normal(k)
-    elif outcomes is None:
-        gamma = np.zeros(k)
-    else:
-        gamma = np.asarray(outcomes, dtype=float).reshape(-1)
-        if gamma.shape[0] != k:
-            raise ValueError("outcome vector has wrong length")
-
-    # numpy has no triangular solver; k is small, so a general solve on L is cheap
-    W = np.linalg.solve(L, np.column_stack([state.cov[np.ix_(qidx, kidx)], gamma - mean_q]))
-    G, r = W[:, :-1], W[:, -1]
-    cov = state.cov[np.ix_(kidx, kidx)] - G.T @ G
-    mean = state.mean[kidx] + G.T @ r
-    return GaussianState(cov, mean), gamma
+    cov, mean = state.cov, state.mean
+    out_cov, out_mean, gamma = _schur_condition(
+        cov[np.ix_(kidx, kidx)],
+        cov[np.ix_(qidx, kidx)],
+        cov[np.ix_(qidx, qidx)],
+        mean[kidx],
+        mean[qidx],
+        outcomes,
+        rng,
+    )
+    return GaussianState(out_cov, out_mean), gamma
 
 
 def homodyne_condition(
@@ -218,16 +244,19 @@ def homodyne_condition(
 def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
     """Run the multipartite Bell detection on N two-mode copies.
 
-    Each copy is a state on modes (A, B) with A the mode sent to the relay.
-    The copies are placed on the register (A1, B1, ..., AN, BN), the relay
-    matrix is applied to the A modes, and the planned homodynes are
-    conditioned on jointly (``condition_homodynes``). ``outcomes`` may be a
-    vector with one entry per planned homodyne, ``"sample"`` (draw the
+    Each copy is a state on modes (A, B) with A the mode sent to the relay;
+    write its covariance as [[a_k, c_k], [c_k^T, b_k]]. Readout j of the plan
+    measures quadrature q_j of the mixed port p_j, the row of W that holds
+    U[p_j, k] on quadrature q_j of A_k. The readouts then have covariance
+    M = W blockdiag(a_k) W^T and cross covariance C = blockdiag(c_k)^T W^T
+    with the kept modes (B1..BN), whose own covariance is blockdiag(b_k);
+    one Schur complement (as in ``condition_homodynes``) conditions on all
+    readouts jointly. No 4N-dimensional register is formed. ``outcomes`` may
+    be a vector with one entry per planned homodyne, ``"sample"`` (draw the
     readouts from their exact joint Gaussian law using ``rng``), or None for
     all zeros.
 
-    The mixed register is symplectic by construction and is not re-validated;
-    only the returned state is.
+    Only the returned state is validated.
 
     Returns ``(state, gamma)``: the conditional N-mode state on (B1..BN) with
     its conditional mean, and the outcome vector that was used.
@@ -240,14 +269,31 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
         if c.n_modes != 2:
             raise ValueError("each copy must have exactly two modes (A, B)")
 
-    # block-diagonal register: copy k fills modes (2k, 2k + 1)
-    cov = np.zeros((4 * N, 4 * N))
-    cov.reshape(N, 4, N, 4)[np.arange(N), :, np.arange(N), :] = [c.cov for c in copies]
-    mean = np.concatenate([c.mean for c in copies])
+    covs = np.array([c.cov for c in copies])
+    means = np.array([c.mean for c in copies])
+    # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped
+    ports = [port for port, _ in plan.measurements]
+    quads = [int(q == "P") for _, q in plan.measurements]
+    wt = np.zeros((N, 2, N))
+    wt[:, quads, np.arange(N)] = plan.ortho[ports].T
+    # rows (a_k; c_k^T) of each copy times W_k^T: the readouts' covariance
+    # with A_k (to be summed over k into M) and with B_k (C's rows)
+    y = covs[:, :, :2] @ wt
+    wt = wt.reshape(2 * N, N)  # W^T as a 2N x N matrix
+    m_cov = wt.T @ y[:, :2].reshape(2 * N, N)
+    v_b = np.zeros((N, 2, N, 2))
+    v_b[np.arange(N), :, np.arange(N), :] = covs[:, 2:, 2:]
 
-    S = embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N)
-    mixed = GaussianState(S @ cov @ S.T, S @ mean, check=False)
-    return condition_homodynes(mixed, [(2 * port, q) for port, q in plan.measurements], outcomes, rng)
+    cov, mean, gamma = _schur_condition(
+        v_b.reshape(2 * N, 2 * N),
+        y[:, 2:].reshape(2 * N, N).T,
+        m_cov,
+        means[:, 2:].reshape(-1),
+        wt.T @ means[:, :2].reshape(-1),
+        outcomes,
+        rng,
+    )
+    return GaussianState(cov, mean), gamma
 
 
 def displacement_correction(state: GaussianState) -> GaussianState:

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from cvswap import cli
+from cvswap import cli, optomech
 from cvswap.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNKNOWN_EXPERIMENT,
     EXIT_UNWRITABLE,
@@ -71,6 +72,25 @@ def test_invalid_grid_exits_3(capsys, tmp_path):
     assert main(["network-sweep", "--eta", "1.5", "--out", out]) == EXIT_BAD_CONFIG
     assert main(["ghz-limit", "--format", "xml", "--out", out]) == EXIT_BAD_CONFIG
     capsys.readouterr()
+
+
+def test_non_finite_grid_exits_3_and_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["fig2b", "--d", "nan,0", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    for bad in ("inf", "0,-inf", "NaN", "linspace(0,inf,3)", "linspace(nan,1,2)"):
+        with pytest.raises(ConfigError):
+            parse_grid(bad)
+
+
+def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    # every Lyapunov residual is above zero, so a zero limit fails the first point
+    monkeypatch.setattr(optomech, "_RESIDUAL_LIMIT", 0.0)
+    out = tmp_path / "c.csv"
+    assert main(["fig2c", "--out", str(out)]) == EXIT_NUMERICAL
+    assert "Lyapunov solver residual" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_exits_4(capsys, tmp_path):

@@ -117,6 +117,8 @@ def test_log_negativity_partition_validation():
         log_negativity(st, [0, 1])
     with pytest.raises(IndexError):
         log_negativity(st, [5])
+    with pytest.raises(IndexError):
+        log_negativity(st, [-1])
 
 
 def test_apply_symplectic_transforms_cov_and_mean():
@@ -213,11 +215,8 @@ def _beam_splitter(theta):
     return np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_two_mode_spectra_match_williamson(seed):
-    # thermal pair -> local squeezers -> beam splitter -> local squeezers
-    rng = np.random.default_rng(seed)
+def _random_two_mode(rng):
+    """(V, nu_1, nu_2): thermal pair -> local squeezers -> beam splitter -> local squeezers."""
     nu_1, nu_2 = rng.uniform(1.0, 4.0, 2)
     locals_ = []
     for _ in range(2):
@@ -227,7 +226,13 @@ def test_two_mode_spectra_match_williamson(seed):
         locals_.append(S_loc)
     S = locals_[0] @ _beam_splitter(rng.uniform(0, 2 * np.pi)) @ locals_[1]
     V = S @ np.diag([nu_1, nu_1, nu_2, nu_2]) @ S.T
-    V = 0.5 * (V + V.T)
+    return 0.5 * (V + V.T), nu_1, nu_2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_two_mode_spectra_match_williamson(seed):
+    V, nu_1, nu_2 = _random_two_mode(np.random.default_rng(seed))
     nus, pt_nus = _two_mode_spectra(V)
     tol = 1e-12 * np.linalg.norm(V, 2)
     np.testing.assert_allclose(nus, symplectic_eigenvalues(V), rtol=0, atol=tol)
@@ -235,6 +240,19 @@ def test_two_mode_spectra_match_williamson(seed):
         pt_nus, symplectic_eigenvalues(partial_transpose(V, [0])), rtol=0, atol=tol
     )
     np.testing.assert_allclose(sorted(nus), sorted([nu_1, nu_2]), rtol=0, atol=tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_two_mode_log_negativity_matches_williamson_route(seed):
+    V, _, _ = _random_two_mode(np.random.default_rng(seed))
+    state = GaussianState(V)
+    for part in ([0], [1]):
+        pt_nus = symplectic_eigenvalues(partial_transpose(V, part))
+        williamson = float(np.sum(np.clip(-np.log(pt_nus), 0.0, None)))
+        # an absolute error delta in nu~_- moves -ln nu~_- by delta / nu~_-
+        tol = 1e-12 * np.linalg.norm(V, 2) / min(1.0, pt_nus[0])
+        assert log_negativity(state, part) == pytest.approx(williamson, rel=0, abs=tol)
 
 
 @pytest.mark.parametrize("m", [8, 14, 21])

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvswap import optomech
 from cvswap.gaussian import log_negativity, min_symplectic_eigenvalue, two_mode_standard_form
@@ -251,3 +256,69 @@ def test_conditional_determinant_keeps_mirrors_separable():
                 for preprocess in (True, False):
                     _, e_pair = mechanical_cluster(p, n, local_preprocessing=preprocess)
                     assert e_pair == 0.0
+
+
+def _scipy_lyapunov(A, D):
+    # independent reference: Bartels-Stewart, only ever imported by the tests
+    from scipy.linalg import solve_continuous_lyapunov
+
+    return solve_continuous_lyapunov(A, -D)
+
+
+def _solver_tolerance(A, V):
+    """1e-12 ||V||, or eps cond(K) ||V|| where the Lyapunov operator K is worse conditioned.
+
+    Two backward-stable solvers may differ by about eps cond(K) ||V||. On the
+    fig2c grid that exceeds 1e-12 ||V|| only at zero detuning, where the
+    barely damped mechanics (gamma_m / omega_m = 1e-5) give cond(K) = 2e5 to 4e5.
+    """
+    K = np.kron(A, np.eye(4)) + np.kron(np.eye(4), A)
+    return max(1e-12, np.finfo(float).eps * np.linalg.cond(K)) * np.linalg.norm(V, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kronecker_lyapunov_matches_scipy_on_random_stable_drifts(seed):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(4, 4))
+    # shift the spectrum to real parts in [-3, -0.1]
+    A = B - (np.max(np.linalg.eigvals(B).real) + rng.uniform(0.1, 3.0)) * np.eye(4)
+    G = rng.normal(size=(4, 4))
+    D = G @ G.T
+    V = optomech._kron_lyapunov(A, D)
+    reference = _scipy_lyapunov(A, D)
+    np.testing.assert_allclose(V, reference, rtol=0, atol=_solver_tolerance(A, reference))
+
+
+def test_kronecker_lyapunov_matches_scipy_on_the_fig2c_grid():
+    for g_mhz in (4.0, 8.0, 8.5):
+        base = standard_params(g_eff=2 * np.pi * g_mhz * 1e6)
+        for ratio in np.linspace(0.0, 1.5, 31):
+            p = base.with_delta(ratio * base.omega_m)
+            A, D = drift_diffusion(p)
+            if not is_stable(A):
+                continue
+            V, residual = optomech._solve_lyapunov(p)
+            reference = _scipy_lyapunov(A / p.omega_m, D / p.omega_m)
+            reference = 0.5 * (reference + reference.T)
+            tol = _solver_tolerance(A / p.omega_m, reference)
+            np.testing.assert_allclose(V, reference, rtol=0, atol=tol)
+            assert residual < 1e-10
+
+
+def test_detuning_sweep_does_not_load_scipy():
+    # the optomechanical path needs numpy alone; scipy.linalg costs a process
+    # about 27 MB and 0.13 s to import
+    src = os.path.dirname(os.path.dirname(optomech.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from cvswap.optomech import detuning_sweep, standard_params\n"
+        "base = standard_params()\n"
+        "rows = detuning_sweep(base, [0.5 * base.omega_m, -base.omega_m], n_users=(2, 3))\n"
+        "assert [r[4] for r in rows] == [1, 1, 0, 0], rows\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -66,6 +66,7 @@ def test_relay_plan_validates_orthogonality():
         ((0, "P"), (2, "X")),  # port out of range
         ((-1, "P"), (1, "X")),
         ((0, "P"), (1, "Y")),
+        ((1, "X"),),  # port 0 left unmeasured
     ],
 )
 def test_relay_plan_validates_measurements(measurements):
@@ -244,18 +245,24 @@ def test_joint_conditioning_equals_sequential_in_every_order(seed, n_modes, data
         np.testing.assert_allclose(joint.mean, chained.mean, rtol=0, atol=tol)
 
 
-def _bell_detect_sequential(copies, plan, rng):
-    """Reference: one homodyne at a time, each readout drawn from its marginal."""
+def _bell_detect_sequential(copies, plan, rng=None, outcomes=None):
+    """Reference on the full register: one homodyne at a time.
+
+    Each readout is drawn from its marginal with ``rng``, or else taken from
+    ``outcomes`` (all zeros if None), in plan order.
+    """
     state = copies[0]
     for c in copies[1:]:
         state = tensor(state, c)
     N = plan.n_users
     state = apply_symplectic(state, embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N))
+    if outcomes is None:
+        outcomes = np.zeros(N)
     gamma, removed = [], []
-    for port, quad in plan.measurements:
+    for j, (port, quad) in enumerate(plan.measurements):
         mode = 2 * port - sum(r < 2 * port for r in removed)
         q = 2 * mode + (quad == "P")
-        gamma.append(rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
+        gamma.append(outcomes[j] if rng is None else rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
         state = homodyne_condition(state, mode, quad, gamma[-1])
         removed.append(2 * port)
     return state, np.array(gamma)
@@ -298,3 +305,28 @@ def test_bell_detect_validates_copies_without_williamson(monkeypatch):
     out, _ = bell_detect([nf.state() for _ in range(3)], build_relay(3))
     assert out.n_modes == 3
     assert calls == [3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    outcomes=st.sampled_from(["zero", "given", "sample"]),
+)
+def test_block_bell_detect_matches_register_reference(seed, n, outcomes):
+    # permuted ports, random quadratures, random copies with nonzero means
+    rng = np.random.default_rng(seed)
+    copies = [_random_state(rng, 2) for _ in range(n)]
+    measurements = tuple((int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n))
+    plan = RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=measurements)
+    if outcomes == "sample":
+        joint, g_joint = bell_detect(copies, plan, "sample", np.random.default_rng(seed))
+        seq, g_seq = _bell_detect_sequential(copies, plan, rng=np.random.default_rng(seed))
+    else:
+        given_outcomes = rng.normal(size=n) if outcomes == "given" else None
+        joint, g_joint = bell_detect(copies, plan, given_outcomes)
+        seq, g_seq = _bell_detect_sequential(copies, plan, outcomes=given_outcomes)
+    tol = 1e-12 * max(1.0, max(np.linalg.norm(c.cov, 2) for c in copies))
+    np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=tol)
+    np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=tol)
+    np.testing.assert_allclose(joint.cov, seq.cov, rtol=0, atol=tol)
