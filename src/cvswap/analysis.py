@@ -25,7 +25,7 @@ from .gaussian import (
     reduce as reduce_state,
     symplectic_eigenvalues,
 )
-from .relay import bell_detect, build_relay, cluster_closed_form
+from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _readout_factor, cluster_closed_form
 from .sources import TwoModeNormalForm, _golden_max, thermal_loss_on_a, tmsv
 
 __all__ = [
@@ -124,18 +124,9 @@ def full_house_logneg(pt: NetworkPoint, clamped: bool = True) -> float:
 # --- numerical oracles ---------------------------------------------------
 
 
-def network_cluster_cm(pt: NetworkPoint, pipeline: bool = False) -> np.ndarray:
-    """Output covariance of the N kept modes.
-
-    By default assembles the closed form; with ``pipeline=True`` runs the
-    full tensor/relay/conditioning machinery instead (slower, used to
-    cross-check the closed form).
-    """
+def network_cluster_cm(pt: NetworkPoint) -> np.ndarray:
+    """Output covariance of the N kept modes, assembled from the closed form."""
     nf = pt.normal_form()
-    if pipeline:
-        copies = [nf.state() for _ in range(pt.n_users)]
-        out, _ = bell_detect(copies, build_relay(pt.n_users))
-        return out.cov
     return cluster_closed_form(nf.x, nf.y, nf.z, pt.n_users).assemble()
 
 
@@ -182,27 +173,6 @@ def block_logneg_numeric_raw(cluster_cov: np.ndarray, group_a, group_b) -> float
 _GLE_GRID = 64
 _GLE_TOL = 1e-8
 _GLE_MAX_PASSES = 40
-
-#: A measured readout whose conditional variance falls below this is degenerate.
-_MIN_READOUT_VARIANCE = 1e-12
-_DEGENERATE = "measured quadrature variance is numerically degenerate"
-
-
-def _readout_factor(m: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a readout covariance (or a stack of them).
-
-    Its pivots are the conditional variances of the readouts, one after
-    another; each must be at least _MIN_READOUT_VARIANCE.
-    """
-    try:
-        L = np.linalg.cholesky(m)
-        degenerate = np.min(np.diagonal(L, axis1=-2, axis2=-1)) ** 2 < _MIN_READOUT_VARIANCE
-    except np.linalg.LinAlgError:
-        degenerate = True
-    if degenerate:
-        raise ValueError(_DEGENERATE)
-    return L
-
 
 def _common_angle_pairs(v: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Pair covariances left when every measured mode is read at one angle, per angle.

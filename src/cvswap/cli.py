@@ -5,15 +5,20 @@ Each experiment writes one data file (CSV or JSON) plus a sidecar manifest
 version and the wall time. Data files are byte-identical across reruns
 with the same seed; the manifest is the only place timing lives.
 
-Configuration is flat ``key = value`` text; command-line flags override
-file values. Grid-valued keys accept comma lists (``1,2,5``), inclusive
-integer ranges (``2..8``) and ``linspace(a,b,n)``; a grid that starts with a
-negative value must be joined to its flag (``--d=-1,0.5``), or argparse reads
-it as an option.
+Two tables drive the configuration: ``KEYS`` gives each key its parser,
+bound and help text, and ``EXPERIMENTS`` gives each experiment its runner and
+the keys it reads, with their defaults. An experiment accepts ``format``,
+``out`` and its own keys; any other flag or config-file key is refused.
+Configuration is flat ``key = value`` text; command-line flags override file
+values and go through the same parsers. Grid-valued keys accept comma lists
+(``1,2,5``), inclusive integer ranges (``2..8``) and ``linspace(a,b,n)``; a
+grid that starts with a negative value must be joined to its flag
+(``--d=-1,0.5``), or argparse reads it as an option.
 
 Exit codes: 0 success, 2 unknown experiment or command-line usage error
-(argparse), 3 invalid configuration or grid (including a non-finite grid
-value), 4 unwritable output path, 5 numerical failure (a Lyapunov residual
+(argparse), 3 invalid configuration (a malformed or out-of-bounds value, a
+non-finite value, a missing required key, or a key the experiment does
+not read), 4 unwritable output path, 5 numerical failure (a Lyapunov residual
 over its limit, or the state sampler out of attempts). Data file and
 manifest are each written to a temp file and renamed into place.
 """
@@ -58,8 +63,6 @@ EXIT_UNWRITABLE = 4
 EXIT_NUMERICAL = 5
 
 _FLOAT_FMT = "{:.12g}"
-
-SAMPLING_EXPERIMENTS = {"swap-check", "fig2a"}
 
 
 class ConfigError(ValueError):
@@ -141,14 +144,6 @@ def read_config_file(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-def _resolve(flag_value, file_values, key, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return file_values[key]
-    return default
 
 
 # --- output ----------------------------------------------------------------
@@ -307,7 +302,9 @@ def _run_fig2c(cfg):
 
 
 def _run_fig2d(cfg):
-    g_mhz = cfg["g_eff_mhz"][0]
+    if len(cfg["g_eff_mhz"]) != 1:
+        raise ConfigError(f"fig2d takes one g_eff_mhz value, got {cfg['g_eff_mhz']}")
+    (g_mhz,) = cfg["g_eff_mhz"]
     base = standard_params(
         g_eff=2 * np.pi * g_mhz * 1e6,
         kappa_convention=cfg["kappa_convention"],
@@ -358,121 +355,121 @@ def _pool_map(fn, items, workers):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
-EXPERIMENTS = {
-    "swap-check": _run_swap_check,
-    "fig2a": _run_fig2a,
-    "fig2b": _run_fig2b,
-    "network-sweep": _run_network_sweep,
-    "fig2c": _run_fig2c,
-    "fig2d": _run_fig2d,
-    "ghz-limit": _run_ghz_limit,
-}
+# --- configuration tables ----------------------------------------------------
 
 
-# --- config resolution -------------------------------------------------------
-
-
-def _as_int(value, key):
+def _as_int(value):
     try:
         return int(str(value))
     except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
+        raise ConfigError(f"must be an integer, got {value!r}") from exc
 
 
-def _as_float(value, key):
+def _as_float(value):
     try:
-        return float(str(value))
+        number = float(str(value))
     except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        raise ConfigError(f"must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"must be finite, got {value!r}")
+    return number
 
 
-def _as_switch(value, key):
+def _as_switch(value):
     text = str(value).strip().lower()
     if text in ("on", "true", "1", "yes"):
         return True
     if text in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be on or off, got {value!r}")
+    raise ConfigError(f"must be on or off, got {value!r}")
+
+
+#: key -> (parser, bound, help). A bound is (test, text): every parsed value
+#: (each point of a grid) must pass the test. ``workers`` has no help and so
+#: no flag; it comes from a config file or the CVSWAP_WORKERS variable.
+KEYS = {
+    "format": (str, (lambda v: v in ("csv", "json"), "csv or json"), "csv or json (default csv)"),
+    "seed": (_as_int, None, "RNG seed"),
+    "workers": (_as_int, (lambda v: v >= 1, ">= 1"), None),
+    "samples": (_as_int, (lambda v: v >= 1, ">= 1"), "number of sampled states"),
+    "n_max": (_as_int, (lambda v: v >= 2, ">= 2"), "largest relay size"),
+    "x_max": (_as_float, (lambda v: v > 1, "> 1"), "sampler cap on normal-form variances"),
+    "mu": (parse_grid, (lambda v: v >= 1, ">= 1"), "grid of TMSV variances"),
+    "eta": (parse_grid, (lambda v: 0 < v <= 1, "in (0, 1]"), "grid of channel transmissivities"),
+    "omega": (parse_grid, (lambda v: v >= 1, ">= 1"), "grid of channel thermal variances"),
+    "n": (parse_int_grid, (lambda v: v >= 2, ">= 2"), "grid of user counts, e.g. 2..8"),
+    "d": (parse_grid, None, "grid of asymmetry values"),
+    "delta_over_omega_m": (parse_grid, None, "detuning grid in units of the mechanical frequency"),
+    "g_eff_mhz": (parse_grid, (lambda v: v >= 0, ">= 0"), "effective coupling(s), ordinary MHz"),
+    "temp_mk": (_as_float, (lambda v: v >= 0, ">= 0"), "bath temperature in millikelvin"),
+    "kappa_convention": (
+        str,
+        (lambda v: v in ("angular", "ordinary"), "angular or ordinary"),
+        "read the quoted cavity linewidth as 'angular' (rad/s) or 'ordinary' (Hz)",
+    ),
+    "local_preprocessing": (
+        _as_switch,
+        None,
+        "on/off: rotate each optomechanical copy to standard form before the relay",
+    ),
+}
+
+_OPTOMECH = {
+    "delta_over_omega_m": "linspace(0,1.5,31)",
+    "temp_mk": "0.4",
+    "kappa_convention": "angular",
+    "local_preprocessing": "on",
+}
+
+#: name -> (runner, {key it reads: default}); a None default marks a required key.
+EXPERIMENTS = {
+    "swap-check": (_run_swap_check, {"seed": None, "samples": "200", "n_max": "8", "x_max": "10"}),
+    "fig2a": (_run_fig2a, {"seed": None, "samples": "10000", "x_max": "10"}),
+    "fig2b": (_run_fig2b, {"d": "linspace(-1.5,1.5,31)", "x_max": "10", "workers": "1"}),
+    "network-sweep": (
+        _run_network_sweep,
+        {"mu": "5", "eta": "0.9", "omega": "1", "n": "2..8", "workers": "1"},
+    ),
+    "fig2c": (_run_fig2c, {"g_eff_mhz": "4,8,8.5", **_OPTOMECH}),
+    "fig2d": (_run_fig2d, {"g_eff_mhz": "8", "n": "2..5", **_OPTOMECH}),
+    "ghz-limit": (_run_ghz_limit, {"mu": "2,10,100", "n": "2..8"}),
+}
 
 
 def resolve_config(experiment, args, file_values):
-    """Merge flags over file values over defaults into one validated dict."""
-    cfg = {"experiment": experiment}
+    """Merge flags over file values over the experiment's defaults into one checked dict.
 
-    fmt = str(_resolve(args.format, file_values, "format", "csv"))
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    cfg["format"] = fmt
+    Only ``format``, ``out`` and the experiment's own keys are accepted.
+    """
+    _, defaults = EXPERIMENTS[experiment]
+    keys = {"format": "csv", **defaults}
+    given = dict(file_values)
+    if "workers" in keys and "CVSWAP_WORKERS" in os.environ:
+        given["workers"] = os.environ["CVSWAP_WORKERS"]
+    for key in ("out", *KEYS):
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    unread = sorted(set(given) - set(keys) - {"out"})
+    if unread:
+        raise ConfigError(
+            f"{experiment} does not read {', '.join(map(repr, unread))}; "
+            f"its keys are format, out, {', '.join(defaults)}"
+        )
 
-    out = _resolve(args.out, file_values, "out", None)
-    cfg["out"] = str(out) if out is not None else f"{experiment}.{fmt}"
-
-    seed = _resolve(args.seed, file_values, "seed", None)
-    cfg["seed"] = _as_int(seed, "seed") if seed is not None else None
-    if experiment in SAMPLING_EXPERIMENTS and cfg["seed"] is None:
-        raise ConfigError(f"{experiment} samples randomly; a seed is required")
-
-    workers = os.environ.get("CVSWAP_WORKERS")
-    if workers is None:
-        workers = _resolve(None, file_values, "workers", 1)
-    cfg["workers"] = _as_int(workers, "workers")
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
-
-    cfg["samples"] = _as_int(_resolve(args.samples, file_values, "samples", 200), "samples")
-    if experiment == "fig2a" and args.samples is None and "samples" not in file_values:
-        cfg["samples"] = 10000
-    if cfg["samples"] < 1:
-        raise ConfigError("samples must be >= 1")
-
-    cfg["n_max"] = _as_int(_resolve(args.n_max, file_values, "n_max", 8), "n_max")
-    if cfg["n_max"] < 2:
-        raise ConfigError("n_max must be >= 2")
-
-    cfg["x_max"] = _as_float(_resolve(args.x_max, file_values, "x_max", 10.0), "x_max")
-    if cfg["x_max"] <= 1.0:
-        raise ConfigError("x_max must exceed 1")
-
-    cfg["mu"] = parse_grid(_resolve(args.mu, file_values, "mu", "2,10,100" if experiment == "ghz-limit" else "5"))
-    if any(m < 1.0 for m in cfg["mu"]):
-        raise ConfigError("mu grid values must be >= 1")
-
-    cfg["eta"] = parse_grid(_resolve(args.eta, file_values, "eta", "0.9"))
-    if any(not 0.0 < e <= 1.0 for e in cfg["eta"]):
-        raise ConfigError("eta grid values must lie in (0, 1]")
-
-    cfg["omega"] = parse_grid(_resolve(args.omega, file_values, "omega", "1"))
-    if any(w < 1.0 for w in cfg["omega"]):
-        raise ConfigError("omega grid values must be >= 1")
-
-    default_n = "2..5" if experiment in ("fig2c", "fig2d") else "2..8"
-    cfg["n"] = parse_int_grid(_resolve(args.n, file_values, "n", default_n))
-    if any(n < 2 for n in cfg["n"]):
-        raise ConfigError("n grid values must be >= 2")
-
-    cfg["d"] = parse_grid(_resolve(args.d, file_values, "d", "linspace(-1.5,1.5,31)"))
-
-    cfg["delta_over_omega_m"] = parse_grid(
-        _resolve(args.delta_over_omega_m, file_values, "delta_over_omega_m", "linspace(0,1.5,31)")
-    )
-
-    default_g = "4,8,8.5" if experiment == "fig2c" else "8"
-    cfg["g_eff_mhz"] = parse_grid(_resolve(args.g_eff_mhz, file_values, "g_eff_mhz", default_g))
-    if any(g < 0 for g in cfg["g_eff_mhz"]):
-        raise ConfigError("g_eff_mhz must be non-negative")
-
-    cfg["temp_mk"] = _as_float(_resolve(args.temp_mk, file_values, "temp_mk", 0.4), "temp_mk")
-    if cfg["temp_mk"] < 0:
-        raise ConfigError("temp_mk must be non-negative")
-
-    convention = str(_resolve(args.kappa_convention, file_values, "kappa_convention", "angular"))
-    if convention not in ("angular", "ordinary"):
-        raise ConfigError("kappa_convention must be angular or ordinary")
-    cfg["kappa_convention"] = convention
-
-    lp = _resolve(args.local_preprocessing, file_values, "local_preprocessing", "on")
-    cfg["local_preprocessing"] = _as_switch(lp, "local_preprocessing")
-
+    cfg = {}
+    for key, default in keys.items():
+        raw = given.get(key, default)
+        if raw is None:
+            raise ConfigError(f"{experiment} requires {key}")
+        parse, bound, _ = KEYS[key]
+        try:
+            value = parse(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if bound and not all(map(bound[0], value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{key}: must be {bound[1]}, got {raw!r}")
+        cfg[key] = value
+    cfg["out"] = str(given.get("out", f"{experiment}.{cfg['format']}"))
     return cfg
 
 
@@ -483,34 +480,10 @@ def build_parser():
     )
     parser.add_argument("experiment", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--seed", type=int, help="RNG seed (required for sampling experiments)")
     parser.add_argument("--out", help="output data file (default <experiment>.<format>)")
-    parser.add_argument("--format", help="csv or json (default csv)")
-    parser.add_argument("--samples", type=int, help="number of sampled states")
-    parser.add_argument("--n-max", type=int, dest="n_max", help="largest relay size for swap-check")
-    parser.add_argument("--x-max", type=float, dest="x_max", help="sampler cap on normal-form variances")
-    parser.add_argument("--mu", help="grid of TMSV variances")
-    parser.add_argument("--eta", help="grid of channel transmissivities")
-    parser.add_argument("--omega", help="grid of channel thermal variances")
-    parser.add_argument("--n", help="grid of user counts, e.g. 2..8")
-    parser.add_argument("--d", help="grid of asymmetry values for fig2b")
-    parser.add_argument(
-        "--delta-over-omega-m",
-        dest="delta_over_omega_m",
-        help="detuning grid in units of the mechanical frequency",
-    )
-    parser.add_argument("--g-eff-mhz", dest="g_eff_mhz", help="effective coupling(s), ordinary MHz")
-    parser.add_argument("--temp-mk", dest="temp_mk", help="bath temperature in millikelvin")
-    parser.add_argument(
-        "--kappa-convention",
-        dest="kappa_convention",
-        help="read the quoted cavity linewidth as 'angular' (rad/s) or 'ordinary' (Hz)",
-    )
-    parser.add_argument(
-        "--local-preprocessing",
-        dest="local_preprocessing",
-        help="on/off: rotate each optomechanical copy to standard form before the relay",
-    )
+    for key, (_, _, help_text) in KEYS.items():
+        if help_text:
+            parser.add_argument("--" + key.replace("_", "-"), help=help_text)
     return parser
 
 
@@ -529,14 +502,10 @@ def main(argv=None) -> int:
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve_config(args.experiment, args, file_values)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    started = time.perf_counter()
-    try:
-        columns, rows, summary = EXPERIMENTS[args.experiment](cfg)
-    except (ConfigError, ValueError) as exc:
+        runner, _ = EXPERIMENTS[args.experiment]
+        started = time.perf_counter()
+        columns, rows, summary = runner(cfg)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except RuntimeError as exc:
@@ -547,7 +516,7 @@ def main(argv=None) -> int:
     manifest = {
         "experiment": args.experiment,
         "version": __version__,
-        "config": {k: v for k, v in cfg.items() if k != "experiment"},
+        "config": cfg,
         "rows": len(rows),
         "wall_time_s": wall,
     }

@@ -137,6 +137,27 @@ def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
     return S
 
 
+#: A measured readout whose conditional variance falls below this is degenerate.
+_MIN_READOUT_VARIANCE = 1e-12
+_DEGENERATE = "measured quadrature variance is numerically degenerate"
+
+
+def _readout_factor(m: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a readout covariance (or a stack of them).
+
+    Its pivots are the conditional variances of the readouts, one after
+    another; each must be at least _MIN_READOUT_VARIANCE.
+    """
+    try:
+        L = np.linalg.cholesky(m)
+        degenerate = np.min(np.diagonal(L, axis1=-2, axis2=-1)) ** 2 < _MIN_READOUT_VARIANCE
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
+        raise ValueError(_DEGENERATE)
+    return L
+
+
 def _schur_condition(v_kept, cross, m_cov, mean_kept, mean_q, outcomes, rng):
     """Condition kept quadratures on k jointly Gaussian readouts: one Schur complement.
 
@@ -148,21 +169,15 @@ def _schur_condition(v_kept, cross, m_cov, mean_kept, mean_q, outcomes, rng):
 
     evaluated through the Cholesky factor M = L L^T and one solve for
     L^-1 [C^T | outcomes - mean_q]. The pivots of L are the conditional
-    variances of a measurement chain in readout order; each must be at least
-    1e-12. ``outcomes`` is a vector in readout order, None for all zeros, or
-    ``"sample"``: gamma = mean_q + L @ rng.standard_normal(k), which is the
-    same draw as measuring one by one in readout order with ``rng.normal``.
+    variances of a measurement chain in readout order; :func:`_readout_factor`
+    refuses a degenerate one. ``outcomes`` is a vector in readout order, None
+    for all zeros, or ``"sample"``: gamma = mean_q + L @ rng.standard_normal(k),
+    which is the same draw as measuring one by one in readout order with
+    ``rng.normal``.
 
     Returns ``(cov, mean, gamma)`` of the kept quadratures, unvalidated.
     """
-    try:
-        L = np.linalg.cholesky(m_cov)
-        degenerate = np.min(np.diag(L)) ** 2 < 1e-12
-    except np.linalg.LinAlgError:
-        degenerate = True
-    if degenerate:
-        raise ValueError("measured quadrature variance is numerically degenerate")
-
+    L = _readout_factor(m_cov)
     k = len(mean_q)
     if isinstance(outcomes, str) and outcomes == "sample":
         if rng is None:

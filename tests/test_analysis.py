@@ -23,7 +23,13 @@ from cvswap.analysis import (
     tmsv_swap_bound,
 )
 from cvswap.gaussian import GaussianState, PhysicalityError, rotation, tensor, vacuum
-from cvswap.relay import cluster_closed_form, condition_homodynes, embed_orthogonal
+from cvswap.relay import (
+    bell_detect,
+    build_relay,
+    cluster_closed_form,
+    condition_homodynes,
+    embed_orthogonal,
+)
 from cvswap.sources import sample_normal_form, tmsv
 
 
@@ -140,9 +146,8 @@ def test_pairwise_numeric_pair_choice_is_irrelevant():
 
 def test_pipeline_cluster_equals_closed_form_cluster():
     pt = NetworkPoint(3.0, 0.75, 1.6, 4)
-    np.testing.assert_allclose(
-        network_cluster_cm(pt, pipeline=True), network_cluster_cm(pt), atol=1e-10
-    )
+    piped, _ = bell_detect([pt.normal_form().state()] * pt.n_users, build_relay(pt.n_users))
+    np.testing.assert_allclose(piped.cov, network_cluster_cm(pt), atol=1e-10)
 
 
 def test_gle_numeric_matches_formula_lossless():

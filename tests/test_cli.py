@@ -1,8 +1,10 @@
 import csv
 import errno
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +310,117 @@ def test_console_script_wiring(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# Small argument sets that run every experiment in well under a second.
+_QUICK_ARGS = {
+    "swap-check": ["--samples", "2", "--n-max", "3", "--seed", "1"],
+    "fig2a": ["--samples", "5", "--seed", "1"],
+    "fig2b": ["--d", "0,0.5", "--x-max", "5"],
+    "network-sweep": ["--mu", "2", "--n", "2..3"],
+    "fig2c": ["--g-eff-mhz", "8", "--delta-over-omega-m", "0.5"],
+    "fig2d": ["--delta-over-omega-m", "0.5", "--n", "2..3"],
+    "ghz-limit": ["--mu", "2", "--n", "2..3"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_unread_flag_exits_3_and_names_the_key(experiment, tmp_path, capsys):
+    _, keys = cli.EXPERIMENTS[experiment]
+    out = tmp_path / "x.csv"
+    flagged = [k for k, (_, _, help_text) in cli.KEYS.items() if help_text and k != "format"]
+    unread = [k for k in flagged if k not in keys]
+    assert unread
+    for key in unread:
+        flag = "--" + key.replace("_", "-")
+        argv = [experiment, *_QUICK_ARGS[experiment], flag, "2", "--out", str(out)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert f"does not read '{key}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_unread_file_key_exits_3_and_names_the_key(experiment, tmp_path, capsys):
+    _, keys = cli.EXPERIMENTS[experiment]
+    out = tmp_path / "out" / "x.csv"
+    out.parent.mkdir()
+    cfg = tmp_path / "run.cfg"
+    for key in [k for k in cli.KEYS if k not in keys and k != "format"] + ["n_mx", "config"]:
+        cfg.write_text(f"{key} = 2\n")
+        argv = [experiment, *_QUICK_ARGS[experiment], "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert f"does not read '{key}'" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_manifest_config_holds_only_the_experiments_keys(experiment, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([experiment, *_QUICK_ARGS[experiment], "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    _, keys = cli.EXPERIMENTS[experiment]
+    assert set(manifest["config"]) == {"format", "out", *keys}
+    capsys.readouterr()
+
+
+def test_malformed_value_exits_3_from_a_flag_and_a_file(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["fig2b", "--x-max", "abc", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "x_max" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x_max = abc\n")
+    assert main(["fig2b", "--config", str(cfg), "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "x_max" in capsys.readouterr().err
+    # scalars refuse nan and inf like grids do, before the sampler or the
+    # thermal occupation sees them
+    for experiment, flag, value in (
+        ("fig2b", "--x-max", "inf"),
+        ("fig2b", "--x-max", "nan"),
+        ("fig2c", "--temp-mk", "inf"),
+    ):
+        assert main([experiment, flag, value, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_variable_is_read_only_by_pooled_experiments(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CVSWAP_WORKERS", "0")
+    ns, ghz = tmp_path / "ns.csv", tmp_path / "ghz.csv"
+    code = main(["network-sweep", *_QUICK_ARGS["network-sweep"], "--out", str(ns)])
+    assert code == EXIT_BAD_CONFIG
+    assert "workers" in capsys.readouterr().err
+    assert not ns.exists()
+    assert main(["ghz-limit", *_QUICK_ARGS["ghz-limit"], "--out", str(ghz)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_fig2d_refuses_more_than_one_coupling(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("fig2d ran a sweep")
+
+    monkeypatch.setattr(cli, "detuning_sweep", no_sweep)
+    out = tmp_path / "d.csv"
+    assert main(["fig2d", "--g-eff-mhz", "4,8", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "g_eff_mhz" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_command_line_table():
+    """{experiment: {key: default or None}} from README's Command-line table."""
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        name = re.fullmatch(r"`([a-z0-9-]+)`", cells[0])
+        if line.startswith("|") and name:
+            spans = re.findall(r"`([a-z_]+)(?:=([^`]*))?`", cells[2])
+            table[name.group(1)] = {key: default or None for key, default in spans}
+    return table
+
+
+def test_readme_command_line_table_matches_the_experiments():
+    table = _readme_command_line_table()
+    assert set(table) == set(cli.EXPERIMENTS)
+    for name, (_, keys) in cli.EXPERIMENTS.items():
+        assert table[name] == keys, name
