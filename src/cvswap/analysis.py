@@ -55,11 +55,11 @@ class NetworkPoint:
     n_users: int
 
     def __post_init__(self):
-        if self.mu < 1.0:
+        if not self.mu >= 1.0:
             raise ValueError("mu must be >= 1")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.omega < 1.0:
+        if not self.omega >= 1.0:
             raise ValueError("omega must be >= 1")
         if self.n_users < 2:
             raise ValueError("n_users must be >= 2")
@@ -248,12 +248,16 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     readouts sit on distinct modes and commute, so one Schur complement
     conditions the pair on all of them. The ascent starts from the best
     common angle on a grid: the 64 grid angles stack into one Cholesky
-    factorization and one solve. It then optimizes one angle at a time (grid
-    scan plus golden-section refinement) until a full pass improves the pair
+    factorization and one solve, and one kernel call scores the (64, 4, 4)
+    stack of pairs. It then optimizes one angle at a time (grid scan plus
+    golden-section refinement) until a full pass improves the pair
     log-negativity by less than 1e-8. Each coordinate m conditions the pair
     and mode m on every other readout once (:func:`_coordinate_block`); each
-    angle of m is then a rank-one update of that 6x6 covariance, taken on
-    arrays for the grid scan and in Python floats for the golden steps.
+    angle of m is then a rank-one update of that 6x6 covariance. The 64-angle
+    grid scan is one stack and one kernel call; the golden steps run in
+    Python floats and hand the kernel nested lists. A stack passes the
+    bona-fide check only if its smallest nu_- does (a NaN fails), so one
+    unphysical angle raises PhysicalityError as a scalar call would.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
@@ -263,10 +267,17 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     v = state.cov[np.ix_(order, order)]
 
     def pair_logneg(cov):
-        (nu_min, _), pt_nus = _two_mode_spectra(cov)
-        if nu_min < 1.0 - BONA_FIDE_TOL:
+        (nu_min, _), (pt_minus, pt_plus) = _two_mode_spectra(cov)
+        if not nu_min >= 1.0 - BONA_FIDE_TOL:
             raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {nu_min!r}")
-        return sum(max(0.0, -math.log(nu)) for nu in pt_nus)
+        return max(0.0, -math.log(pt_minus)) + max(0.0, -math.log(pt_plus))
+
+    def stack_logneg(covs):
+        (nu_min, _), (pt_minus, pt_plus) = _two_mode_spectra(covs)
+        worst = float(np.min(nu_min))
+        if not worst >= 1.0 - BONA_FIDE_TOL:
+            raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {worst!r}")
+        return np.maximum(0.0, -np.log(pt_minus)) + np.maximum(0.0, -np.log(pt_plus))
 
     if not others:
         return pair_logneg(v)
@@ -276,14 +287,14 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     # so seed the ascent with the best common angle instead of a fixed corner.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
     half_step = np.pi / _GLE_GRID
-    seed_vals = [pair_logneg(p) for p in _common_angle_pairs(v, grid)]
+    seed_vals = stack_logneg(_common_angle_pairs(v, grid))
     thetas = np.full(len(others), grid[int(np.argmax(seed_vals))])
-    best = max(seed_vals)
+    best = float(np.max(seed_vals))
     for _ in range(_GLE_MAX_PASSES):
         start = best
         for a in range(len(others)):
             W = _coordinate_block(v, thetas, a)
-            scan = [pair_logneg(p) for p in _rank_one_pairs(W, grid)]
+            scan = stack_logneg(_rank_one_pairs(W, grid))
             centre = float(grid[int(np.argmax(scan))])
             w = W.tolist()
             theta_a, val = _golden_max(
@@ -303,7 +314,7 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
 def swap_logneg_two(x: float, y: float, z: float, clamped: bool = True) -> float:
     """Two-user swapped output entanglement -ln(y - z^2 / x) for one copy pair."""
     arg = y - z * z / x
-    if arg <= 0:
+    if not arg > 0:
         raise ValueError("invalid normal form: conditional variance not positive")
     return _clamp(float(-np.log(arg)), clamped)
 

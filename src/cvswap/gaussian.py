@@ -203,7 +203,23 @@ def log_negativity(state: GaussianState, partition) -> float:
     return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
 
 
-def _two_mode_spectra(cov: np.ndarray):
+def _pivot(t):
+    if not t > 0.0:
+        raise ValueError("covariance matrix must be positive-definite")
+    return math.sqrt(t)
+
+
+def _stack_pivot(t):
+    if not np.all(t > 0.0):
+        raise ValueError("covariance matrix must be positive-definite")
+    return np.sqrt(t)
+
+
+def _stack_hypot(a, b, c):
+    return np.sqrt(a * a + b * b + c * c)
+
+
+def _two_mode_spectra(cov):
     """Two-mode symplectic spectra of V and of its partial transpose, with no eigensolve.
 
     In the quadrature order (X1, X2, P1, P2) let V = R R^T (Cholesky) with
@@ -222,18 +238,26 @@ def _two_mode_spectra(cov: np.ndarray):
     J. Phys. B 37, L21 (2004)) lose sqrt(eps) to the root of their
     discriminant when nu_- = nu_+, which this form avoids.
 
-    Only the upper triangle of ``cov`` is read; a matrix that is not positive
-    definite raises ValueError, as :func:`symplectic_eigenvalues` does.
-    Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
-    """
-    (x1x1, x1p1, x1x2, x1p2), (_, p1p1, p1x2, p1p2), (_, _, x2x2, x2p2), (_, _, _, p2p2) = (
-        np.asarray(cov, dtype=float).tolist()
-    )
+    ``cov`` is one 4x4 matrix, as an ndarray or as the nested list
+    ``V.tolist()`` (read as it is, with no array round trip), or a stack of
+    shape (..., 4, 4). One body serves all three: a single matrix takes
+    ``sqrt``, ``hypot`` and the pivot test from :mod:`math` and returns
+    Python floats; a stack takes them from numpy and returns arrays of shape
+    ``cov.shape[:-2]``, to within rounding of the per-matrix results.
 
-    def pivot(t):
-        if not t > 0.0:
-            raise ValueError("covariance matrix must be positive-definite")
-        return math.sqrt(t)
+    Only the upper triangle is read; a matrix that is not positive definite
+    (any matrix, for a stack) raises ValueError, as
+    :func:`symplectic_eigenvalues` does. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
+    """
+    rows, pivot, sqrt, hypot = cov, _pivot, math.sqrt, math.hypot
+    if not isinstance(cov, list):
+        cov = np.asarray(cov, dtype=float)
+        if cov.ndim == 2:
+            rows = cov.tolist()
+        else:  # entry (r, s) of every matrix at once, as an array of shape cov.shape[:-2]
+            rows = cov.transpose(-2, -1, *range(cov.ndim - 2))
+            pivot, sqrt, hypot = _stack_pivot, np.sqrt, _stack_hypot
+    (x1x1, x1p1, x1x2, x1p2), (_, p1p1, p1x2, p1p2), (_, _, x2x2, x2p2), (_, _, _, p2p2) = rows
 
     # Cholesky of the (X1, X2, P1, P2) matrix [[V_X, K], [K^T, V_P]]
     r00 = pivot(x1x1)
@@ -249,7 +273,7 @@ def _two_mode_spectra(cov: np.ndarray):
     r22 = pivot(s00)
     r32 = s01 / r22
     r33 = pivot(s11 - r32 * r32)
-    sqrt_det_v = math.sqrt((x1x1 * x2x2 - x1x2 * x1x2) * (s00 * s11 - s01 * s01))
+    sqrt_det_v = sqrt((x1x1 * x2x2 - x1x2 * x1x2) * (s00 * s11 - s01 * s01))
 
     # x1 = (r00, 0, 0, 0), so x1^p1 only adds r00 r21 to h01 and r00 r22 to h02,
     # with the sign the partial transpose flips; x2^p2 gives the rest (h23 = 0)
@@ -259,7 +283,7 @@ def _two_mode_spectra(cov: np.ndarray):
     def spectrum(sign):
         h01 = q01 + sign * r00 * r21
         h02 = r10 * r32 + sign * r00 * r22
-        u, w = math.hypot(h01, h02 - h13, h03 + h12), math.hypot(h01, h02 + h13, h03 - h12)
+        u, w = hypot(h01, h02 - h13, h03 + h12), hypot(h01, h02 + h13, h03 - h12)
         nu_plus = 0.5 * (u + w)
         return sqrt_det_v / nu_plus, nu_plus
 

@@ -75,11 +75,11 @@ class OptomechParams:
     temp: float
 
     def __post_init__(self):
-        if self.omega_m <= 0 or self.gamma_m <= 0 or self.kappa <= 0:
+        if not (self.omega_m > 0 and self.gamma_m > 0 and self.kappa > 0):
             raise ValueError("omega_m, gamma_m and kappa must be positive")
-        if self.g_eff < 0:
+        if not self.g_eff >= 0:
             raise ValueError("g_eff must be non-negative")
-        if self.temp < 0:
+        if not self.temp >= 0:
             raise ValueError("temperature must be non-negative")
 
     @property

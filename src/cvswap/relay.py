@@ -343,7 +343,7 @@ def cluster_closed_form(x: float, y: float, z: float, n_users: int) -> ClusterBl
     """
     if n_users < 2:
         raise ValueError("n_users must be >= 2")
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
     N = n_users
     w = z * z / (N * x)

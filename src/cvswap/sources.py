@@ -37,7 +37,7 @@ class TwoModeNormalForm:
     z: float
 
     def __post_init__(self):
-        if self.x < 1.0 or self.y < 1.0:
+        if not (self.x >= 1.0 and self.y >= 1.0):
             raise ValueError("x and y must be >= 1")
 
     @property
@@ -80,7 +80,7 @@ class TwoModeNormalForm:
 
 def tmsv(mu: float) -> TwoModeNormalForm:
     """Two-mode squeezed vacuum with quadrature variance mu >= 1."""
-    if mu < 1.0:
+    if not mu >= 1.0:
         raise ValueError("mu must be >= 1")
     return TwoModeNormalForm(mu, mu, float(np.sqrt(mu * mu - 1.0)))
 
@@ -94,7 +94,7 @@ def thermal_loss_on_a(nf: TwoModeNormalForm, eta: float, omega: float) -> TwoMod
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    if omega < 1.0:
+    if not omega >= 1.0:
         raise ValueError("omega must be >= 1")
     return TwoModeNormalForm(
         eta * nf.x + (1.0 - eta) * omega, nf.y, float(np.sqrt(eta)) * nf.z
@@ -111,7 +111,7 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    if omega < 1.0:
+    if not omega >= 1.0:
         raise ValueError("omega must be >= 1")
     n = state.n_modes
     if not 0 <= mode < n:
@@ -137,7 +137,7 @@ def sample_normal_form(
     interval (-z_max, z_max). Draws failing the bona-fide check or (when
     ``require_entangled``) with zero input log-negativity are rejected.
     """
-    if x_max <= 1.0:
+    if not x_max > 1.0:
         raise ValueError("x_max must be > 1")
     span = np.log(x_max)
     for _ in range(max_attempts):
@@ -192,29 +192,34 @@ def _best_over_z_lockstep(d: float, xs: np.ndarray) -> np.ndarray:
     operations: each element takes the step its own comparison picks, and it
     leaves the batch, with max(0, max(f(c), f(d))), as soon as its bracket is
     no wider than _FRONTIER_TOL. So every value equals that of the scalar
-    search bit for bit. An x with z_max = 0 reads 0.
+    search bit for bit. An x with z_max = 0 reads 0. Each iteration forms
+    the bracket widths b - a once, for the stopping test and for the new
+    point, and compacts the batch only when some bracket has closed.
     """
     best = np.zeros(len(xs))
     ys = xs - 2.0 * d
     zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
     idx = np.flatnonzero(zm != 0.0)
     x, y, a, b = xs[idx], ys[idx], np.zeros(idx.size), zm[idx]
-    c = b - _INVPHI * (b - a)
-    dd = a + _INVPHI * (b - a)
+    width = b - a
+    c = b - _INVPHI * width
+    dd = a + _INVPHI * width
     fc, fd = -np.log(y - c * c / x), -np.log(y - dd * dd / x)
     while idx.size:
-        done = ~(np.abs(b - a) > _FRONTIER_TOL)
-        if done.any():
+        live = width > _FRONTIER_TOL  # b >= a throughout, so the width needs no abs()
+        if not live.all():
+            done = ~live
             val = np.maximum(fc[done], fd[done])
             best[idx[done]] = np.where(val > 0.0, val, 0.0)
-            live = ~done
             idx, x, y, a, b, c, dd, fc, fd = (arr[live] for arr in (idx, x, y, a, b, c, dd, fc, fd))
             if not idx.size:
                 break
         left = fc > fd  # the maximum lies left of d: [a, b] -> [a, d]
         b = np.where(left, dd, b)
         a = np.where(left, a, c)
-        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        width = b - a
+        step = _INVPHI * width
+        new = np.where(left, b - step, a + step)
         f_new = -np.log(y - new * new / x)
         c, dd, fc, fd = (
             np.where(left, new, dd),
@@ -223,6 +228,21 @@ def _best_over_z_lockstep(d: float, xs: np.ndarray) -> np.ndarray:
             np.where(left, fc, f_new),
         )
     return best
+
+
+def _feasible_x_range(d: float, x_max: float) -> tuple[float, float]:
+    """The x interval at asymmetry d on which x and y = x - 2d both lie in [1, x_max].
+
+    Raises ValueError for a non-finite d or x_max and when the interval is
+    empty.
+    """
+    if not (math.isfinite(d) and math.isfinite(x_max)):
+        raise ValueError("d and x_max must be finite")
+    lo = max(1.0, 1.0 + 2.0 * d)
+    hi = min(x_max, x_max + 2.0 * d)
+    if not hi > lo:
+        raise ValueError("x_max leaves no feasible x range")
+    return lo, hi
 
 
 def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
@@ -237,10 +257,7 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     never reads :func:`frontier_closed_form`, which the tests check it
     against.
     """
-    lo = max(1.0, 1.0 + 2.0 * d)  # ensures x >= 1 and y = x - 2d >= 1
-    hi = min(x_max, x_max + 2.0 * d)  # ensures both x and y stay <= x_max
-    if hi <= lo:
-        raise ValueError("x_max leaves no feasible x range")
+    lo, hi = _feasible_x_range(d, x_max)
 
     def best_over_z(x):
         y = x - 2.0 * d
@@ -270,9 +287,7 @@ def frontier_closed_form(d: float, x_max: float) -> float:
     binds first. Clamped at zero. Serves as the independent check on the
     grid-search maximizer.
     """
-    hi = min(x_max, x_max + 2.0 * d)
-    if hi <= max(1.0, 1.0 + 2.0 * d):
-        raise ValueError("x_max leaves no feasible x range")
+    _, hi = _feasible_x_range(d, x_max)
     return max(0.0, float(np.log(hi / (1.0 + 2.0 * abs(d)))))
 
 

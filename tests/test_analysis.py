@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cvswap import analysis
 from cvswap.analysis import (
     NetworkPoint,
     _common_angle_pairs,
@@ -205,6 +206,39 @@ def test_gle_numeric_rejects_unphysical_input():
         cm[4:, 4:] = assist * np.eye(2)
         with pytest.raises(PhysicalityError):
             gle_numeric(cm)
+
+
+@pytest.mark.parametrize("scan", ["_common_angle_pairs", "_rank_one_pairs"])
+def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, scan):
+    # a stacked scan is checked as a whole: one angle whose pair violates the
+    # uncertainty principle (positive definite, nu = 0.5) must raise
+    real = getattr(analysis, scan)
+
+    def one_bad_angle(*args):
+        pairs = real(*args).copy()
+        pairs[17] = 0.5 * np.eye(4)
+        return pairs
+
+    monkeypatch.setattr(analysis, scan, one_bad_angle)
+    with pytest.raises(PhysicalityError, match="conditioned pair"):
+        gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 4)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
+    # the seeds and each coordinate's 64-angle scan are one stacked call each;
+    # only the 46 golden-section evaluations of a coordinate go one by one
+    # (one pass here), so a per-angle scan would add 64 calls per coordinate
+    calls = {"scalar": 0, "stacked": 0}
+    kernel = analysis._two_mode_spectra
+
+    def counted(cov):
+        calls["stacked" if np.ndim(cov) > 2 else "scalar"] += 1
+        return kernel(cov)
+
+    monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
+    gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n)))
+    assert calls == {"scalar": 46 * (n - 2), "stacked": n - 1}
 
 
 @settings(max_examples=60, deadline=None)

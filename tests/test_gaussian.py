@@ -285,6 +285,67 @@ def test_two_mode_spectra_reject_non_positive_definite():
             _two_mode_spectra(V)
 
 
+def _random_stack(rng, shape):
+    return np.array([_random_two_mode(rng)[0] for _ in range(int(np.prod(shape)))]).reshape(
+        *shape, 4, 4
+    )
+
+
+def test_two_mode_spectra_of_a_stack_match_per_matrix_calls():
+    rng = np.random.default_rng(11)
+    for shape in ((40,), (3, 5)):
+        stack = _random_stack(rng, shape)
+        (nu_m, nu_p), (pt_m, pt_p) = _two_mode_spectra(stack)
+        for k in np.ndindex(*shape):
+            (s_m, s_p), (s_pt_m, s_pt_p) = _two_mode_spectra(stack[k])
+            np.testing.assert_allclose(
+                [nu_m[k], nu_p[k], pt_m[k], pt_p[k]], [s_m, s_p, s_pt_m, s_pt_p], rtol=1e-14, atol=0
+            )
+
+
+def test_two_mode_spectra_read_nested_lists_as_arrays():
+    # both forms read the upper triangle only, so noise below the diagonal
+    # changes no bit of either result
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        V, _, _ = _random_two_mode(rng)
+        skewed = V + np.tril(rng.normal(size=(4, 4)), -1)
+        results = [_two_mode_spectra(V), _two_mode_spectra(skewed), _two_mode_spectra(skewed.tolist())]
+        bits = [[nu.hex() for pair in spectra for nu in pair] for spectra in results]
+        assert bits[1] == bits[0] and bits[2] == bits[0]
+
+
+def test_two_mode_spectra_refuse_a_stack_with_one_non_positive_definite_matrix():
+    stack = _random_stack(np.random.default_rng(13), (8,))
+    stack[5] = tmsv(2.0).cov() - np.eye(4)
+    with pytest.raises(ValueError, match="positive-definite"):
+        _two_mode_spectra(stack)
+
+
+def _local_symplectic(rng):
+    S = np.zeros((4, 4))
+    S[:2, :2] = _random_local_symplectic(rng)
+    S[2:, 2:] = _random_local_symplectic(rng)
+    return S
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans())
+def test_two_mode_spectra_invariant_under_local_symplectics(seed, stacked):
+    # S_A (+) S_B leaves the spectrum of V and, since the partial transpose
+    # maps it to another local symplectic, the spectrum of V^T_A unchanged
+    rng = np.random.default_rng(seed)
+    shape = (6,) if stacked else ()
+    V = _random_stack(rng, shape)
+    S = np.array([_local_symplectic(rng) for _ in range(int(np.prod(shape)))]).reshape(V.shape)
+    moved = S @ V @ np.swapaxes(S, -1, -2)
+    moved = 0.5 * (moved + np.swapaxes(moved, -1, -2))
+    tol = 1e-12 * np.max(np.linalg.norm(moved, 2, axis=(-2, -1)))
+    np.testing.assert_allclose(
+        np.array(_two_mode_spectra(moved)), np.array(_two_mode_spectra(V)), rtol=0, atol=tol
+    )
+
+
 def _near_pure_two_mode_state(rng):
     # thermal pair -> local squeezers -> beam splitter -> local squeezers
     nu_1, nu_2 = rng.uniform(1.0, 1.1, 2)

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cvswap.analysis import swap_logneg_two, tmsv_swap_bound
+from cvswap.analysis import NetworkPoint, swap_logneg_two, tmsv_swap_bound
 from cvswap.gaussian import log_negativity, symplectic_eigenvalues
+from cvswap.optomech import standard_params
+from cvswap.relay import cluster_closed_form
 from cvswap.sources import (
     _FRONTIER_GRID,
     _FRONTIER_TOL,
@@ -76,6 +80,32 @@ def test_thermal_loss_parameter_validation():
         thermal_loss_on_a(tmsv(2.0), 0.0, 1.0)
     with pytest.raises(ValueError):
         thermal_loss_on_a(tmsv(2.0), 0.5, 0.9)
+
+
+_NAN = float("nan")
+_NAN_CASES = {
+    "NetworkPoint-mu": lambda: NetworkPoint(mu=_NAN, eta=0.5, omega=1.0, n_users=3),
+    "NetworkPoint-omega": lambda: NetworkPoint(mu=2.0, eta=0.5, omega=_NAN, n_users=3),
+    "tmsv": lambda: tmsv(_NAN),
+    "TwoModeNormalForm-x": lambda: TwoModeNormalForm(_NAN, 2.0, 1.0),
+    "TwoModeNormalForm-y": lambda: TwoModeNormalForm(2.0, _NAN, 1.0),
+    "thermal_loss_on_a-omega": lambda: thermal_loss_on_a(tmsv(2.0), 0.5, _NAN),
+    "thermal_loss_map-omega": lambda: thermal_loss_map(tmsv(2.0).state(), 0, 0.5, _NAN),
+    "sample_normal_form-x_max": lambda: sample_normal_form(np.random.default_rng(0), _NAN),
+    "OptomechParams-g_eff": lambda: replace(standard_params(), g_eff=_NAN),
+    "frontier-d": lambda: max_swap_logneg_at_asymmetry(_NAN, 10.0),
+    "frontier-x_max": lambda: max_swap_logneg_at_asymmetry(0.0, _NAN),
+    "frontier_closed_form-d": lambda: frontier_closed_form(_NAN, 10.0),
+    "frontier_closed_form-x_max": lambda: frontier_closed_form(0.0, _NAN),
+    "swap_logneg_two-x": lambda: swap_logneg_two(_NAN, 2.0, 1.0),
+    "cluster_closed_form-x": lambda: cluster_closed_form(_NAN, 2.0, 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("build", list(_NAN_CASES.values()), ids=list(_NAN_CASES))
+def test_range_checks_refuse_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_general_map_agrees_with_specialized_form():
@@ -176,19 +206,27 @@ def test_frontier_numeric_matches_closed_form():
         assert numeric == pytest.approx(analytic, abs=1e-6)
 
 
-@pytest.mark.parametrize("d", [-1.5, -0.3, 0.0, 0.7, 1.5])
+# 21 asymmetries on [-1.5, 1.5] plus 0.7, each at every cap with a feasible x range
+_LOCKSTEP_D = sorted({*(float(d) + 0.0 for d in np.linspace(-1.5, 1.5, 21).round(2)), 0.7})
+
+
+@pytest.mark.parametrize("d", _LOCKSTEP_D)
 def test_frontier_lockstep_grid_equals_scalar_searches(d):
-    xs = np.linspace(max(1.0, 1.0 + 2.0 * d), min(10.0, 10.0 + 2.0 * d), _FRONTIER_GRID)
-    expected = []
-    for x in xs:
-        y = x - 2.0 * d
-        zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
-        if zm == 0.0:
-            expected.append(0.0)
+    for x_max in (2.0, 10.0, 50.0):
+        lo, hi = max(1.0, 1.0 + 2.0 * d), min(x_max, x_max + 2.0 * d)
+        if not hi > lo:
             continue
-        _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
-        expected.append(max(0.0, val))
-    assert _best_over_z_lockstep(d, xs).tobytes() == np.array(expected).tobytes()
+        xs = np.linspace(lo, hi, _FRONTIER_GRID)
+        expected = []
+        for x in xs:
+            y = x - 2.0 * d
+            zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
+            if zm == 0.0:
+                expected.append(0.0)
+                continue
+            _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
+            expected.append(max(0.0, val))
+        assert _best_over_z_lockstep(d, xs).tobytes() == np.array(expected).tobytes()
 
 
 def test_frontier_symmetric_point_is_log_xmax():
