@@ -33,7 +33,6 @@ from .gaussian import (
     rotation,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     two_mode_standard_form,
     vacuum,
 )
@@ -65,7 +64,6 @@ from .relay import (
 from .sources import (
     TwoModeNormalForm,
     frontier_closed_form,
-    frontier_curve,
     max_swap_logneg_at_asymmetry,
     sample_normal_form,
     thermal_loss_map,
@@ -86,7 +84,6 @@ __all__ = [
     "partial_transpose",
     "log_negativity",
     "apply_symplectic",
-    "tensor",
     "reduce",
     "two_mode_standard_form",
     # relay
@@ -111,7 +108,6 @@ __all__ = [
     "sample_normal_form",
     "max_swap_logneg_at_asymmetry",
     "frontier_closed_form",
-    "frontier_curve",
     # network analysis
     "NetworkPoint",
     "e2_formula",

@@ -55,12 +55,12 @@ class NetworkPoint:
     n_users: int
 
     def __post_init__(self):
-        if not self.mu >= 1.0:
-            raise ValueError("mu must be >= 1")
+        if not (self.mu >= 1.0 and math.isfinite(self.mu)):
+            raise ValueError("mu must be finite and >= 1")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if not self.omega >= 1.0:
-            raise ValueError("omega must be >= 1")
+        if not (self.omega >= 1.0 and math.isfinite(self.omega)):
+            raise ValueError("omega must be finite and >= 1")
         if self.n_users < 2:
             raise ValueError("n_users must be >= 2")
 

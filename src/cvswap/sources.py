@@ -24,7 +24,6 @@ __all__ = [
     "thermal_loss_map",
     "sample_normal_form",
     "max_swap_logneg_at_asymmetry",
-    "frontier_curve",
 ]
 
 
@@ -37,8 +36,10 @@ class TwoModeNormalForm:
     z: float
 
     def __post_init__(self):
-        if not (self.x >= 1.0 and self.y >= 1.0):
-            raise ValueError("x and y must be >= 1")
+        if not (self.x >= 1.0 and self.y >= 1.0 and math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("x and y must be finite and >= 1")
+        if not math.isfinite(self.z):
+            raise ValueError("z must be finite")
 
     @property
     def d(self) -> float:
@@ -64,10 +65,10 @@ class TwoModeNormalForm:
         val = self.x * self.y - 1.0 - abs(self.x - self.y)
         return float(np.sqrt(max(val, 0.0)))
 
-    def is_bona_fide(self, tol: float = 1e-9) -> bool:
-        # (xy - z^2)^2 >= x^2 + y^2 - 2 z^2 - 1, plus x, y >= 1
+    def is_bona_fide(self) -> bool:
+        # (xy - z^2)^2 >= x^2 + y^2 - 2 z^2 - 1 to within 1e-9, plus x, y >= 1
         x, y, z2 = self.x, self.y, self.z * self.z
-        return (x * y - z2) ** 2 + tol >= x * x + y * y - 2.0 * z2 - 1.0
+        return (x * y - z2) ** 2 + 1e-9 >= x * x + y * y - 2.0 * z2 - 1.0
 
     def is_entangled(self) -> bool:
         return self.z * self.z > (self.x - 1.0) * (self.y - 1.0)
@@ -80,8 +81,8 @@ class TwoModeNormalForm:
 
 def tmsv(mu: float) -> TwoModeNormalForm:
     """Two-mode squeezed vacuum with quadrature variance mu >= 1."""
-    if not mu >= 1.0:
-        raise ValueError("mu must be >= 1")
+    if not (mu >= 1.0 and math.isfinite(mu)):
+        raise ValueError("mu must be finite and >= 1")
     return TwoModeNormalForm(mu, mu, float(np.sqrt(mu * mu - 1.0)))
 
 
@@ -94,8 +95,8 @@ def thermal_loss_on_a(nf: TwoModeNormalForm, eta: float, omega: float) -> TwoMod
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    if not omega >= 1.0:
-        raise ValueError("omega must be >= 1")
+    if not (omega >= 1.0 and math.isfinite(omega)):
+        raise ValueError("omega must be finite and >= 1")
     return TwoModeNormalForm(
         eta * nf.x + (1.0 - eta) * omega, nf.y, float(np.sqrt(eta)) * nf.z
     )
@@ -111,8 +112,8 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    if not omega >= 1.0:
-        raise ValueError("omega must be >= 1")
+    if not (omega >= 1.0 and math.isfinite(omega)):
+        raise ValueError("omega must be finite and >= 1")
     n = state.n_modes
     if not 0 <= mode < n:
         raise IndexError(f"mode index {mode} out of range")
@@ -289,8 +290,3 @@ def frontier_closed_form(d: float, x_max: float) -> float:
     """
     _, hi = _feasible_x_range(d, x_max)
     return max(0.0, float(np.log(hi / (1.0 + 2.0 * abs(d)))))
-
-
-def frontier_curve(d_values, x_max: float):
-    """The maximum-output frontier over a grid of asymmetries."""
-    return np.array([max_swap_logneg_at_asymmetry(d, x_max) for d in d_values])

@@ -23,7 +23,7 @@ from cvswap.analysis import (
     swap_logneg_two,
     tmsv_swap_bound,
 )
-from cvswap.gaussian import GaussianState, PhysicalityError, rotation, tensor, vacuum
+from cvswap.gaussian import GaussianState, PhysicalityError, rotation, vacuum
 from cvswap.relay import (
     bell_detect,
     build_relay,
@@ -32,6 +32,7 @@ from cvswap.relay import (
     embed_orthogonal,
 )
 from cvswap.sources import sample_normal_form, tmsv
+from gaussian_reference import tensor
 
 
 def test_network_point_validation():

@@ -8,20 +8,18 @@ from cvswap.gaussian import (
     PhysicalityError,
     _two_mode_spectra,
     apply_symplectic,
-    displace,
     is_symplectic,
     log_negativity,
-    min_symplectic_eigenvalue,
     partial_transpose,
     reduce,
     rotation,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     two_mode_standard_form,
     vacuum,
 )
 from cvswap.sources import TwoModeNormalForm, tmsv
+from gaussian_reference import tensor, williamson_eigvals
 
 
 def test_symplectic_form_blocks():
@@ -42,7 +40,7 @@ def test_vacuum_is_identity_cm():
     st = vacuum(3)
     np.testing.assert_array_equal(st.cov, np.eye(6))
     np.testing.assert_array_equal(st.mean, np.zeros(6))
-    np.testing.assert_allclose(st.symplectic_eigenvalues(), np.ones(3))
+    np.testing.assert_allclose(symplectic_eigenvalues(st.cov), np.ones(3))
 
 
 def test_symplectic_eigenvalues_thermal_and_tmsv():
@@ -57,9 +55,13 @@ def test_symplectic_eigenvalues_thermal_and_tmsv():
 def test_symplectic_eigenvalues_reject_bad_input():
     with pytest.raises(ValueError):
         symplectic_eigenvalues(np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        # not positive definite
-        symplectic_eigenvalues(np.diag([1.0, -1.0]))
+    singular = np.eye(6)
+    singular[:4, :4] = tmsv(2.0).cov() - np.eye(4)
+    for V in (np.diag([1.0, -1.0]), np.zeros((4, 4)), singular):
+        with pytest.raises(ValueError, match="positive-definite") as info:
+            symplectic_eigenvalues(V)
+        # the Cholesky's LinAlgError (a ValueError too) must not leak out
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_bona_fide_tolerance_band():
@@ -71,7 +73,7 @@ def test_bona_fide_tolerance_band():
     # within the numerical tolerance band: accepted
     st = GaussianState((1.0 - 5e-10) * np.eye(2))
     assert st.is_bona_fide()
-    assert min_symplectic_eigenvalue(st.cov) < 1.0
+    assert symplectic_eigenvalues(st.cov)[0] < 1.0
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
@@ -122,20 +124,13 @@ def test_log_negativity_partition_validation():
 
 
 def test_apply_symplectic_transforms_cov_and_mean():
-    st = displace(vacuum(1), 0, 1.5, -0.5)
+    st = GaussianState(np.eye(2), [1.5, -0.5])
     S = rotation(np.pi / 2)
     out = apply_symplectic(st, S)
     np.testing.assert_allclose(out.cov, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(out.mean, S @ st.mean)
     with pytest.raises(ValueError):
         apply_symplectic(st, np.diag([2.0, 1.0]))
-
-
-def test_displace_changes_mean_only():
-    st = tmsv(3.0).state()
-    out = displace(st, 1, 0.7, -2.0)
-    np.testing.assert_array_equal(out.cov, st.cov)
-    np.testing.assert_allclose(out.mean, [0, 0, 0.7, -2.0])
 
 
 def test_tensor_and_reduce_round_trip():
@@ -148,6 +143,32 @@ def test_tensor_and_reduce_round_trip():
     # reduce can also reorder
     swapped = reduce(joint, [1, 0])
     np.testing.assert_array_equal(swapped.cov[:2, :2], a.cov[2:, 2:])
+
+
+def _random_passive(rng, n):
+    """Interleaved-order symplectic of a random n x n unitary U = X + iY."""
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    O = np.zeros((2 * n, 2 * n))
+    O[0::2, 0::2], O[0::2, 1::2] = U.real, -U.imag
+    O[1::2, 0::2], O[1::2, 1::2] = U.imag, U.real
+    return O
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_symplectic_eigenvalues_of_random_williamson_forms(seed, n):
+    # V = S (+)nu_k I_2 S^T with S = passive . squeezers . passive (Bloch-Messiah)
+    rng = np.random.default_rng(seed)
+    nus = rng.uniform(1.0, 5.0, n)
+    squeeze = np.exp(np.repeat(rng.uniform(-1.0, 1.0, n), 2) * np.tile([1.0, -1.0], n))
+    S = _random_passive(rng, n) @ np.diag(squeeze) @ _random_passive(rng, n)
+    assert is_symplectic(S)
+    V = S @ np.diag(np.repeat(nus, 2)) @ S.T
+    V = 0.5 * (V + V.T)
+    tol = 1e-12 * np.linalg.norm(V, 2)
+    spectrum = symplectic_eigenvalues(V)
+    np.testing.assert_allclose(spectrum, np.sort(nus), rtol=0, atol=tol)
+    np.testing.assert_allclose(spectrum, williamson_eigvals(V), rtol=0, atol=tol)
 
 
 def _random_local_symplectic(rng):

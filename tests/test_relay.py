@@ -12,7 +12,6 @@ from cvswap.gaussian import (
     log_negativity,
     reduce,
     rotation,
-    tensor,
     vacuum,
 )
 from cvswap.relay import (
@@ -29,6 +28,7 @@ from cvswap.relay import (
     sum_p_variance,
 )
 from cvswap.sources import TwoModeNormalForm, sample_normal_form, tmsv
+from gaussian_reference import tensor
 
 
 @pytest.mark.parametrize("n", range(2, 11))

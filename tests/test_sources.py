@@ -14,7 +14,6 @@ from cvswap.sources import (
     _best_over_z_lockstep,
     _golden_max,
     frontier_closed_form,
-    frontier_curve,
     max_swap_logneg_at_asymmetry,
     sample_normal_form,
     thermal_loss_map,
@@ -106,6 +105,27 @@ _NAN_CASES = {
 def test_range_checks_refuse_nan(build):
     with pytest.raises(ValueError):
         build()
+
+
+# each builder refuses its parameter by name, before any matrix is formed
+_NON_FINITE_CASES = {
+    "TwoModeNormalForm-x": ("x", lambda v: TwoModeNormalForm(v, 2.0, 1.0)),
+    "TwoModeNormalForm-y": ("y", lambda v: TwoModeNormalForm(2.0, v, 1.0)),
+    "TwoModeNormalForm-z": ("z", lambda v: TwoModeNormalForm(2.0, 2.0, v)),
+    "tmsv": ("mu", tmsv),
+    "thermal_loss_on_a-omega": ("omega", lambda v: thermal_loss_on_a(tmsv(2.0), 0.5, v)),
+    "thermal_loss_map-omega": ("omega", lambda v: thermal_loss_map(tmsv(2.0).state(), 0, 0.5, v)),
+    "NetworkPoint-mu": ("mu", lambda v: NetworkPoint(mu=v, eta=0.5, omega=1.0, n_users=3)),
+    "NetworkPoint-omega": ("omega", lambda v: NetworkPoint(mu=2.0, eta=0.5, omega=v, n_users=3)),
+}
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), _NAN])
+@pytest.mark.parametrize("case", list(_NON_FINITE_CASES.values()), ids=list(_NON_FINITE_CASES))
+def test_builders_refuse_non_finite_parameters(case, bad):
+    name, build = case
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*finite"):
+        build(bad)
 
 
 def test_general_map_agrees_with_specialized_form():
@@ -236,7 +256,7 @@ def test_frontier_symmetric_point_is_log_xmax():
 
 def test_frontier_curve_monotone_away_from_symmetry():
     ds = np.linspace(0.0, 1.5, 7)
-    curve = frontier_curve(ds, 10.0)
+    curve = np.array([max_swap_logneg_at_asymmetry(d, 10.0) for d in ds])
     assert np.all(np.diff(curve) < 0.0)
     with pytest.raises(ValueError):
         frontier_closed_form(-5.0, 10.0)
