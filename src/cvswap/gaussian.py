@@ -64,14 +64,14 @@ def _require_symmetric(cov: np.ndarray) -> np.ndarray:
         raise ValueError("covariance matrix must be square with even dimension")
     # NaN and inf both reach this max; test it before max(1.0, .), which
     # would drop a NaN
-    peak = float(np.max(np.abs(cov)))
+    peak = float(abs(cov).max())
     if not math.isfinite(peak):
         raise ValueError("covariance matrix has non-finite entries")
-    scale = max(1.0, peak)
-    if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
+    cov_t = cov.T
+    if abs(cov - cov_t).max() > 1e-12 * max(1.0, peak):
         raise ValueError("covariance matrix is not symmetric")
     # Symmetrize exactly so downstream linear algebra sees a clean input.
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov_t)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -83,13 +83,25 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     Continuous Variables, CRC 2017, ch. 3). Returns the n values in ascending
     order; a matrix that is not positive definite raises ValueError.
     """
-    cov = _require_symmetric(cov)
+    return _williamson(_require_symmetric(cov))
+
+
+def _williamson(cov: np.ndarray) -> np.ndarray:
+    """:func:`symplectic_eigenvalues` of a matrix that ``_require_symmetric`` returned.
+
+    Omega has one +-1 per column, so L^T Omega is L^T with each column pair
+    (2k, 2k+1) swapped and the new even column negated; no Omega is built.
+    """
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValueError("covariance matrix must be positive-definite") from None
     n = cov.shape[0] // 2
-    return np.linalg.eigvalsh(1j * (L.T @ symplectic_form(n) @ L))[n:]
+    lt = L.T
+    lt_omega = np.empty(lt.shape)  # C order, as the product L^T @ Omega is
+    lt_omega[:, 1::2] = lt[:, 0::2]
+    np.subtract(0.0, lt[:, 1::2], out=lt_omega[:, 0::2])  # 0 - 0 is +0, as in L^T @ Omega
+    return np.linalg.eigvalsh(1j * (lt_omega @ L))[n:]
 
 
 def _smallest_nu(cov: np.ndarray) -> float:
@@ -101,19 +113,25 @@ def _smallest_nu(cov: np.ndarray) -> float:
     if cov.shape[0] == 4:
         (nu_minus, _), _ = _two_mode_spectra(cov)
         return nu_minus
-    return float(symplectic_eigenvalues(cov)[0])
+    return float(_williamson(cov)[0])
 
 
 class GaussianState:
     """A Gaussian state: mean vector + covariance matrix + mode count.
 
     The constructor validates symmetry, finiteness and (by default)
-    physicality: every symplectic eigenvalue must be >= 1 - 1e-9. Two-mode
-    states are checked through the closed-form two-mode spectrum (no
-    eigensolve); states of one mode or of three or more through the
-    Williamson spectrum of :func:`symplectic_eigenvalues`. ``is_bona_fide``
-    uses the same route as the constructor. Instances are value-like; all
-    operations return new states and never mutate their inputs.
+    physicality: every symplectic eigenvalue must be >= 1 - 1e-9. Each
+    covariance is checked for symmetry once. Two-mode states are checked
+    through the closed-form two-mode spectrum (no eigensolve); states of one
+    mode or of three or more through the Williamson spectrum of
+    :func:`symplectic_eigenvalues`. ``is_bona_fide`` uses the same route as
+    the constructor.
+
+    Instances are value-like: ``cov`` and ``mean`` are the state's own
+    read-only arrays (``mean`` is copied, so the caller's array stays
+    writeable), an in-place write raises ValueError, and all operations
+    return new states. One state can therefore be shared, for instance as
+    all N copies handed to :func:`cvswap.relay.bell_detect`.
     """
 
     __slots__ = ("n_modes", "mean", "cov")
@@ -123,7 +141,8 @@ class GaussianState:
         n = cov.shape[0] // 2
         if mean is None:
             mean = np.zeros(2 * n)
-        mean = np.asarray(mean, dtype=float).reshape(-1)
+        else:
+            mean = np.array(mean, dtype=float).reshape(-1)
         if mean.shape[0] != 2 * n:
             raise ValueError("mean vector length does not match covariance size")
         if check:
@@ -132,6 +151,8 @@ class GaussianState:
                 raise PhysicalityError(
                     f"state is not bona fide: min symplectic eigenvalue {nu_min!r}"
                 )
+        cov.flags.writeable = False
+        mean.flags.writeable = False
         self.n_modes = n
         self.mean = mean
         self.cov = cov

@@ -21,7 +21,6 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    apply_symplectic,
     log_negativity,
     reduce as reduce_state,
     two_mode_standard_form,
@@ -204,12 +203,22 @@ def lyapunov_residual(p: OptomechParams) -> float:
     return _solve_lyapunov(p)[1]
 
 
-def _swap_blocks(single: GaussianState, n_users: int, local_preprocessing: bool):
-    """``mechanical_cluster`` on a solved single-block state."""
-    if local_preprocessing:
-        _, _, _, _, S = two_mode_standard_form(single.cov)
-        single = apply_symplectic(single, S)
-    cluster, _ = bell_detect([single] * n_users, build_relay(n_users))
+def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianState:
+    """The state each block hands the relay: ``single``, or its two-mode standard form.
+
+    ``two_mode_standard_form`` builds S = S_1 (+) S_2 symplectic, so the
+    rotated copy is formed directly rather than through ``apply_symplectic``,
+    whose check would only re-confirm that.
+    """
+    if not local_preprocessing:
+        return single
+    _, _, _, _, S = two_mode_standard_form(single.cov)
+    return GaussianState(S @ single.cov @ S.T, S @ single.mean)
+
+
+def _swap_blocks(copy: GaussianState, n_users: int):
+    """Bell-detect ``n_users`` copies of one block: (mechanical state, pairwise E)."""
+    cluster, _ = bell_detect([copy] * n_users, build_relay(n_users))
     return cluster, log_negativity(reduce_state(cluster, [0, 1]), [0])
 
 
@@ -227,7 +236,7 @@ def mechanical_cluster(
     measurement pattern. Returns the mechanical state and the pairwise
     log-negativity between the first two mechanics.
     """
-    return _swap_blocks(steady_state_cm(p), n_users, local_preprocessing)
+    return _swap_blocks(_relay_copy(steady_state_cm(p), local_preprocessing), n_users)
 
 
 def detuning_sweep(
@@ -252,7 +261,8 @@ def detuning_sweep(
             continue
         state = _stable_steady_state(p)
         e_in = log_negativity(state, [0])
+        copy = _relay_copy(state, local_preprocessing)
         for n in n_users:
-            _, e_pair = _swap_blocks(state, int(n), local_preprocessing)
+            _, e_pair = _swap_blocks(copy, int(n))
             rows.append((p.delta / p.omega_m, int(n), e_in, e_pair, 1))
     return rows

@@ -15,6 +15,7 @@ through one Schur complement, ``_schur_condition``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -88,7 +89,9 @@ class RelayPlan:
     ports numbered from 0; the relay measures P on port 0 and X on the rest.
     A Bell detection reads every port exactly once, in any order (distinct
     ports also make the readouts commute, so joint conditioning is exact);
-    quadratures are ``"X"`` or ``"P"``.
+    quadratures are ``"X"`` or ``"P"``. The plan keeps a read-only copy of
+    ``ortho`` (the caller's array stays writeable), so one plan can serve
+    every detection of its N.
     """
 
     n_users: int
@@ -96,7 +99,8 @@ class RelayPlan:
     measurements: tuple = field(default=None)
 
     def __post_init__(self):
-        U = np.asarray(self.ortho, dtype=float)
+        U = np.array(self.ortho, dtype=float)
+        U.flags.writeable = False
         if np.max(np.abs(U @ U.T - np.eye(self.n_users))) > 1e-12:
             raise ValueError("relay matrix is not orthogonal")
         if self.measurements is None:
@@ -111,7 +115,9 @@ class RelayPlan:
         object.__setattr__(self, "measurements", meas)
 
 
+@cache
 def build_relay(n_users: int) -> RelayPlan:
+    """The relay plan for ``n_users`` ports, built and checked once per N."""
     return RelayPlan(n_users=n_users, ortho=relay_orthogonal(n_users))
 
 

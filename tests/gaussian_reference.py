@@ -4,8 +4,11 @@
 pre-check, the nonsymmetric eigenvalues of Omega V and a fold of their
 +/- i nu pairs. Apart from the input check and Omega it shares no step
 with the package's Cholesky-Hermitian ``symplectic_eigenvalues``, which the
-tests check against it. ``tensor``
-builds direct sums for test setup.
+tests check against it. ``omega_product_eigvals`` is the package's route
+as it was before Omega stopped being built: the same Cholesky and
+``eigvalsh``, with L^T Omega L formed by multiplying by ``symplectic_form``;
+the package must match it bit for bit. ``tensor`` builds direct sums for
+test setup.
 """
 
 import numpy as np
@@ -25,6 +28,13 @@ def williamson_eigvals(cov):
     if np.max(spread) > 1e-8 * max(1.0, float(mags[-1])):
         raise ValueError("could not pair symplectic eigenvalues")
     return 0.5 * (mags[0::2] + mags[1::2])
+
+
+def omega_product_eigvals(cov):
+    """Upper half of eigvalsh(i L^T Omega L), V = L L^T, with Omega built and multiplied."""
+    L = np.linalg.cholesky(_require_symmetric(cov))
+    n = L.shape[0] // 2
+    return np.linalg.eigvalsh(1j * (L.T @ symplectic_form(n) @ L))[n:]
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:

@@ -52,9 +52,10 @@ def test_criterion_1_closed_form_matches_pipeline():
     worst = 0.0
     for _ in range(200):
         nf = sample_normal_form(rng, 10.0, require_entangled=False)
+        state = nf.state()
         for n in range(2, 9):
             closed = cluster_closed_form(nf.x, nf.y, nf.z, n).assemble()
-            piped, _ = bell_detect([nf.state() for _ in range(n)], build_relay(n))
+            piped, _ = bell_detect([state] * n, build_relay(n))
             worst = max(worst, float(np.max(np.abs(closed - piped.cov))))
     elapsed = time.perf_counter() - started
     assert worst < 1e-9, f"max closed-form vs pipeline deviation {worst:.3e}"
@@ -237,10 +238,11 @@ def test_criterion_6_physicality_suite():
     for _ in range(50):
         nf = sample_normal_form(rng, 10.0)
         assert nf.is_bona_fide()
+        state = nf.state()
         for n in (2, 4, 8):
-            out, _ = bell_detect([nf.state() for _ in range(n)], build_relay(n))
+            out, _ = bell_detect([state] * n, build_relay(n))
             assert symplectic_eigenvalues(out.cov)[0] >= 1.0 - 1e-9
-        out2, _ = bell_detect([nf.state(), nf.state()], build_relay(2))
+        out2, _ = bell_detect([state] * 2, build_relay(2))
         assert log_negativity(out2, [0]) <= nf.log_negativity() + 1e-12
 
     # network side: numeric pairwise output never exceeds the input entanglement

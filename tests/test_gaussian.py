@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cvswap import gaussian
 from cvswap.gaussian import (
     BONA_FIDE_TOL,
     GaussianState,
@@ -18,8 +19,9 @@ from cvswap.gaussian import (
     two_mode_standard_form,
     vacuum,
 )
+from cvswap.relay import cluster_closed_form
 from cvswap.sources import TwoModeNormalForm, tmsv
-from gaussian_reference import tensor, williamson_eigvals
+from gaussian_reference import omega_product_eigvals, tensor, williamson_eigvals
 
 
 def test_symplectic_form_blocks():
@@ -90,6 +92,22 @@ def test_non_finite_entries_raise_value_error(n_modes, bad, where):
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1e3])
+def test_symmetry_tolerance_is_1e_12_of_the_largest_entry(n_modes, scale):
+    # the band is 1e-12 * max(1, max |V_ij|): accepted at half of it, refused at twice it
+    cov = scale * np.eye(2 * n_modes) + 0.1 * scale
+    tol = 1e-12 * max(1.0, scale * 1.1)
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        bumped = cov.copy()
+        bumped[0, -1] += factor * tol
+        if accepted:
+            np.testing.assert_array_equal(GaussianState(bumped, check=False).cov, 0.5 * (bumped + bumped.T))
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                GaussianState(bumped, check=False)
+
+
 def test_partial_transpose_flips_momenta():
     cov = tmsv(2.0).cov()
     pt = partial_transpose(cov, [0])
@@ -154,21 +172,66 @@ def _random_passive(rng, n):
     return O
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
-def test_symplectic_eigenvalues_of_random_williamson_forms(seed, n):
-    # V = S (+)nu_k I_2 S^T with S = passive . squeezers . passive (Bloch-Messiah)
-    rng = np.random.default_rng(seed)
+def _random_williamson_form(rng, n):
+    """V = S (+)nu_k I_2 S^T with S = passive . squeezers . passive (Bloch-Messiah)."""
     nus = rng.uniform(1.0, 5.0, n)
     squeeze = np.exp(np.repeat(rng.uniform(-1.0, 1.0, n), 2) * np.tile([1.0, -1.0], n))
     S = _random_passive(rng, n) @ np.diag(squeeze) @ _random_passive(rng, n)
     assert is_symplectic(S)
     V = S @ np.diag(np.repeat(nus, 2)) @ S.T
-    V = 0.5 * (V + V.T)
+    return 0.5 * (V + V.T), nus
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_symplectic_eigenvalues_of_random_williamson_forms(seed, n):
+    V, nus = _random_williamson_form(np.random.default_rng(seed), n)
     tol = 1e-12 * np.linalg.norm(V, 2)
     spectrum = symplectic_eigenvalues(V)
     np.testing.assert_allclose(spectrum, np.sort(nus), rtol=0, atol=tol)
     np.testing.assert_allclose(spectrum, williamson_eigvals(V), rtol=0, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 32))
+def test_symplectic_eigenvalues_match_the_omega_product_bit_for_bit(seed, n):
+    # L^T Omega is formed by swapping columns, not by a product with Omega;
+    # the spectrum must not move by a single bit
+    V, _ = _random_williamson_form(np.random.default_rng(seed), n)
+    np.testing.assert_array_equal(symplectic_eigenvalues(V), omega_product_eigvals(V))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_state_checks_symmetry_once(monkeypatch, n):
+    calls = []
+    original = gaussian._require_symmetric
+
+    def counted(cov):
+        calls.append(1)
+        return original(cov)
+
+    monkeypatch.setattr(gaussian, "_require_symmetric", counted)
+    nf = tmsv(5.0)
+    cov = cluster_closed_form(nf.x, nf.y, nf.z, n).assemble() if n > 1 else 2.0 * np.eye(2)
+    GaussianState(cov)
+    assert len(calls) == 1
+
+
+def test_state_arrays_are_read_only_copies():
+    cov, mean = tmsv(2.0).cov(), np.arange(4.0)
+    st = GaussianState(cov, mean)
+    with pytest.raises(ValueError):
+        st.cov[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        st.cov += 1.0
+    with pytest.raises(ValueError):
+        st.mean[0] = 1.0
+    with pytest.raises(ValueError):
+        vacuum(2).mean.fill(1.0)
+    # the caller's arrays stay writeable and apart from the state
+    mean[0], cov[0, 0] = 9.0, 9.0
+    np.testing.assert_array_equal(st.mean, np.arange(4.0))
+    np.testing.assert_array_equal(st.cov, tmsv(2.0).cov())
 
 
 def _random_local_symplectic(rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvswap import optomech
-from cvswap.gaussian import log_negativity, symplectic_eigenvalues, two_mode_standard_form
+from cvswap.gaussian import apply_symplectic, log_negativity, symplectic_eigenvalues, two_mode_standard_form
 from cvswap.optomech import (
     OptomechParams,
     detuning_sweep,
@@ -19,6 +19,7 @@ from cvswap.optomech import (
     standard_params,
     steady_state_cm,
 )
+from cvswap.relay import bell_detect, build_relay
 
 OMEGA_M = 2 * np.pi * 10e6
 
@@ -179,6 +180,20 @@ def test_mechanical_cluster_is_permutation_symmetric():
         np.testing.assert_allclose(cov[np.ix_(idx, idx)], cov, atol=1e-9)
 
 
+def test_preprocessed_copy_is_the_standard_form_rotation():
+    # the copies are rotated by S of two_mode_standard_form without
+    # apply_symplectic's check; the cluster must equal that route's bit for bit
+    p = standard_params(delta=0.7 * OMEGA_M)
+    single = steady_state_cm(p)
+    rotated = apply_symplectic(single, two_mode_standard_form(single.cov)[4])
+    for n in (2, 3):
+        cluster, _ = mechanical_cluster(p, n)
+        expected, _ = bell_detect([rotated] * n, build_relay(n))
+        np.testing.assert_array_equal(cluster.cov, expected.cov)
+        plain, _ = mechanical_cluster(p, n, local_preprocessing=False)
+        assert not np.allclose(plain.cov, cluster.cov)
+
+
 def test_mechanical_swap_never_beats_input():
     for ratio in np.linspace(0.1, 1.5, 8):
         p = standard_params(delta=ratio * OMEGA_M)
@@ -235,6 +250,22 @@ def test_detuning_sweep_checks_stability_once_per_point(monkeypatch):
     rows = detuning_sweep(base, deltas, n_users=(2, 3))
     assert len(calls) == len(deltas)
     assert [r[4] for r in rows] == [1, 1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("local_preprocessing", [True, False])
+def test_detuning_sweep_takes_standard_form_once_per_stable_point(monkeypatch, local_preprocessing):
+    calls = []
+
+    def counting_standard_form(cov):
+        calls.append(1)
+        return two_mode_standard_form(cov)
+
+    monkeypatch.setattr(optomech, "two_mode_standard_form", counting_standard_form)
+    base = standard_params()
+    deltas = [0.5 * OMEGA_M, OMEGA_M, -OMEGA_M]  # the last point is unstable
+    rows = detuning_sweep(base, deltas, n_users=(2, 3, 4), local_preprocessing=local_preprocessing)
+    assert [r[4] for r in rows] == [1] * 6 + [0] * 3
+    assert len(calls) == (2 if local_preprocessing else 0)
 
 
 def test_conditional_determinant_keeps_mirrors_separable():

@@ -59,6 +59,23 @@ def test_relay_plan_validates_orthogonality():
     assert all(q == "X" for _, q in plan.measurements[1:])
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_build_relay_returns_one_plan_per_n(n):
+    assert build_relay(n) is build_relay(n)
+    assert build_relay(n).n_users == n
+
+
+def test_relay_plan_ortho_is_a_read_only_copy():
+    ortho = relay_orthogonal(3)
+    plan = RelayPlan(n_users=3, ortho=ortho)
+    with pytest.raises(ValueError):
+        plan.ortho[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        build_relay(3).ortho[:] = 0.0
+    ortho[0, 0] = 0.5  # the caller's array stays writeable and apart from the plan
+    np.testing.assert_array_equal(plan.ortho, relay_orthogonal(3))
+
+
 @pytest.mark.parametrize(
     "measurements",
     [
@@ -294,13 +311,13 @@ def test_bell_detect_validates_copies_without_williamson(monkeypatch):
     # two-mode copies are checked by the closed-form kernel; only the 3-mode
     # output of the relay goes through the Williamson eigensolve
     calls = []
-    original = gaussian.symplectic_eigenvalues
+    original = gaussian._williamson
 
     def counted(cov):
         calls.append(cov.shape[0] // 2)
         return original(cov)
 
-    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+    monkeypatch.setattr(gaussian, "_williamson", counted)
     nf = TwoModeNormalForm(3.0, 2.0, 1.9)
     out, _ = bell_detect([nf.state() for _ in range(3)], build_relay(3))
     assert out.n_modes == 3
