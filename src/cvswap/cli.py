@@ -19,8 +19,9 @@ Exit codes: 0 success, 2 unknown experiment or command-line usage error
 (argparse), 3 invalid configuration (a malformed or out-of-bounds value, a
 non-finite value, a missing required key, or a key the experiment does
 not read), 4 unwritable output path, 5 numerical failure (a Lyapunov residual
-over its limit, or the state sampler out of attempts). Data file and
-manifest are each written to a temp file and renamed into place.
+over its limit, the state sampler out of attempts, a state that fails the
+bona-fide check, or a numpy linear-algebra failure). Data file and manifest
+are each written to a temp file and renamed into place.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .analysis import (
     pairwise_logneg_numeric,
     swap_logneg_two,
 )
+from .gaussian import PhysicalityError
 from .optomech import detuning_sweep, standard_params
 from .relay import bell_detect, build_relay, cluster_closed_form, diff_x_variance, sum_p_variance
 from .sources import (
@@ -505,12 +507,13 @@ def main(argv=None) -> int:
         runner, _ = EXPERIMENTS[args.experiment]
         started = time.perf_counter()
         columns, rows, summary = runner(cfg)
+    # PhysicalityError and LinAlgError are ValueErrors too, so they go first
+    except (RuntimeError, PhysicalityError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except RuntimeError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     wall = time.perf_counter() - started
 
     manifest = {

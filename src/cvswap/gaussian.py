@@ -306,13 +306,19 @@ def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
 
 
 def reduce(state: GaussianState, modes) -> GaussianState:
-    """Marginal state on ``modes`` (rows/columns of the others deleted)."""
+    """Marginal state on ``modes`` (rows/columns of the others deleted).
+
+    ``modes`` listing every mode in order returns ``state`` itself: states
+    are immutable, so there is nothing to copy.
+    """
     keep = [int(m) for m in modes]
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate mode indices")
     for m in keep:
         if not 0 <= m < state.n_modes:
             raise IndexError(f"mode index {m} out of range")
+    if keep == list(range(state.n_modes)):
+        return state
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)
     return GaussianState(state.cov[np.ix_(idx, idx)], state.mean[idx], check=False)
 
@@ -327,19 +333,17 @@ def two_mode_standard_form(cov: np.ndarray):
     cov = _require_symmetric(cov)
     if cov.shape[0] != 4:
         raise ValueError("standard form is defined for two-mode states")
-    A, B, C = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
-
-    def _whiten(block):
-        s = np.sqrt(np.linalg.det(block))
-        L = np.linalg.cholesky(block)
-        return s, np.sqrt(s) * np.linalg.inv(L)  # det = 1, hence symplectic
-
-    a, SA = _whiten(A)
-    b, SB = _whiten(B)
-    C1 = SA @ C @ SB.T
+    # whiten both diagonal blocks as one (2, 2, 2) stack: with s = sqrt(det)
+    # and block = L L^T, sqrt(s) L^-1 has det 1 (hence is symplectic) and
+    # takes the block to s I
+    diag = np.stack([cov[:2, :2], cov[2:, 2:]])
+    s = np.sqrt(np.linalg.det(diag))
+    SA, SB = np.sqrt(s)[:, None, None] * np.linalg.inv(np.linalg.cholesky(diag))
+    a, b = s
+    C1 = SA @ cov[:2, 2:] @ SB.T
     U, sig, Wt = np.linalg.svd(C1)
     # force proper rotations so the diagonal blocks stay a*I, b*I
-    du, dw = np.linalg.det(U), np.linalg.det(Wt)
+    du, dw = np.linalg.det(np.stack([U, Wt]))
     U[:, 1] *= np.sign(du) if du != 0 else 1.0
     Wt[1, :] *= np.sign(dw) if dw != 0 else 1.0
     RA, RB = U.T, Wt

@@ -48,10 +48,11 @@ _RESIDUAL_LIMIT = 1e-8
 
 def mean_occupation(omega_m: float, temp: float) -> float:
     """Bose-Einstein phonon occupation of a bath at temperature ``temp`` (K)."""
-    if omega_m <= 0:
-        raise ValueError("omega_m must be positive")
-    if temp < 0:
-        raise ValueError("temperature must be non-negative")
+    # chained comparisons, so NaN fails them as inf does
+    if not 0 < omega_m < math.inf:
+        raise ValueError("omega_m must be positive and finite")
+    if not 0 <= temp < math.inf:
+        raise ValueError("temperature must be non-negative and finite")
     if temp == 0:
         return 0.0
     return 1.0 / math.expm1(hbar * omega_m / (k_B * temp))
@@ -63,7 +64,8 @@ class OptomechParams:
 
     ``delta`` is the effective cavity detuning and may take any sign;
     ``g_eff`` is the effective (drive-enhanced) coupling and may be zero,
-    which decouples the block into thermal mechanics x vacuum cavity.
+    which decouples the block into thermal mechanics x vacuum cavity. Every
+    field must be finite; NaN is refused.
     """
 
     omega_m: float
@@ -74,12 +76,15 @@ class OptomechParams:
     temp: float
 
     def __post_init__(self):
-        if not (self.omega_m > 0 and self.gamma_m > 0 and self.kappa > 0):
-            raise ValueError("omega_m, gamma_m and kappa must be positive")
-        if not self.g_eff >= 0:
-            raise ValueError("g_eff must be non-negative")
-        if not self.temp >= 0:
-            raise ValueError("temperature must be non-negative")
+        # chained comparisons, so NaN fails them as inf does
+        if not all(0 < rate < math.inf for rate in (self.omega_m, self.gamma_m, self.kappa)):
+            raise ValueError("omega_m, gamma_m and kappa must be positive and finite")
+        if not -math.inf < self.delta < math.inf:
+            raise ValueError("delta must be finite")
+        if not 0 <= self.g_eff < math.inf:
+            raise ValueError("g_eff must be non-negative and finite")
+        if not 0 <= self.temp < math.inf:
+            raise ValueError("temperature must be non-negative and finite")
 
     @property
     def n_bar(self) -> float:
@@ -146,7 +151,7 @@ def drift_diffusion(p: OptomechParams) -> tuple[np.ndarray, np.ndarray]:
 def is_stable(A: np.ndarray) -> bool:
     """True iff every drift eigenvalue sits strictly in the left half plane."""
     A = np.asarray(A, dtype=float)
-    scale = np.linalg.norm(A, 2)
+    scale = np.linalg.svd(A, compute_uv=False)[0]  # the largest, norm(A, 2)
     if scale == 0.0:
         return False
     return bool(np.max(np.linalg.eigvals(A).real) < -STABILITY_MARGIN * scale)
@@ -166,11 +171,14 @@ def _kron_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K.reshape(16, 16), -D.reshape(16)).reshape(4, 4)
 
 
-def _solve_lyapunov(p: OptomechParams) -> tuple[np.ndarray, float]:
-    """Normalized solve of A V + V A^T = -D: (V in (q, p, X, P) order, relative residual)."""
-    A, D = drift_diffusion(p)
-    An = A / p.omega_m
-    Dn = D / p.omega_m
+def _solve_lyapunov(A: np.ndarray, D: np.ndarray, omega_m: float) -> tuple[np.ndarray, float]:
+    """Normalized solve of A V + V A^T = -D: (V in (q, p, X, P) order, relative residual).
+
+    ``(A, D)`` is the pair :func:`drift_diffusion` returns, in rad/s; both are
+    divided by ``omega_m`` before the solve.
+    """
+    An = A / omega_m
+    Dn = D / omega_m
     V = _kron_lyapunov(An, Dn)
     V = 0.5 * (V + V.T)
     return V, float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
@@ -183,24 +191,26 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
     solution is invariant under the common rescaling), checks the residual
     against 1e-8 relative, and asserts the result is a bona fide state.
     """
-    A, _ = drift_diffusion(p)
+    A, D = drift_diffusion(p)
     if not is_stable(A):
         raise ValueError("drift matrix is not stable; no steady state exists")
-    return _stable_steady_state(p)
+    return _stable_steady_state(A, D, p.omega_m)
 
 
-def _stable_steady_state(p: OptomechParams) -> GaussianState:
-    """``steady_state_cm`` for parameters already known to be stable."""
-    V, residual = _solve_lyapunov(p)
+_CAVITY_FIRST = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])  # (q, p, X, P) -> (X, P, q, p)
+
+
+def _stable_steady_state(A: np.ndarray, D: np.ndarray, omega_m: float) -> GaussianState:
+    """``steady_state_cm`` for a drift pair already known to be stable."""
+    V, residual = _solve_lyapunov(A, D, omega_m)
     if residual > _RESIDUAL_LIMIT:
         raise RuntimeError(f"Lyapunov solver residual {residual:.3e} exceeds {_RESIDUAL_LIMIT}")
-    order = [2, 3, 0, 1]  # (q, p, X, P) -> (X, P, q, p)
-    return GaussianState(V[np.ix_(order, order)])
+    return GaussianState(V[_CAVITY_FIRST])
 
 
 def lyapunov_residual(p: OptomechParams) -> float:
     """Max-abs residual of the normalized Lyapunov solve, relative to ||D||."""
-    return _solve_lyapunov(p)[1]
+    return _solve_lyapunov(*drift_diffusion(p), p.omega_m)[1]
 
 
 def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianState:
@@ -249,20 +259,27 @@ def detuning_sweep(
 
     Rows are (delta / omega_m, N, E_in optical-mechanical, E pairwise
     mechanical, stable flag). Unstable points carry NaN entanglement
-    entries and flag 0.
+    entries and flag 0. Every N must be an integer >= 2 (an integral float
+    such as 2.0 is read as that integer); anything else raises ValueError
+    before any point is computed.
     """
+    sizes = []
+    for n in n_users:
+        if not (math.isfinite(n) and n == int(n) and n >= 2):
+            raise ValueError(f"cluster sizes must be integers >= 2, got {n!r}")
+        sizes.append(int(n))
     rows = []
     for delta in deltas:
         p = base.with_delta(float(delta))
-        A, _ = drift_diffusion(p)
+        A, D = drift_diffusion(p)
         if not is_stable(A):
-            for n in n_users:
-                rows.append((p.delta / p.omega_m, int(n), float("nan"), float("nan"), 0))
+            for n in sizes:
+                rows.append((p.delta / p.omega_m, n, float("nan"), float("nan"), 0))
             continue
-        state = _stable_steady_state(p)
+        state = _stable_steady_state(A, D, p.omega_m)
         e_in = log_negativity(state, [0])
         copy = _relay_copy(state, local_preprocessing)
-        for n in n_users:
-            _, e_pair = _swap_blocks(copy, int(n))
-            rows.append((p.delta / p.omega_m, int(n), e_in, e_pair, 1))
+        for n in sizes:
+            _, e_pair = _swap_blocks(copy, n)
+            rows.append((p.delta / p.omega_m, n, e_in, e_pair, 1))
     return rows

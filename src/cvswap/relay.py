@@ -90,13 +90,16 @@ class RelayPlan:
     A Bell detection reads every port exactly once, in any order (distinct
     ports also make the readouts commute, so joint conditioning is exact);
     quadratures are ``"X"`` or ``"P"``. The plan keeps a read-only copy of
-    ``ortho`` (the caller's array stays writeable), so one plan can serve
-    every detection of its N.
+    ``ortho`` (the caller's array stays writeable) and the read-only readout
+    matrix ``readout`` = W^T, a 2N x N matrix whose column j holds readout j's
+    weights on the sent quadratures (X_1, P_1, ..., X_N, P_N), so one plan can
+    serve every detection of its N.
     """
 
     n_users: int
     ortho: np.ndarray
     measurements: tuple = field(default=None)
+    readout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.array(self.ortho, dtype=float)
@@ -111,8 +114,15 @@ class RelayPlan:
             raise ValueError("every port in range(n_users) must be measured exactly once")
         if not all(q in ("X", "P") for _, q in meas):
             raise ValueError("quadrature must be 'X' or 'P'")
+        # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped
+        N = self.n_users
+        wt = np.zeros((N, 2, N))
+        wt[:, [int(q == "P") for _, q in meas], np.arange(N)] = U[[port for port, _ in meas]].T
+        wt = wt.reshape(2 * N, N)
+        wt.flags.writeable = False
         object.__setattr__(self, "ortho", U)
         object.__setattr__(self, "measurements", meas)
+        object.__setattr__(self, "readout", wt)
 
 
 @cache
@@ -268,7 +278,8 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
     Each copy is a state on modes (A, B) with A the mode sent to the relay;
     write its covariance as [[a_k, c_k], [c_k^T, b_k]]. Readout j of the plan
     measures quadrature q_j of the mixed port p_j, the row of W that holds
-    U[p_j, k] on quadrature q_j of A_k. The readouts then have covariance
+    U[p_j, k] on quadrature q_j of A_k (the plan holds W^T as ``readout``,
+    built once per plan). The readouts then have covariance
     M = W blockdiag(a_k) W^T and cross covariance C = blockdiag(c_k)^T W^T
     with the kept modes (B1..BN), whose own covariance is blockdiag(b_k);
     one Schur complement (as in ``condition_homodynes``) conditions on all
@@ -292,15 +303,11 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
 
     covs = np.array([c.cov for c in copies])
     means = np.array([c.mean for c in copies])
-    # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped
-    ports = [port for port, _ in plan.measurements]
-    quads = [int(q == "P") for _, q in plan.measurements]
-    wt = np.zeros((N, 2, N))
-    wt[:, quads, np.arange(N)] = plan.ortho[ports].T
-    # rows (a_k; c_k^T) of each copy times W_k^T: the readouts' covariance
-    # with A_k (to be summed over k into M) and with B_k (C's rows)
-    y = covs[:, :, :2] @ wt
-    wt = wt.reshape(2 * N, N)  # W^T as a 2N x N matrix
+    wt = plan.readout
+    # rows (a_k; c_k^T) of each copy times W_k^T, its (2, N) slice: the
+    # readouts' covariance with A_k (to be summed over k into M) and with B_k
+    # (C's rows)
+    y = covs[:, :, :2] @ wt.reshape(N, 2, N)
     m_cov = wt.T @ y[:, :2].reshape(2 * N, N)
     v_b = np.zeros((N, 2, N, 2))
     v_b[np.arange(N), :, np.arange(N), :] = covs[:, 2:, 2:]

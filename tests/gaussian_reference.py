@@ -7,13 +7,16 @@ with the package's Cholesky-Hermitian ``symplectic_eigenvalues``, which the
 tests check against it. ``omega_product_eigvals`` is the package's route
 as it was before Omega stopped being built: the same Cholesky and
 ``eigvalsh``, with L^T Omega L formed by multiplying by ``symplectic_form``;
-the package must match it bit for bit. ``tensor`` builds direct sums for
-test setup.
+the package must match it bit for bit. ``standard_form_per_block`` is
+``two_mode_standard_form`` as it was before its two diagonal blocks were
+whitened as one stack: one ``det``, ``cholesky`` and ``inv`` call per block
+and one ``det`` per rotation; the package must match it bit for bit too.
+``tensor`` builds direct sums for test setup.
 """
 
 import numpy as np
 
-from cvswap.gaussian import GaussianState, _require_symmetric, symplectic_form
+from cvswap.gaussian import GaussianState, _require_symmetric, rotation, symplectic_form
 
 
 def williamson_eigvals(cov):
@@ -35,6 +38,40 @@ def omega_product_eigvals(cov):
     L = np.linalg.cholesky(_require_symmetric(cov))
     n = L.shape[0] // 2
     return np.linalg.eigvalsh(1j * (L.T @ symplectic_form(n) @ L))[n:]
+
+
+def standard_form_per_block(cov):
+    """(a, b, c_plus, c_minus, S) of a two-mode covariance, whitening block by block."""
+    cov = _require_symmetric(cov)
+    A, B, C = cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
+
+    def _whiten(block):
+        s = np.sqrt(np.linalg.det(block))
+        L = np.linalg.cholesky(block)
+        return s, np.sqrt(s) * np.linalg.inv(L)  # det = 1, hence symplectic
+
+    a, SA = _whiten(A)
+    b, SB = _whiten(B)
+    C1 = SA @ C @ SB.T
+    U, sig, Wt = np.linalg.svd(C1)
+    du, dw = np.linalg.det(U), np.linalg.det(Wt)
+    U[:, 1] *= np.sign(du) if du != 0 else 1.0
+    Wt[1, :] *= np.sign(dw) if dw != 0 else 1.0
+    RA, RB = U.T, Wt
+    Cd = RA @ C1 @ RB.T
+    c_plus, c_minus = float(Cd[0, 0]), float(Cd[1, 1])
+    if abs(c_minus) > abs(c_plus):
+        J = rotation(np.pi / 2.0)
+        RA, RB = J @ RA, J @ RB
+        Cd = RA @ C1 @ RB.T
+        c_plus, c_minus = float(Cd[0, 0]), float(Cd[1, 1])
+    if c_plus < 0:
+        RA = rotation(np.pi) @ RA
+        c_plus, c_minus = -c_plus, -c_minus
+    S = np.zeros((4, 4))
+    S[:2, :2] = RA @ SA
+    S[2:, 2:] = RB @ SB
+    return float(a), float(b), c_plus, c_minus, S
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:

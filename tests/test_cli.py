@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cvswap import cli, optomech
+from cvswap.gaussian import PhysicalityError
 from cvswap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NUMERICAL,
@@ -92,6 +93,32 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
     out = tmp_path / "c.csv"
     assert main(["fig2c", "--out", str(out)]) == EXIT_NUMERICAL
     assert "Lyapunov solver residual" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (PhysicalityError("state is not bona fide"), EXIT_NUMERICAL),
+        (np.linalg.LinAlgError("SVD did not converge"), EXIT_NUMERICAL),
+        (RuntimeError("sampler out of attempts"), EXIT_NUMERICAL),
+        (ConfigError("fig2d takes one g_eff_mhz value"), EXIT_BAD_CONFIG),
+        (ValueError("mu must be >= 1"), EXIT_BAD_CONFIG),
+    ],
+)
+def test_runner_errors_map_to_their_exit_codes(error, code, capsys, tmp_path, monkeypatch):
+    # PhysicalityError and LinAlgError are ValueErrors, but they report a
+    # numerical failure, not an invalid configuration
+    def failing_runner(cfg):
+        raise error
+
+    _, keys = cli.EXPERIMENTS["ghz-limit"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "ghz-limit", (failing_runner, keys))
+    out = tmp_path / "g.csv"
+    assert main(["ghz-limit", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert str(error) in err
+    assert ("numerical failure" in err) == (code == EXIT_NUMERICAL)
     assert list(tmp_path.iterdir()) == []
 
 

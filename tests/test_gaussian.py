@@ -21,7 +21,7 @@ from cvswap.gaussian import (
 )
 from cvswap.relay import cluster_closed_form
 from cvswap.sources import TwoModeNormalForm, tmsv
-from gaussian_reference import omega_product_eigvals, tensor, williamson_eigvals
+from gaussian_reference import omega_product_eigvals, standard_form_per_block, tensor, williamson_eigvals
 
 
 def test_symplectic_form_blocks():
@@ -163,6 +163,28 @@ def test_tensor_and_reduce_round_trip():
     np.testing.assert_array_equal(swapped.cov[:2, :2], a.cov[2:, 2:])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduce_to_every_mode_in_order_returns_the_state(n):
+    rng = np.random.default_rng(n)
+    s = GaussianState(np.diag(rng.uniform(1.0, 3.0, 2 * n)), rng.normal(size=2 * n))
+    assert reduce(s, range(n)) is s
+    assert reduce(s, np.arange(n)) is s
+    with pytest.raises(ValueError):
+        reduce(s, [0] * (n + 1))
+    if n == 1:
+        return
+    # a reordered or a partial list still copies
+    order = list(range(n))[::-1]
+    idx = np.array([[2 * m, 2 * m + 1] for m in order]).ravel()
+    swapped = reduce(s, order)
+    assert swapped is not s
+    np.testing.assert_array_equal(swapped.cov, s.cov[np.ix_(idx, idx)])
+    np.testing.assert_array_equal(swapped.mean, s.mean[idx])
+    part = reduce(s, range(n - 1))
+    assert part is not s
+    np.testing.assert_array_equal(part.cov, s.cov[: 2 * n - 2, : 2 * n - 2])
+
+
 def _random_passive(rng, n):
     """Interleaved-order symplectic of a random n x n unitary U = X + iY."""
     U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -275,6 +297,18 @@ def test_two_mode_standard_form_recovers_normal_form():
         assert b == pytest.approx(y, abs=1e-9)
         assert c_plus == pytest.approx(abs(z), abs=1e-9)
         assert c_minus == pytest.approx(-abs(z), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_two_mode_standard_form_matches_the_per_block_route_bit_for_bit(seed, scale):
+    # stacked whitening and one det for both rotations change no bit
+    V, _, _ = _random_two_mode(np.random.default_rng(seed))
+    for cov in (V, scale * V):
+        got = two_mode_standard_form(cov)
+        want = standard_form_per_block(cov)
+        np.testing.assert_array_equal(got[4], want[4])
+        assert got[:4] == want[:4]
 
 
 def test_two_mode_standard_form_preserves_entanglement():

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvswap import optomech
-from cvswap.gaussian import apply_symplectic, log_negativity, symplectic_eigenvalues, two_mode_standard_form
+from cvswap.gaussian import (
+    GaussianState,
+    apply_symplectic,
+    log_negativity,
+    symplectic_eigenvalues,
+    two_mode_standard_form,
+)
 from cvswap.optomech import (
     OptomechParams,
     detuning_sweep,
@@ -55,6 +61,27 @@ def test_params_validation():
     # delta may take any sign, coupling may vanish
     p = OptomechParams(omega_m=1.0, gamma_m=0.1, kappa=1.0, delta=-2.0, g_eff=0.0, temp=0.0)
     assert p.with_delta(3.0).delta == 3.0
+
+
+_FINITE_PARAMS = dict(omega_m=1.0, gamma_m=0.1, kappa=1.0, delta=0.5, g_eff=0.2, temp=1e-3)
+
+
+@pytest.mark.parametrize("field", sorted(_FINITE_PARAMS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_refuse_non_finite_fields(field, bad):
+    with pytest.raises(ValueError):
+        OptomechParams(**dict(_FINITE_PARAMS, **{field: bad}))
+    if field == "delta":  # a sweep's detunings go through with_delta
+        with pytest.raises(ValueError):
+            OptomechParams(**_FINITE_PARAMS).with_delta(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mean_occupation_refuses_non_finite_inputs(bad):
+    with pytest.raises(ValueError):
+        mean_occupation(bad, 1e-3)
+    with pytest.raises(ValueError):
+        mean_occupation(OMEGA_M, bad)
 
 
 def test_standard_params_kappa_conventions():
@@ -123,6 +150,8 @@ def test_stability_checks():
         ]
     )
     assert not is_stable(lossless)
+    # the margin scales with the largest singular value, ||A||_2 = 10 here
+    assert not is_stable(np.diag([-1e-13, -10.0]))
     # blue detuning at strong coupling destabilizes the steady state
     blue = standard_params(delta=-OMEGA_M)
     A_blue, _ = drift_diffusion(blue)
@@ -252,6 +281,57 @@ def test_detuning_sweep_checks_stability_once_per_point(monkeypatch):
     assert [r[4] for r in rows] == [1, 1, 1, 1, 0, 0]
 
 
+def test_detuning_sweep_builds_the_drift_pair_once_per_point(monkeypatch):
+    calls = []
+
+    def counting_drift_diffusion(p):
+        calls.append(1)
+        return drift_diffusion(p)
+
+    monkeypatch.setattr(optomech, "drift_diffusion", counting_drift_diffusion)
+    base = standard_params()
+    deltas = [0.5 * OMEGA_M, OMEGA_M, -OMEGA_M]  # the last point is unstable
+    rows = detuning_sweep(base, deltas, n_users=(2, 3))
+    assert len(calls) == len(deltas)
+    assert [r[4] for r in rows] == [1, 1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("local_preprocessing, states", [(True, 3), (False, 2)])
+def test_stable_two_user_point_builds_each_state_once(monkeypatch, local_preprocessing, states):
+    # the steady state, its standard-form copy and the relay output; the
+    # pair of an N = 2 output is the output itself, not a reduced copy
+    calls = []
+    original = GaussianState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianState, "__init__", counting_init)
+    (row,) = detuning_sweep(
+        standard_params(), [0.5 * OMEGA_M], n_users=(2,), local_preprocessing=local_preprocessing
+    )
+    assert row[4] == 1
+    assert len(calls) == states
+
+
+@pytest.mark.parametrize("n_users", [(2.5,), (2, 3.5), (1,), (0,), (float("nan"),), (float("inf"),)])
+def test_detuning_sweep_refuses_bad_cluster_sizes_before_any_work(monkeypatch, n_users):
+    def no_work(p):
+        raise AssertionError("a point was computed")
+
+    monkeypatch.setattr(optomech, "drift_diffusion", no_work)
+    with pytest.raises(ValueError):
+        detuning_sweep(standard_params(), [0.5 * OMEGA_M], n_users=n_users)
+
+
+def test_detuning_sweep_reads_integral_floats_as_integers():
+    base = standard_params()
+    assert detuning_sweep(base, [0.5 * OMEGA_M], n_users=(2.0, 3.0)) == detuning_sweep(
+        base, [0.5 * OMEGA_M], n_users=(2, 3)
+    )
+
+
 @pytest.mark.parametrize("local_preprocessing", [True, False])
 def test_detuning_sweep_takes_standard_form_once_per_stable_point(monkeypatch, local_preprocessing):
     calls = []
@@ -329,7 +409,7 @@ def test_kronecker_lyapunov_matches_scipy_on_the_fig2c_grid():
             A, D = drift_diffusion(p)
             if not is_stable(A):
                 continue
-            V, residual = optomech._solve_lyapunov(p)
+            V, residual = optomech._solve_lyapunov(A, D, p.omega_m)
             reference = _scipy_lyapunov(A / p.omega_m, D / p.omega_m)
             reference = 0.5 * (reference + reference.T)
             tol = _solver_tolerance(A / p.omega_m, reference)

@@ -76,6 +76,27 @@ def test_relay_plan_ortho_is_a_read_only_copy():
     np.testing.assert_array_equal(plan.ortho, relay_orthogonal(3))
 
 
+def _readout_per_call(plan):
+    """W^T (2N x N) as bell_detect built it on every call before plans held it."""
+    N = plan.n_users
+    ports = [port for port, _ in plan.measurements]
+    quads = [int(q == "P") for _, q in plan.measurements]
+    wt = np.zeros((N, 2, N))
+    wt[:, quads, np.arange(N)] = plan.ortho[ports].T
+    return wt.reshape(2 * N, N)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_relay_plan_readout_is_read_only_and_matches_the_per_call_build(n):
+    rng = np.random.default_rng(n)
+    permuted = tuple((int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n))
+    for plan in (build_relay(n), RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=permuted)):
+        assert plan.readout.shape == (2 * n, n)
+        np.testing.assert_array_equal(plan.readout, _readout_per_call(plan))
+        with pytest.raises(ValueError):
+            plan.readout[0, 0] = 1.0
+
+
 @pytest.mark.parametrize(
     "measurements",
     [
