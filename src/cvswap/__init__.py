@@ -55,8 +55,6 @@ from .relay import (
     condition_homodynes,
     diff_x_variance,
     displacement_correction,
-    embed_orthogonal,
-    homodyne_condition,
     relay_from_cascade,
     relay_orthogonal,
     sum_p_variance,
@@ -91,9 +89,7 @@ __all__ = [
     "build_relay",
     "relay_orthogonal",
     "relay_from_cascade",
-    "embed_orthogonal",
     "condition_homodynes",
-    "homodyne_condition",
     "bell_detect",
     "displacement_correction",
     "ClusterBlocks",

@@ -25,7 +25,7 @@ from .gaussian import (
     reduce as reduce_state,
     symplectic_eigenvalues,
 )
-from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _readout_factor, cluster_closed_form
+from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _as_size, _readout_factor, cluster_closed_form
 from .sources import TwoModeNormalForm, _golden_max, thermal_loss_on_a, tmsv
 
 __all__ = [
@@ -47,7 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkPoint:
-    """One (mu, eta, omega, N) configuration of the symmetric network."""
+    """One (mu, eta, omega, N) configuration of the symmetric network.
+
+    N must be an integer >= 2; an integral float such as 4.0 is stored as 4.
+    """
 
     mu: float
     eta: float
@@ -61,8 +64,7 @@ class NetworkPoint:
             raise ValueError("eta must be in (0, 1]")
         if not (self.omega >= 1.0 and math.isfinite(self.omega)):
             raise ValueError("omega must be finite and >= 1")
-        if self.n_users < 2:
-            raise ValueError("n_users must be >= 2")
+        object.__setattr__(self, "n_users", _as_size(self.n_users, 2, "n_users"))
 
     @property
     def alpha(self) -> float:
@@ -104,12 +106,11 @@ def gle_formula(pt: NetworkPoint, clamped: bool = True) -> float:
 
 
 def block_logneg_formula(pt: NetworkPoint, n_prime: int, clamped: bool = True) -> float:
-    """Entanglement between two disjoint groups of n_prime users each."""
+    """Entanglement between two disjoint groups of n_prime users each (an integer >= 1)."""
     N = pt.n_users
+    n_prime = _as_size(n_prime, 1, "n_prime")
     if 2 * n_prime > N:
         raise ValueError("2 * n_prime must not exceed n_users")
-    if n_prime < 1:
-        raise ValueError("n_prime must be >= 1")
     raw = e2_formula(pt, clamped=False) - 0.5 * np.log(1.0 + pt.alpha * (N - 2 * n_prime) / N)
     return _clamp(float(raw), clamped)
 
@@ -311,12 +312,12 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     return float(best)
 
 
-def swap_logneg_two(x: float, y: float, z: float, clamped: bool = True) -> float:
-    """Two-user swapped output entanglement -ln(y - z^2 / x) for one copy pair."""
+def swap_logneg_two(x: float, y: float, z: float) -> float:
+    """Two-user swapped output entanglement max(0, -ln(y - z^2 / x)) for one copy pair."""
     arg = y - z * z / x
     if not arg > 0:
         raise ValueError("invalid normal form: conditional variance not positive")
-    return _clamp(float(-np.log(arg)), clamped)
+    return max(0.0, float(-np.log(arg)))
 
 
 def tmsv_swap_bound(e_in: float) -> float:

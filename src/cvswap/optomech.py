@@ -25,7 +25,7 @@ from .gaussian import (
     reduce as reduce_state,
     two_mode_standard_form,
 )
-from .relay import bell_detect, build_relay
+from .relay import _as_size, bell_detect, build_relay
 
 __all__ = [
     "OptomechParams",
@@ -263,11 +263,7 @@ def detuning_sweep(
     such as 2.0 is read as that integer); anything else raises ValueError
     before any point is computed.
     """
-    sizes = []
-    for n in n_users:
-        if not (math.isfinite(n) and n == int(n) and n >= 2):
-            raise ValueError(f"cluster sizes must be integers >= 2, got {n!r}")
-        sizes.append(int(n))
+    sizes = [_as_size(n, 2, "cluster size") for n in n_users]
     rows = []
     for delta in deltas:
         p = base.with_delta(float(delta))

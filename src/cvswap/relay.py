@@ -14,6 +14,7 @@ through one Schur complement, ``_schur_condition``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -27,15 +28,23 @@ __all__ = [
     "build_relay",
     "relay_orthogonal",
     "relay_from_cascade",
-    "embed_orthogonal",
     "condition_homodynes",
-    "homodyne_condition",
     "bell_detect",
     "displacement_correction",
     "cluster_closed_form",
     "sum_p_variance",
     "diff_x_variance",
 ]
+
+
+def _as_size(n, minimum: int, name: str) -> int:
+    """``n`` as an int >= ``minimum``, an integral float such as 4.0 read as 4.
+
+    Anything else, NaN and infinities included, raises ValueError.
+    """
+    if not (math.isfinite(n) and n == int(n) and n >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return int(n)
 
 
 def relay_orthogonal(n_users: int) -> np.ndarray:
@@ -129,28 +138,6 @@ class RelayPlan:
 def build_relay(n_users: int) -> RelayPlan:
     """The relay plan for ``n_users`` ports, built and checked once per N."""
     return RelayPlan(n_users=n_users, ortho=relay_orthogonal(n_users))
-
-
-def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
-    """Promote an orthogonal mode-mixer to a symplectic on the full register.
-
-    ``U`` acts identically on the X and the P quadratures of the listed modes
-    (orthogonal x identity-per-mode is symplectic); all other modes are left
-    alone.
-    """
-    U = np.asarray(U, dtype=float)
-    modes = np.array([int(m) for m in modes], dtype=int)
-    if U.shape != (len(modes), len(modes)):
-        raise ValueError("matrix size does not match the mode list")
-    if len(set(modes.tolist())) != len(modes):
-        raise ValueError("duplicate mode indices")
-    if np.any((modes < 0) | (modes >= n_modes_total)):
-        raise IndexError("mode index out of range")
-    S = np.eye(2 * n_modes_total)
-    x = 2 * modes
-    S[np.ix_(x, x)] = U
-    S[np.ix_(x + 1, x + 1)] = U
-    return S
 
 
 #: A measured readout whose conditional variance falls below this is degenerate.
@@ -255,23 +242,6 @@ def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None)
     return GaussianState(out_cov, out_mean), gamma
 
 
-def homodyne_condition(
-    state: GaussianState, mode: int, quadrature: str, outcome: float = 0.0
-) -> GaussianState:
-    """Condition on a quadrature measurement of one mode and drop that mode.
-
-    The one-element case of ``condition_homodynes``: with q the measured
-    quadrature, C = cov[kept, q] and var = cov[q, q] >= 1e-12,
-
-        cov -> V_B - C C^T / var
-        mean -> mean_B + C (outcome - mean_q) / var
-
-    The conditional covariance does not depend on the outcome.
-    """
-    out, _ = condition_homodynes(state, [(mode, quadrature)], [outcome])
-    return out
-
-
 def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
     """Run the multipartite Bell detection on N two-mode copies.
 
@@ -352,13 +322,12 @@ def cluster_closed_form(x: float, y: float, z: float, n_users: int) -> ClusterBl
 
     For identical copies in the (x, y, z) normal form the output has
     V' = diag(y - (N-1) z^2 / (N x), y - z^2 / (N x)) on the diagonal and
-    C' = (z^2 / (N x)) * diag(1, -1) between any two modes.
+    C' = (z^2 / (N x)) * diag(1, -1) between any two modes. x, y and z must
+    be finite with x > 0, and n_users an integer >= 2 (4.0 reads as 4).
     """
-    if n_users < 2:
-        raise ValueError("n_users must be >= 2")
-    if not x > 0:
-        raise ValueError("x must be positive")
-    N = n_users
+    N = _as_size(n_users, 2, "n_users")
+    if not (x > 0 and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("x, y and z must be finite and x positive")
     w = z * z / (N * x)
     v_prime = np.diag([y - (N - 1) * w, y - w])
     c_prime = np.diag([w, -w])
@@ -374,9 +343,12 @@ def sum_p_variance(cov: np.ndarray) -> float:
 
 
 def diff_x_variance(cov: np.ndarray, i: int, j: int) -> float:
-    """Var of the relative position X_i - X_j."""
+    """Var of the relative position X_i - X_j; an index outside range(N) raises IndexError."""
     n = cov.shape[0] // 2
+    for m in (i, j):
+        if not 0 <= m < n:
+            raise IndexError(f"mode index {m} out of range")
     u = np.zeros(2 * n)
-    u[2 * i] = 1.0
-    u[2 * j] = -1.0
+    u[2 * i] += 1.0
+    u[2 * j] -= 1.0
     return float(u @ cov @ u)

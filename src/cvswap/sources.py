@@ -179,8 +179,8 @@ def _golden_max(f, lo: float, hi: float, tol: float):
     return xbest, max(fc, fd)
 
 
-#: The frontier search scans _FRONTIER_GRID values of x and refines both x
-#: and z by golden section to a bracket of _FRONTIER_TOL.
+#: The frontier search scans _FRONTIER_GRID values of x and runs a
+#: golden-section search over z at each to a bracket of _FRONTIER_TOL.
 _FRONTIER_GRID = 200
 _FRONTIER_TOL = 1e-8
 
@@ -250,33 +250,18 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     """Largest two-user swapped log-negativity at fixed asymmetry d.
 
     Maximizes the swapped output -ln(y - z^2/x) over x (with y = x - 2d) and
-    z within the physical region. A golden-section search over z at each of
-    _FRONTIER_GRID grid values of x, all run in lockstep on arrays
-    (:func:`_best_over_z_lockstep`), picks the best grid x; a golden-section
-    search over x around it, with a scalar golden-section search over z at
-    each step, refines it. Both variances are capped at x_max. This search
-    never reads :func:`frontier_closed_form`, which the tests check it
-    against.
+    z within the physical region, both variances capped at x_max: a
+    golden-section search over z at each of _FRONTIER_GRID grid values of x,
+    all run in lockstep on arrays (:func:`_best_over_z_lockstep`), and the
+    largest grid value. A refinement over x could gain no more than the z
+    search's own error: on the physical boundary z^2 = xy - 1 - |x - y| the
+    output is ln(x / (1 + 2|d|)), which increases in x, so the best grid
+    point is the last one, x at its cap.
+    This search never reads :func:`frontier_closed_form`, which the tests
+    check it against.
     """
     lo, hi = _feasible_x_range(d, x_max)
-
-    def best_over_z(x):
-        y = x - 2.0 * d
-        zm = math.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
-        if zm == 0.0:
-            return 0.0
-        _, val = _golden_max(lambda z: -math.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
-        return max(0.0, val)
-
-    xs = np.linspace(lo, hi, _FRONTIER_GRID)
-    vals = _best_over_z_lockstep(d, xs)
-    k = int(np.argmax(vals))
-    a = float(xs[max(k - 1, 0)])
-    b = float(xs[min(k + 1, _FRONTIER_GRID - 1)])
-    if a == b:
-        return float(vals[k])
-    _, val = _golden_max(best_over_z, a, b, _FRONTIER_TOL)
-    return float(max(val, vals[k]))
+    return float(np.max(_best_over_z_lockstep(d, np.linspace(lo, hi, _FRONTIER_GRID))))
 
 
 def frontier_closed_form(d: float, x_max: float) -> float:

@@ -11,7 +11,10 @@ the package must match it bit for bit. ``standard_form_per_block`` is
 ``two_mode_standard_form`` as it was before its two diagonal blocks were
 whitened as one stack: one ``det``, ``cholesky`` and ``inv`` call per block
 and one ``det`` per rotation; the package must match it bit for bit too.
-``tensor`` builds direct sums for test setup.
+``tensor`` builds direct sums for test setup, and ``embed_orthogonal``
+promotes a passive mode mixer to a symplectic on a whole register: the
+register route that the relay's block-wise ``bell_detect`` is checked
+against.
 """
 
 import numpy as np
@@ -81,3 +84,25 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov[:na, :na] = a.cov
     cov[na:, na:] = b.cov
     return GaussianState(cov, np.concatenate([a.mean, b.mean]), check=False)
+
+
+def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
+    """Promote an orthogonal mode-mixer to a symplectic on the full register.
+
+    ``U`` acts identically on the X and the P quadratures of the listed modes
+    (orthogonal x identity-per-mode is symplectic); all other modes are left
+    alone.
+    """
+    U = np.asarray(U, dtype=float)
+    modes = np.array([int(m) for m in modes], dtype=int)
+    if U.shape != (len(modes), len(modes)):
+        raise ValueError("matrix size does not match the mode list")
+    if len(set(modes.tolist())) != len(modes):
+        raise ValueError("duplicate mode indices")
+    if np.any((modes < 0) | (modes >= n_modes_total)):
+        raise IndexError("mode index out of range")
+    S = np.eye(2 * n_modes_total)
+    x = 2 * modes
+    S[np.ix_(x, x)] = U
+    S[np.ix_(x + 1, x + 1)] = U
+    return S

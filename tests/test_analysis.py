@@ -24,15 +24,9 @@ from cvswap.analysis import (
     tmsv_swap_bound,
 )
 from cvswap.gaussian import GaussianState, PhysicalityError, rotation, vacuum
-from cvswap.relay import (
-    bell_detect,
-    build_relay,
-    cluster_closed_form,
-    condition_homodynes,
-    embed_orthogonal,
-)
+from cvswap.relay import bell_detect, build_relay, cluster_closed_form, condition_homodynes
 from cvswap.sources import sample_normal_form, tmsv
-from gaussian_reference import tensor
+from gaussian_reference import embed_orthogonal, tensor
 
 
 def test_network_point_validation():
@@ -44,6 +38,41 @@ def test_network_point_validation():
         NetworkPoint(2.0, 1.0, 0.5, 2)
     with pytest.raises(ValueError):
         NetworkPoint(2.0, 1.0, 1.0, 1)
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# (builder, refused values): sizes must also be integral; x, y and z only finite
+_SIZE_CASES = {
+    "NetworkPoint-n_users": (lambda n: NetworkPoint(5.0, 0.9, 1.0, n), [2.5, *_NON_FINITE]),
+    "block_logneg_formula-n_prime": (
+        lambda n: block_logneg_formula(NetworkPoint(5.0, 0.9, 1.0, 8), n),
+        [1.5, *_NON_FINITE],
+    ),
+    "cluster_closed_form-n_users": (lambda n: cluster_closed_form(3.0, 3.0, 2.0, n), [2.5, *_NON_FINITE]),
+    "cluster_closed_form-x": (lambda v: cluster_closed_form(v, 3.0, 2.0, 3), _NON_FINITE),
+    "cluster_closed_form-y": (lambda v: cluster_closed_form(3.0, v, 2.0, 3), _NON_FINITE),
+    "cluster_closed_form-z": (lambda v: cluster_closed_form(3.0, 3.0, v, 3), _NON_FINITE),
+}
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [(build, bad) for build, bads in _SIZE_CASES.values() for bad in bads],
+    ids=[f"{name}-{bad}" for name, (_, bads) in _SIZE_CASES.items() for bad in bads],
+)
+def test_sizes_and_blocks_refuse_non_integral_or_non_finite_input(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
+
+
+def test_integral_float_sizes_read_as_integers():
+    pt = NetworkPoint(5.0, 0.9, 1.0, 4.0)
+    assert pt.n_users == 4 and type(pt.n_users) is int
+    assert network_cluster_cm(pt).shape == (8, 8)
+    assert block_logneg_formula(pt, 2.0) == block_logneg_formula(pt, 2)
+    np.testing.assert_array_equal(
+        cluster_closed_form(3.0, 3.0, 2.0, 4.0).assemble(), cluster_closed_form(3.0, 3.0, 2.0, 4).assemble()
+    )
 
 
 def test_alpha_is_recomputed():

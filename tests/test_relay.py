@@ -21,14 +21,12 @@ from cvswap.relay import (
     cluster_closed_form,
     condition_homodynes,
     diff_x_variance,
-    embed_orthogonal,
-    homodyne_condition,
     relay_from_cascade,
     relay_orthogonal,
     sum_p_variance,
 )
 from cvswap.sources import TwoModeNormalForm, sample_normal_form, tmsv
-from gaussian_reference import tensor
+from gaussian_reference import embed_orthogonal, tensor
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -126,17 +124,17 @@ def test_embed_orthogonal_is_symplectic():
 def test_homodyne_condition_on_tmsv():
     mu = 4.0
     st = tmsv(mu).state()
-    out = homodyne_condition(st, 0, "X")
+    out, _ = condition_homodynes(st, [(0, "X")])
     # measuring X_A projects the partner to variance 1/mu in X, mu in P
     np.testing.assert_allclose(out.cov, np.diag([1.0 / mu, mu]), atol=1e-12)
-    out_p = homodyne_condition(st, 0, "P")
+    out_p, _ = condition_homodynes(st, [(0, "P")])
     np.testing.assert_allclose(out_p.cov, np.diag([mu, 1.0 / mu]), atol=1e-12)
 
 
 def test_homodyne_outcome_moves_mean_not_cov():
     st = tmsv(3.0).state()
-    a = homodyne_condition(st, 0, "X", outcome=0.0)
-    b = homodyne_condition(st, 0, "X", outcome=3.7)
+    a, _ = condition_homodynes(st, [(0, "X")], [0.0])
+    b, _ = condition_homodynes(st, [(0, "X")], [3.7])
     np.testing.assert_array_equal(a.cov, b.cov)
     # correlated quadrature shifts proportionally to the outcome
     assert b.mean[0] != 0.0
@@ -144,18 +142,20 @@ def test_homodyne_outcome_moves_mean_not_cov():
 
 
 def test_homodyne_rejects_degenerate_quadrature():
-    squeezed_flat = GaussianState(np.diag([1e-13, 1e13]), check=False)
-    with pytest.raises(ValueError):
-        homodyne_condition(squeezed_flat, 0, "X")
+    # a second mode is kept, so the refusal comes from the readout variance
+    squeezed_flat = GaussianState(np.diag([1e-13, 1e13, 1.0, 1.0]), check=False)
+    with pytest.raises(ValueError, match="degenerate"):
+        condition_homodynes(squeezed_flat, [(0, "X")])
 
 
 def test_homodyne_order_independence():
-    rng = np.random.default_rng(3)
     nf = TwoModeNormalForm(2.5, 2.0, 1.5)
     st = tensor(nf.state(), vacuum(1))
     # measure modes (0, 2) in both orders; positions shift after each drop
-    ab = homodyne_condition(homodyne_condition(st, 0, "X"), 1, "P")
-    ba = homodyne_condition(homodyne_condition(st, 2, "P"), 0, "X")
+    a, _ = condition_homodynes(st, [(0, "X")])
+    ab, _ = condition_homodynes(a, [(1, "P")])
+    b, _ = condition_homodynes(st, [(2, "P")])
+    ba, _ = condition_homodynes(b, [(0, "X")])
     np.testing.assert_allclose(ab.cov, ba.cov, atol=1e-12)
     np.testing.assert_allclose(ab.mean, ba.mean, atol=1e-12)
 
@@ -212,6 +212,16 @@ def test_cluster_variances_ghz_values():
     assert diff_x_variance(cm, 0, 2) == pytest.approx(2.0 / mu, abs=1e-12)
 
 
+def test_diff_x_variance_same_mode_and_range():
+    cm = cluster_closed_form(3.1, 2.4, 2.2, 3).assemble()
+    for i in range(3):
+        assert diff_x_variance(cm, i, i) == 0.0
+    assert diff_x_variance(cm, 0, 1) == pytest.approx(cm[0, 0] + cm[2, 2] - 2.0 * cm[0, 2], abs=1e-15)
+    for i, j in ((0, -1), (-1, 0), (0, 3), (3, 3)):
+        with pytest.raises(IndexError, match="out of range"):
+            diff_x_variance(cm, i, j)
+
+
 def test_pipeline_agrees_with_closed_form_on_random_states():
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -260,7 +270,8 @@ def _condition_in_order(state, order):
     """Chain single homodynes over (mode, quadrature, outcome) in the given order."""
     removed = []
     for mode, quad, outcome in order:
-        state = homodyne_condition(state, mode - sum(r < mode for r in removed), quad, outcome)
+        position = mode - sum(r < mode for r in removed)
+        state, _ = condition_homodynes(state, [(position, quad)], [outcome])
         removed.append(mode)
     return state
 
@@ -301,7 +312,7 @@ def _bell_detect_sequential(copies, plan, rng=None, outcomes=None):
         mode = 2 * port - sum(r < 2 * port for r in removed)
         q = 2 * mode + (quad == "P")
         gamma.append(outcomes[j] if rng is None else rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
-        state = homodyne_condition(state, mode, quad, gamma[-1])
+        state, _ = condition_homodynes(state, [(mode, quad)], [gamma[-1]])
         removed.append(2 * port)
     return state, np.array(gamma)
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cvswap.analysis import NetworkPoint, swap_logneg_two, tmsv_swap_bound
 from cvswap.gaussian import log_negativity, symplectic_eigenvalues
@@ -247,6 +248,23 @@ def test_frontier_lockstep_grid_equals_scalar_searches(d):
             _, val = _golden_max(lambda z: -np.log(y - z * z / x), 0.0, zm, _FRONTIER_TOL)
             expected.append(max(0.0, val))
         assert _best_over_z_lockstep(d, xs).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x_max=st.floats(1.0 + 1e-7, 1e3),
+    frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_frontier_grid_peaks_at_the_cap(x_max, frac):
+    # On the boundary z^2 = xy - 1 - |x - y| the output is ln(x / (1 + 2|d|)),
+    # increasing in x, so the last grid point (x at its cap) holds the maximum
+    # and the search needs no refinement over x.
+    d = frac * (x_max - 1.0) / 2.0
+    lo, hi = max(1.0, 1.0 + 2.0 * d), min(x_max, x_max + 2.0 * d)
+    assume(hi > lo)  # frac * (x_max - 1) / 2 can round onto the feasibility limit
+    vals = _best_over_z_lockstep(d, np.linspace(lo, hi, _FRONTIER_GRID))
+    assert vals[-1] == np.max(vals)
+    assert max_swap_logneg_at_asymmetry(d, x_max) == vals[-1]
 
 
 def test_frontier_symmetric_point_is_log_xmax():
