@@ -26,7 +26,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _as_size, _readout_factor, cluster_closed_form
-from .sources import TwoModeNormalForm, _golden_max, thermal_loss_on_a, tmsv
+from .sources import TwoModeNormalForm, _grid_max, thermal_loss_on_a, tmsv
 
 __all__ = [
     "NetworkPoint",
@@ -40,6 +40,7 @@ __all__ = [
     "pairwise_logneg_numeric_raw",
     "gle_numeric",
     "block_logneg_numeric",
+    "block_logneg_numeric_raw",
     "swap_logneg_two",
     "tmsv_swap_bound",
 ]
@@ -230,16 +231,6 @@ def _rank_one_pairs(W: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return W[:4, :4] - c[:, :, None] * c[:, None, :] / var[:, None, None]
 
 
-def _rank_one_pair(w: list, theta: float) -> list:
-    """:func:`_rank_one_pairs` at one angle, in Python floats; ``w`` is ``W.tolist()``."""
-    cos, sin = math.cos(theta), math.sin(theta)
-    var = cos * cos * w[4][4] - 2.0 * cos * sin * w[4][5] + sin * sin * w[5][5]
-    if not var >= _MIN_READOUT_VARIANCE:
-        raise ValueError(_DEGENERATE)
-    c = [cos * row[4] - sin * row[5] for row in w[:4]]
-    return [[row[s] - cr * c[s] / var for s in range(4)] for row, cr in zip(w, c)]
-
-
 def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Localizable entanglement by optimized homodynes on the other modes.
 
@@ -250,15 +241,16 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     conditions the pair on all of them. The ascent starts from the best
     common angle on a grid: the 64 grid angles stack into one Cholesky
     factorization and one solve, and one kernel call scores the (64, 4, 4)
-    stack of pairs. It then optimizes one angle at a time (grid scan plus
-    golden-section refinement) until a full pass improves the pair
-    log-negativity by less than 1e-8. Each coordinate m conditions the pair
-    and mode m on every other readout once (:func:`_coordinate_block`); each
-    angle of m is then a rank-one update of that 6x6 covariance. The 64-angle
-    grid scan is one stack and one kernel call; the golden steps run in
-    Python floats and hand the kernel nested lists. A stack passes the
+    stack of pairs. It then optimizes one angle at a time until a full pass
+    improves the pair log-negativity by less than 1e-8. Each coordinate m
+    conditions the pair and mode m on every other readout once
+    (:func:`_coordinate_block`); each angle of m is then a rank-one update of
+    that 6x6 covariance. A coordinate scans the 64 grid angles as one stack,
+    then refines within one grid step of the best of them by the nested grids
+    of :func:`cvswap.sources._grid_max`, one stack per level. The objective has
+    period pi, so that bracket may reach past 0 or pi. A stack passes the
     bona-fide check only if its smallest nu_- does (a NaN fails), so one
-    unphysical angle raises PhysicalityError as a scalar call would.
+    unphysical angle raises PhysicalityError.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
@@ -267,13 +259,8 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
     v = state.cov[np.ix_(order, order)]
 
-    def pair_logneg(cov):
-        (nu_min, _), (pt_minus, pt_plus) = _two_mode_spectra(cov)
-        if not nu_min >= 1.0 - BONA_FIDE_TOL:
-            raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {nu_min!r}")
-        return max(0.0, -math.log(pt_minus)) + max(0.0, -math.log(pt_plus))
-
-    def stack_logneg(covs):
+    def pair_logneg(covs):
+        """Log-negativity of a pair covariance or of each in a (..., 4, 4) stack."""
         (nu_min, _), (pt_minus, pt_plus) = _two_mode_spectra(covs)
         worst = float(np.min(nu_min))
         if not worst >= 1.0 - BONA_FIDE_TOL:
@@ -281,31 +268,26 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
         return np.maximum(0.0, -np.log(pt_minus)) + np.maximum(0.0, -np.log(pt_plus))
 
     if not others:
-        return pair_logneg(v)
+        return float(pair_logneg(v))
 
     # Coordinate moves cannot leave a configuration whose whole single-angle
     # neighborhood is separable (the clamped value is identically zero there),
     # so seed the ascent with the best common angle instead of a fixed corner.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
-    half_step = np.pi / _GLE_GRID
-    seed_vals = stack_logneg(_common_angle_pairs(v, grid))
+    step = np.pi / _GLE_GRID
+    seed_vals = pair_logneg(_common_angle_pairs(v, grid))
     thetas = np.full(len(others), grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
     for _ in range(_GLE_MAX_PASSES):
         start = best
         for a in range(len(others)):
             W = _coordinate_block(v, thetas, a)
-            scan = stack_logneg(_rank_one_pairs(W, grid))
-            centre = float(grid[int(np.argmax(scan))])
-            w = W.tolist()
-            theta_a, val = _golden_max(
-                lambda t: pair_logneg(_rank_one_pair(w, t)),
-                centre - half_step,
-                centre + half_step,
-                1e-10,
+            centre = grid[int(np.argmax(pair_logneg(_rank_one_pairs(W, grid))))]
+            theta_a, val = _grid_max(
+                lambda t: pair_logneg(_rank_one_pairs(W, t)), centre - step, centre + step
             )
             if val > best:
-                best = val
+                best = float(val)
                 thetas[a] = theta_a
         if best - start < _GLE_TOL:
             break

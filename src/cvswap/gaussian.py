@@ -243,9 +243,8 @@ def _two_mode_spectra(cov):
     J. Phys. B 37, L21 (2004)) lose sqrt(eps) to the root of their
     discriminant when nu_- = nu_+, which this form avoids.
 
-    ``cov`` is one 4x4 matrix, as an ndarray or as the nested list
-    ``V.tolist()`` (read as it is, with no array round trip), or a stack of
-    shape (..., 4, 4). One body serves all three: a single matrix takes
+    ``cov`` is one 4x4 matrix or a stack of shape (..., 4, 4), as anything
+    :func:`numpy.asarray` reads. One body serves both: a single matrix takes
     ``sqrt``, ``hypot`` and the pivot test from :mod:`math` and returns
     Python floats; a stack takes them from numpy and returns arrays of shape
     ``cov.shape[:-2]``, to within rounding of the per-matrix results.
@@ -254,14 +253,12 @@ def _two_mode_spectra(cov):
     (any matrix, for a stack) raises ValueError, as
     :func:`symplectic_eigenvalues` does. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
     """
-    rows, pivot, sqrt, hypot = cov, _pivot, math.sqrt, math.hypot
-    if not isinstance(cov, list):
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim == 2:
-            rows = cov.tolist()
-        else:  # entry (r, s) of every matrix at once, as an array of shape cov.shape[:-2]
-            rows = cov.transpose(-2, -1, *range(cov.ndim - 2))
-            pivot, sqrt, hypot = _stack_pivot, np.sqrt, _stack_hypot
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim == 2:
+        rows, pivot, sqrt, hypot = cov.tolist(), _pivot, math.sqrt, math.hypot
+    else:  # entry (r, s) of every matrix at once, as an array of shape cov.shape[:-2]
+        rows = cov.transpose(-2, -1, *range(cov.ndim - 2))
+        pivot, sqrt, hypot = _stack_pivot, np.sqrt, _stack_hypot
     (x1x1, x1p1, x1x2, x1p2), (_, p1p1, p1x2, p1p2), (_, _, x2x2, x2p2), (_, _, _, p2p2) = rows
 
     # Cholesky of the (X1, X2, P1, P2) matrix [[V_X, K], [K^T, V_P]]

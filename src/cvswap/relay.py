@@ -51,11 +51,10 @@ def relay_orthogonal(n_users: int) -> np.ndarray:
     """Mode-mixing matrix of the relay, written row by row.
 
     Row 1 is the uniform vector (1/sqrt(N), ..., 1/sqrt(N)); row k for
-    k = 2..N is sqrt(1 - 1/k) * (e_k - (k-1)^{-1} sum_{i<k} e_i).
+    k = 2..N is sqrt(1 - 1/k) * (e_k - (k-1)^{-1} sum_{i<k} e_i). N must be
+    an integer >= 2 (4.0 reads as 4).
     """
-    if n_users < 2:
-        raise ValueError("the relay needs at least two users")
-    N = n_users
+    N = _as_size(n_users, 2, "n_users")
     U = np.zeros((N, N))
     U[0, :] = 1.0 / np.sqrt(N)
     for k in range(2, N + 1):
@@ -73,9 +72,7 @@ def relay_from_cascade(n_users: int) -> np.ndarray:
     [[sqrt(T), sqrt(1-T)], [-sqrt(1-T), sqrt(T)]]; the bus accumulates the
     uniform combination while the reflected outputs realize rows 2..N.
     """
-    if n_users < 2:
-        raise ValueError("the relay needs at least two users")
-    N = n_users
+    N = _as_size(n_users, 2, "n_users")
     U = np.eye(N)
     for k in range(2, N + 1):
         T = 1.0 - 1.0 / k
@@ -102,7 +99,8 @@ class RelayPlan:
     ``ortho`` (the caller's array stays writeable) and the read-only readout
     matrix ``readout`` = W^T, a 2N x N matrix whose column j holds readout j's
     weights on the sent quadratures (X_1, P_1, ..., X_N, P_N), so one plan can
-    serve every detection of its N.
+    serve every detection of its N. ``n_users`` must be an integer >= 2; an
+    integral float such as 4.0 is stored as 4.
     """
 
     n_users: int
@@ -111,6 +109,7 @@ class RelayPlan:
     readout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_users", _as_size(self.n_users, 2, "n_users"))
         U = np.array(self.ortho, dtype=float)
         U.flags.writeable = False
         if np.max(np.abs(U @ U.T - np.eye(self.n_users))) > 1e-12:
@@ -136,7 +135,7 @@ class RelayPlan:
 
 @cache
 def build_relay(n_users: int) -> RelayPlan:
-    """The relay plan for ``n_users`` ports, built and checked once per N."""
+    """The relay plan for ``n_users`` ports, built and checked once per N (4.0 reads as 4)."""
     return RelayPlan(n_users=n_users, ortho=relay_orthogonal(n_users))
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "thermal_loss_map",
     "sample_normal_form",
     "max_swap_logneg_at_asymmetry",
+    "frontier_closed_form",
 ]
 
 
@@ -138,8 +139,8 @@ def sample_normal_form(
     interval (-z_max, z_max). Draws failing the bona-fide check or (when
     ``require_entangled``) with zero input log-negativity are rejected.
     """
-    if not x_max > 1.0:
-        raise ValueError("x_max must be > 1")
+    if not (x_max > 1.0 and math.isfinite(x_max)):
+        raise ValueError("x_max must be finite and > 1")
     span = np.log(x_max)
     for _ in range(max_attempts):
         x = float(np.exp(rng.uniform(0.0, span)))
@@ -157,78 +158,48 @@ def sample_normal_form(
     raise RuntimeError("rejection sampling budget exhausted")
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Each level of :func:`_grid_max` scores _GRID_POINTS points per bracket, and
+#: it runs _GRID_LEVELS levels; one level shrinks a bracket (_GRID_POINTS - 1) / 2 times.
+_GRID_POINTS = 97
+_GRID_LEVELS = 2
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization of a unimodal f on [lo, hi] to a bracket of tol."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    xbest = c if fc > fd else d
-    return xbest, max(fc, fd)
+def _grid_max(f, lo, hi):
+    """Maximize f over every bracket [lo, hi] at once by nested grids.
 
-
-#: The frontier search scans _FRONTIER_GRID values of x and runs a
-#: golden-section search over z at each to a bracket of _FRONTIER_TOL.
-_FRONTIER_GRID = 200
-_FRONTIER_TOL = 1e-8
-
-
-def _best_over_z_lockstep(d: float, xs: np.ndarray) -> np.ndarray:
-    """Largest swapped output over z at each x of ``xs``, with y = x - 2d.
-
-    Runs the golden-section search of :func:`_golden_max` on -ln(y - z^2/x)
-    over z in [0, z_max(x)] for every x at once, in the same floating-point
-    operations: each element takes the step its own comparison picks, and it
-    leaves the batch, with max(0, max(f(c), f(d))), as soon as its bracket is
-    no wider than _FRONTIER_TOL. So every value equals that of the scalar
-    search bit for bit. An x with z_max = 0 reads 0. Each iteration forms
-    the bracket widths b - a once, for the stopping test and for the new
-    point, and compacts the batch only when some bracket has closed.
+    ``lo`` and ``hi`` are scalars or arrays of one shape S, and ``f`` maps
+    points of shape S + (P,) to values of that shape. Each level scores
+    _GRID_POINTS evenly spaced points across every bracket, ends included,
+    and narrows each bracket to its best point +- one spacing, cut back to
+    the bracket itself, so no point ever leaves the first [lo, hi]. Returns
+    the best points and their values, each of shape S.
     """
-    best = np.zeros(len(xs))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for _ in range(_GRID_LEVELS):
+        pts = np.linspace(lo, hi, _GRID_POINTS, axis=-1)
+        vals = f(pts)
+        k = np.argmax(vals, axis=-1)[..., None]
+        best, val = (np.take_along_axis(arr, k, axis=-1)[..., 0] for arr in (pts, vals))
+        step = (hi - lo) / (_GRID_POINTS - 1)
+        lo, hi = np.maximum(best - step, lo), np.minimum(best + step, hi)
+    return best, val
+
+
+#: The frontier search scans _FRONTIER_GRID values of x.
+_FRONTIER_GRID = 200
+
+
+def _best_over_z(d: float, xs: np.ndarray) -> np.ndarray:
+    """Largest swapped output max(0, -ln(y - z^2/x)) over z in [0, z_max(x)] at each x of ``xs``.
+
+    y = x - 2d. One :func:`_grid_max` call searches every x's z interval at
+    once; an x with z_max = 0 reads 0.
+    """
     ys = xs - 2.0 * d
     zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
-    idx = np.flatnonzero(zm != 0.0)
-    x, y, a, b = xs[idx], ys[idx], np.zeros(idx.size), zm[idx]
-    width = b - a
-    c = b - _INVPHI * width
-    dd = a + _INVPHI * width
-    fc, fd = -np.log(y - c * c / x), -np.log(y - dd * dd / x)
-    while idx.size:
-        live = width > _FRONTIER_TOL  # b >= a throughout, so the width needs no abs()
-        if not live.all():
-            done = ~live
-            val = np.maximum(fc[done], fd[done])
-            best[idx[done]] = np.where(val > 0.0, val, 0.0)
-            idx, x, y, a, b, c, dd, fc, fd = (arr[live] for arr in (idx, x, y, a, b, c, dd, fc, fd))
-            if not idx.size:
-                break
-        left = fc > fd  # the maximum lies left of d: [a, b] -> [a, d]
-        b = np.where(left, dd, b)
-        a = np.where(left, a, c)
-        width = b - a
-        step = _INVPHI * width
-        new = np.where(left, b - step, a + step)
-        f_new = -np.log(y - new * new / x)
-        c, dd, fc, fd = (
-            np.where(left, new, dd),
-            np.where(left, c, new),
-            np.where(left, f_new, fd),
-            np.where(left, fc, f_new),
-        )
-    return best
+    x, y = xs[:, None], ys[:, None]
+    _, val = _grid_max(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm)
+    return np.maximum(val, 0.0)
 
 
 def _feasible_x_range(d: float, x_max: float) -> tuple[float, float]:
@@ -251,17 +222,17 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
 
     Maximizes the swapped output -ln(y - z^2/x) over x (with y = x - 2d) and
     z within the physical region, both variances capped at x_max: a
-    golden-section search over z at each of _FRONTIER_GRID grid values of x,
-    all run in lockstep on arrays (:func:`_best_over_z_lockstep`), and the
-    largest grid value. A refinement over x could gain no more than the z
-    search's own error: on the physical boundary z^2 = xy - 1 - |x - y| the
-    output is ln(x / (1 + 2|d|)), which increases in x, so the best grid
-    point is the last one, x at its cap.
+    nested-grid search over z at each of _FRONTIER_GRID grid values of x,
+    all at once (:func:`_best_over_z`), and the largest grid value. A
+    refinement over x could gain no more than the z search's own error: on
+    the physical boundary z^2 = xy - 1 - |x - y| the output is
+    ln(x / (1 + 2|d|)), which increases in x, so the best grid point is the
+    last one, x at its cap.
     This search never reads :func:`frontier_closed_form`, which the tests
     check it against.
     """
     lo, hi = _feasible_x_range(d, x_max)
-    return float(np.max(_best_over_z_lockstep(d, np.linspace(lo, hi, _FRONTIER_GRID))))
+    return float(np.max(_best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID))))
 
 
 def frontier_closed_form(d: float, x_max: float) -> float:

@@ -7,7 +7,6 @@ from cvswap.analysis import (
     NetworkPoint,
     _common_angle_pairs,
     _coordinate_block,
-    _rank_one_pair,
     _rank_one_pairs,
     block_logneg_formula,
     block_logneg_numeric,
@@ -256,9 +255,9 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, scan):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
-    # the seeds and each coordinate's 64-angle scan are one stacked call each;
-    # only the 46 golden-section evaluations of a coordinate go one by one
-    # (one pass here), so a per-angle scan would add 64 calls per coordinate
+    # the seeds, each coordinate's 64-angle scan and each of the two levels
+    # of its nested-grid refinement are one stacked call each (one pass
+    # here), and no angle is scored on its own
     calls = {"scalar": 0, "stacked": 0}
     kernel = analysis._two_mode_spectra
 
@@ -268,7 +267,31 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
 
     monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
     gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n)))
-    assert calls == {"scalar": 46 * (n - 2), "stacked": n - 1}
+    assert calls == {"scalar": 0, "stacked": 1 + 3 * (n - 2)}
+
+
+# The closed-form clusters are best read in P (angle pi/2), and rotating a
+# measured mode by phi moves its best angle to pi/2 - phi. The first set puts
+# those optima at +-0.01 and +-0.03, across the 0/pi wrap of the period.
+_OFF_GRID_ROTATIONS = {
+    "optima near the wrap": tuple(np.pi / 2 - t for t in (0.01, -0.03, -0.01, 0.03)),
+    "spread": (0.37, -1.1, 2.9, 0.03),
+}
+
+
+@pytest.mark.parametrize("rotations", sorted(_OFF_GRID_ROTATIONS))
+@pytest.mark.parametrize("n", range(3, 7))
+def test_gle_numeric_is_invariant_under_rotations_of_the_measured_modes(n, rotations):
+    # the rotated optima lie off the 64-angle grid, so only the refinement
+    # reaches them; the value must not move
+    for pt in (NetworkPoint(5.0, 0.9, 1.1, n), NetworkPoint(3.0, 0.8, 1.2, n)):
+        cm = network_cluster_cm(pt)
+        R = np.eye(2 * n)
+        for m, phi in zip(range(2, n), _OFF_GRID_ROTATIONS[rotations]):
+            R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(phi)
+        value = gle_numeric(cm)
+        assert value > 0.1
+        assert gle_numeric(R @ cm @ R.T) == pytest.approx(value, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +302,7 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     The second route rotates every measured mode by gaussian.rotation(theta)
     and conditions on all their X quadratures with condition_homodynes. The
     optimizer's routes: the stacked common-angle seeds, and the rank-one
-    update of one coordinate (on arrays and in Python floats).
+    update of one coordinate.
     """
     rng = np.random.default_rng(seed)
     nf = sample_normal_form(rng, 10.0)
@@ -313,8 +336,6 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     W = _coordinate_block(v, thetas, a)
     batch = _rank_one_pairs(W, thetas[a : a + 1])[0]
     np.testing.assert_allclose(batch, reference, rtol=0.0, atol=tol)
-    scalar = np.array(_rank_one_pair(W.tolist(), float(thetas[a])))
-    np.testing.assert_allclose(scalar, reference, rtol=0.0, atol=tol)
 
 
 def test_gle_numeric_dominates_pairwise():

@@ -242,6 +242,17 @@ def test_manifest_contents(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fig2b_oracle_column_matches_its_closed_form_at_a_large_cap(tmp_path, capsys):
+    # the oracle's z search must not drift from the closed form as the cap grows
+    out = tmp_path / "fig2b.csv"
+    assert main(["fig2b", "--x-max", "1000", "--out", str(out)]) == EXIT_OK
+    header, rows = read_csv(out)
+    assert header == ["d", "e_max", "e_max_closed_form"] and len(rows) == 31
+    values = np.array(rows, dtype=float)
+    np.testing.assert_allclose(values[:, 1], values[:, 2], rtol=0.0, atol=1e-9)
+    capsys.readouterr()
+
+
 def test_seeded_runs_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

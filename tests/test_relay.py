@@ -63,6 +63,41 @@ def test_build_relay_returns_one_plan_per_n(n):
     assert build_relay(n).n_users == n
 
 
+# each entry point maps a size or cap to a result, and names the values it accepts
+_SIZE_ENTRY_POINTS = {
+    "relay_orthogonal": (relay_orthogonal, {4.0}),
+    "relay_from_cascade": (relay_from_cascade, {4.0}),
+    "build_relay": (lambda n: build_relay(n).ortho, {4.0}),
+    "RelayPlan": (lambda n: RelayPlan(n_users=n, ortho=relay_orthogonal(4)).ortho, {4.0}),
+    "sample_normal_form": (
+        lambda x_max: sample_normal_form(np.random.default_rng(0), x_max).x,
+        {4.0, 2.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [4.0, 2.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", sorted(_SIZE_ENTRY_POINTS))
+def test_sizes_and_caps_are_read_or_refused_with_value_error(entry, value):
+    # an integral float reads as the integer; a fractional, NaN or infinite
+    # size and a non-finite sampler cap raise ValueError, not TypeError or
+    # OverflowError
+    call, accepted = _SIZE_ENTRY_POINTS[entry]
+    if value not in accepted:
+        with pytest.raises(ValueError):
+            call(value)
+    elif value == 2.5:
+        assert 1.0 <= call(value) <= value
+    else:
+        np.testing.assert_array_equal(call(value), call(4))
+
+
+def test_relay_plan_stores_an_integral_size_as_int():
+    plan = RelayPlan(n_users=4.0, ortho=relay_orthogonal(4))
+    assert plan.n_users == 4 and type(plan.n_users) is int
+    assert type(build_relay(5.0).n_users) is int
+
+
 def test_relay_plan_ortho_is_a_read_only_copy():
     ortho = relay_orthogonal(3)
     plan = RelayPlan(n_users=3, ortho=ortho)
