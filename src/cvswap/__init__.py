@@ -25,16 +25,12 @@ from .analysis import (
 from .gaussian import (
     GaussianState,
     PhysicalityError,
-    apply_symplectic,
-    is_symplectic,
     log_negativity,
     partial_transpose,
     reduce,
     rotation,
     symplectic_eigenvalues,
-    symplectic_form,
     two_mode_standard_form,
-    vacuum,
 )
 from .optomech import (
     OptomechParams,
@@ -74,14 +70,10 @@ __all__ = [
     # gaussian core
     "GaussianState",
     "PhysicalityError",
-    "vacuum",
     "rotation",
-    "symplectic_form",
-    "is_symplectic",
     "symplectic_eigenvalues",
     "partial_transpose",
     "log_negativity",
-    "apply_symplectic",
     "reduce",
     "two_mode_standard_form",
     # relay

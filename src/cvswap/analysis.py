@@ -238,19 +238,21 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     angle; the input is validated once, and every candidate pair is checked
     for physicality and read through the closed-form two-mode spectrum. The
     readouts sit on distinct modes and commute, so one Schur complement
-    conditions the pair on all of them. The ascent starts from the best
-    common angle on a grid: the 64 grid angles stack into one Cholesky
-    factorization and one solve, and one kernel call scores the (64, 4, 4)
-    stack of pairs. It then optimizes one angle at a time until a full pass
-    improves the pair log-negativity by less than 1e-8. Each coordinate m
-    conditions the pair and mode m on every other readout once
-    (:func:`_coordinate_block`); each angle of m is then a rank-one update of
-    that 6x6 covariance. A coordinate scans the 64 grid angles as one stack,
-    then refines within one grid step of the best of them by the nested grids
-    of :func:`cvswap.sources._grid_max`, one stack per level. The objective has
-    period pi, so that bracket may reach past 0 or pi. A stack passes the
-    bona-fide check only if its smallest nu_- does (a NaN fails), so one
-    unphysical angle raises PhysicalityError.
+    conditions the pair on all of them. The search maximizes the unclamped
+    -ln nu~_- of the conditioned pair (a physical pair has nu~_+ >= 1, so
+    that is its whole log-negativity when positive) and clamps only the
+    returned value at 0. The ascent starts from the best common angle on a
+    grid: the 64 grid angles stack into one Cholesky factorization and one
+    solve, and one kernel call scores the (64, 4, 4) stack of pairs. It then
+    optimizes one angle at a time until a full pass improves the objective
+    by less than 1e-8. Each coordinate m conditions the pair and mode m on
+    every other readout once (:func:`_coordinate_block`); each angle of m is
+    then a rank-one update of that 6x6 covariance. A coordinate scans the 64
+    grid angles as one stack, then refines within one grid step of the best
+    of them by the nested grids of :func:`cvswap.sources._grid_max`, one
+    stack per level. The objective has period pi, so that bracket may reach
+    past 0 or pi. A stack passes the bona-fide check only if its smallest
+    nu_- does (a NaN fails), so one unphysical angle raises PhysicalityError.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
@@ -260,19 +262,19 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     v = state.cov[np.ix_(order, order)]
 
     def pair_logneg(covs):
-        """Log-negativity of a pair covariance or of each in a (..., 4, 4) stack."""
-        (nu_min, _), (pt_minus, pt_plus) = _two_mode_spectra(covs)
+        """Unclamped -ln nu~_- of a pair covariance or of each in a (..., 4, 4) stack."""
+        (nu_min, _), (pt_minus, _) = _two_mode_spectra(covs)
         worst = float(np.min(nu_min))
         if not worst >= 1.0 - BONA_FIDE_TOL:
             raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {worst!r}")
-        return np.maximum(0.0, -np.log(pt_minus)) + np.maximum(0.0, -np.log(pt_plus))
+        return -np.log(pt_minus)
 
     if not others:
-        return float(pair_logneg(v))
+        return max(0.0, float(pair_logneg(v)))
 
-    # Coordinate moves cannot leave a configuration whose whole single-angle
-    # neighborhood is separable (the clamped value is identically zero there),
-    # so seed the ascent with the best common angle instead of a fixed corner.
+    # The unclamped objective has no separable plateau, so coordinate moves
+    # climb out of angles where the pair is separable; seeding with the best
+    # common angle rather than a fixed corner starts near the global optimum.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
     step = np.pi / _GLE_GRID
     seed_vals = pair_logneg(_common_angle_pairs(v, grid))
@@ -291,7 +293,7 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
                 thetas[a] = theta_a
         if best - start < _GLE_TOL:
             break
-    return float(best)
+    return max(0.0, float(best))
 
 
 def swap_logneg_two(x: float, y: float, z: float) -> float:

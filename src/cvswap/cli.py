@@ -34,7 +34,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -209,8 +208,7 @@ def write_manifest(path, manifest):
 # --- experiment runners -----------------------------------------------------
 
 # Each runner takes the resolved config dict and returns (columns, rows,
-# summary line or None). Grid order is fixed up front so pooled execution
-# cannot reorder output.
+# summary line or None).
 
 
 def _run_swap_check(cfg):
@@ -247,42 +245,32 @@ def _run_fig2a(cfg):
     return columns, rows, f"fig2a: {len(rows)} samples at x_max = {cfg['x_max']:g}"
 
 
-def _fig2b_point(args):
-    d, x_max = args
-    return (d, max_swap_logneg_at_asymmetry(d, x_max), frontier_closed_form(d, x_max))
-
-
 def _run_fig2b(cfg):
-    points = [(d, cfg["x_max"]) for d in cfg["d"]]
-    rows = _pool_map(_fig2b_point, points, cfg["workers"])
+    x_max = cfg["x_max"]
+    rows = [
+        (d, max_swap_logneg_at_asymmetry(d, x_max), frontier_closed_form(d, x_max))
+        for d in cfg["d"]
+    ]
     columns = ("d", "e_max", "e_max_closed_form")
     return columns, rows, f"fig2b: frontier on {len(rows)} asymmetry points"
 
 
-def _network_row(args):
-    mu, eta, omega, n = args
-    pt = NetworkPoint(mu, eta, omega, n)
-    cm = network_cluster_cm(pt)
-    return (
-        mu,
-        eta,
-        omega,
-        n,
-        pairwise_logneg_formula(pt),
-        pairwise_logneg_numeric(cm),
-        gle_formula(pt),
-        block_logneg_formula(pt, n // 2),
-    )
-
-
 def _run_network_sweep(cfg):
-    points = [
-        (mu, eta, omega, n)
-        for mu, eta, omega, n in itertools.product(
-            cfg["mu"], cfg["eta"], cfg["omega"], cfg["n"]
+    rows = []
+    for mu, eta, omega, n in itertools.product(cfg["mu"], cfg["eta"], cfg["omega"], cfg["n"]):
+        pt = NetworkPoint(mu, eta, omega, n)
+        rows.append(
+            (
+                mu,
+                eta,
+                omega,
+                n,
+                pairwise_logneg_formula(pt),
+                pairwise_logneg_numeric(network_cluster_cm(pt)),
+                gle_formula(pt),
+                block_logneg_formula(pt, n // 2),
+            )
         )
-    ]
-    rows = _pool_map(_network_row, points, cfg["workers"])
     columns = ("mu", "eta", "omega", "n", "e_formula", "e_numeric", "gle", "block")
     return columns, rows, f"network-sweep: {len(rows)} grid points"
 
@@ -348,15 +336,6 @@ def _run_ghz_limit(cfg):
     return columns, rows, f"ghz-limit: {len(rows)} (mu, N) points"
 
 
-def _pool_map(fn, items, workers):
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # executor.map preserves submission order, so the output order is
-        # the grid order no matter which worker finishes first
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
-
-
 # --- configuration tables ----------------------------------------------------
 
 
@@ -387,12 +366,10 @@ def _as_switch(value):
 
 
 #: key -> (parser, bound, help). A bound is (test, text): every parsed value
-#: (each point of a grid) must pass the test. ``workers`` has no help and so
-#: no flag; it comes from a config file or the CVSWAP_WORKERS variable.
+#: (each point of a grid) must pass the test.
 KEYS = {
     "format": (str, (lambda v: v in ("csv", "json"), "csv or json"), "csv or json (default csv)"),
     "seed": (_as_int, None, "RNG seed"),
-    "workers": (_as_int, (lambda v: v >= 1, ">= 1"), None),
     "samples": (_as_int, (lambda v: v >= 1, ">= 1"), "number of sampled states"),
     "n_max": (_as_int, (lambda v: v >= 2, ">= 2"), "largest relay size"),
     "x_max": (_as_float, (lambda v: v > 1, "> 1"), "sampler cap on normal-form variances"),
@@ -427,11 +404,8 @@ _OPTOMECH = {
 EXPERIMENTS = {
     "swap-check": (_run_swap_check, {"seed": None, "samples": "200", "n_max": "8", "x_max": "10"}),
     "fig2a": (_run_fig2a, {"seed": None, "samples": "10000", "x_max": "10"}),
-    "fig2b": (_run_fig2b, {"d": "linspace(-1.5,1.5,31)", "x_max": "10", "workers": "1"}),
-    "network-sweep": (
-        _run_network_sweep,
-        {"mu": "5", "eta": "0.9", "omega": "1", "n": "2..8", "workers": "1"},
-    ),
+    "fig2b": (_run_fig2b, {"d": "linspace(-1.5,1.5,31)", "x_max": "10"}),
+    "network-sweep": (_run_network_sweep, {"mu": "5", "eta": "0.9", "omega": "1", "n": "2..8"}),
     "fig2c": (_run_fig2c, {"g_eff_mhz": "4,8,8.5", **_OPTOMECH}),
     "fig2d": (_run_fig2d, {"g_eff_mhz": "8", "n": "2..5", **_OPTOMECH}),
     "ghz-limit": (_run_ghz_limit, {"mu": "2,10,100", "n": "2..8"}),
@@ -446,8 +420,6 @@ def resolve_config(experiment, args, file_values):
     _, defaults = EXPERIMENTS[experiment]
     keys = {"format": "csv", **defaults}
     given = dict(file_values)
-    if "workers" in keys and "CVSWAP_WORKERS" in os.environ:
-        given["workers"] = os.environ["CVSWAP_WORKERS"]
     for key in ("out", *KEYS):
         if getattr(args, key, None) is not None:
             given[key] = getattr(args, key)
@@ -484,8 +456,7 @@ def build_parser():
     parser.add_argument("--config", help="flat key=value config file; flags override it")
     parser.add_argument("--out", help="output data file (default <experiment>.<format>)")
     for key, (_, _, help_text) in KEYS.items():
-        if help_text:
-            parser.add_argument("--" + key.replace("_", "-"), help=help_text)
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text)
     return parser
 
 

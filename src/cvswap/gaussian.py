@@ -18,14 +18,10 @@ import numpy as np
 __all__ = [
     "PhysicalityError",
     "GaussianState",
-    "symplectic_form",
     "symplectic_eigenvalues",
-    "is_symplectic",
     "partial_transpose",
     "log_negativity",
-    "apply_symplectic",
     "reduce",
-    "vacuum",
     "rotation",
     "two_mode_standard_form",
 ]
@@ -37,25 +33,6 @@ BONA_FIDE_TOL = 1e-9
 
 class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty principle."""
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form, a direct sum of [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    k = np.arange(n_modes)
-    omega.reshape(n_modes, 2, n_modes, 2)[k, :, k, :] = [[0.0, 1.0], [-1.0, 0.0]]
-    return omega
-
-
-def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
-    """Check S Omega S^T = Omega to within ``tol`` (max-abs)."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
-        return False
-    omega = symplectic_form(S.shape[0] // 2)
-    return bool(np.max(np.abs(S @ omega @ S.T - omega)) <= tol)
 
 
 def _require_symmetric(cov: np.ndarray) -> np.ndarray:
@@ -162,10 +139,6 @@ class GaussianState:
 
     def is_bona_fide(self) -> bool:
         return _smallest_nu(self.cov) >= 1.0 - BONA_FIDE_TOL
-
-
-def vacuum(n_modes: int) -> GaussianState:
-    return GaussianState(np.eye(2 * n_modes))
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -290,16 +263,6 @@ def _two_mode_spectra(cov):
         return sqrt_det_v / nu_plus, nu_plus
 
     return spectrum(1.0), spectrum(-1.0)
-
-
-def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
-    """Map mean -> S mean and cov -> S cov S^T after verifying S is symplectic."""
-    S = np.asarray(S, dtype=float)
-    if not is_symplectic(S):
-        raise ValueError("matrix is not symplectic")
-    if S.shape[0] != 2 * state.n_modes:
-        raise ValueError("symplectic size does not match state")
-    return GaussianState(S @ state.cov @ S.T, S @ state.mean)
 
 
 def reduce(state: GaussianState, modes) -> GaussianState:

@@ -217,8 +217,7 @@ def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianSta
     """The state each block hands the relay: ``single``, or its two-mode standard form.
 
     ``two_mode_standard_form`` builds S = S_1 (+) S_2 symplectic, so the
-    rotated copy is formed directly rather than through ``apply_symplectic``,
-    whose check would only re-confirm that.
+    rotated copy S V S^T is formed directly, with no symplectic check.
     """
     if not local_preprocessing:
         return single

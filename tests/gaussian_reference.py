@@ -14,12 +14,47 @@ and one ``det`` per rotation; the package must match it bit for bit too.
 ``tensor`` builds direct sums for test setup, and ``embed_orthogonal``
 promotes a passive mode mixer to a symplectic on a whole register: the
 register route that the relay's block-wise ``bell_detect`` is checked
-against.
+against. ``symplectic_form``, ``is_symplectic``, ``apply_symplectic`` and
+``vacuum`` are the symplectic algebra the tests build and check states
+with; no package code path calls them.
 """
 
 import numpy as np
 
-from cvswap.gaussian import GaussianState, _require_symmetric, rotation, symplectic_form
+from cvswap.gaussian import GaussianState, _require_symmetric, rotation
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Return the 2n x 2n symplectic form, a direct sum of [[0, 1], [-1, 0]]."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    k = np.arange(n_modes)
+    omega.reshape(n_modes, 2, n_modes, 2)[k, :, k, :] = [[0.0, 1.0], [-1.0, 0.0]]
+    return omega
+
+
+def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
+    """Check S Omega S^T = Omega to within ``tol`` (max-abs)."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
+        return False
+    omega = symplectic_form(S.shape[0] // 2)
+    return bool(np.max(np.abs(S @ omega @ S.T - omega)) <= tol)
+
+
+def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
+    """Map mean -> S mean and cov -> S cov S^T after verifying S is symplectic."""
+    S = np.asarray(S, dtype=float)
+    if not is_symplectic(S):
+        raise ValueError("matrix is not symplectic")
+    if S.shape[0] != 2 * state.n_modes:
+        raise ValueError("symplectic size does not match state")
+    return GaussianState(S @ state.cov @ S.T, S @ state.mean)
+
+
+def vacuum(n_modes: int) -> GaussianState:
+    return GaussianState(np.eye(2 * n_modes))
 
 
 def williamson_eigvals(cov):

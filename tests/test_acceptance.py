@@ -5,6 +5,7 @@ The terminal summary hook in conftest.py turns these into one
 here on purpose — do not loosen them to make a run green.
 """
 
+import json
 import time
 
 import numpy as np
@@ -285,11 +286,18 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
 
     assert set(_DETERMINISM_ARGS) == set(EXPERIMENTS), "every experiment must be covered"
     for experiment, extra in _DETERMINISM_ARGS.items():
-        blobs = []
-        for run in ("one", "two"):
-            out = tmp_path / f"{experiment}-{run}.csv"
-            code = main([experiment, *extra, "--out", str(out)])
-            assert code == 0, f"{experiment} exited {code}"
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1], f"{experiment} output not byte-identical"
+        tables = {}
+        for fmt in ("csv", "json"):
+            blobs = []
+            for run in ("one", "two"):
+                out = tmp_path / f"{experiment}-{run}.{fmt}"
+                code = main([experiment, *extra, "--format", fmt, "--out", str(out)])
+                assert code == 0, f"{experiment} exited {code}"
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1], f"{experiment} {fmt} output not byte-identical"
+            tables[fmt] = blobs[0].decode()
+        # both formats carry the same values (JSON writes null where CSV has nan)
+        csv_rows = [[float(v) for v in line.split(",")] for line in tables["csv"].splitlines()[1:]]
+        json_rows = [[np.nan if v is None else v for v in row] for row in json.loads(tables["json"])["rows"]]
+        np.testing.assert_array_equal(csv_rows, json_rows, err_msg=experiment)
     capsys.readouterr()

@@ -276,17 +276,6 @@ def test_flags_override_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_worker_pool_matches_serial_bytes(tmp_path, capsys, monkeypatch):
-    serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
-    args = ["network-sweep", "--mu", "1,5", "--eta", "0.5,1", "--n", "2..4"]
-    monkeypatch.delenv("CVSWAP_WORKERS", raising=False)
-    assert main(args + ["--out", str(serial)]) == EXIT_OK
-    monkeypatch.setenv("CVSWAP_WORKERS", "3")
-    assert main(args + ["--out", str(pooled)]) == EXIT_OK
-    assert serial.read_bytes() == pooled.read_bytes()
-    capsys.readouterr()
-
-
 def test_swap_check_reports_max_deviation(tmp_path, capsys):
     out = tmp_path / "sc.csv"
     code = main(
@@ -366,8 +355,7 @@ _QUICK_ARGS = {
 def test_unread_flag_exits_3_and_names_the_key(experiment, tmp_path, capsys):
     _, keys = cli.EXPERIMENTS[experiment]
     out = tmp_path / "x.csv"
-    flagged = [k for k, (_, _, help_text) in cli.KEYS.items() if help_text and k != "format"]
-    unread = [k for k in flagged if k not in keys]
+    unread = [k for k in cli.KEYS if k not in keys and k != "format"]
     assert unread
     for key in unread:
         flag = "--" + key.replace("_", "-")
@@ -421,15 +409,22 @@ def test_malformed_value_exits_3_from_a_flag_and_a_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_workers_variable_is_read_only_by_pooled_experiments(tmp_path, capsys, monkeypatch):
+def test_workers_is_neither_read_from_the_environment_nor_a_key(tmp_path, capsys, monkeypatch):
+    # every experiment runs in-process: CVSWAP_WORKERS is ignored, and a
+    # config file that sets workers is refused like any other unread key
     monkeypatch.setenv("CVSWAP_WORKERS", "0")
-    ns, ghz = tmp_path / "ns.csv", tmp_path / "ghz.csv"
-    code = main(["network-sweep", *_QUICK_ARGS["network-sweep"], "--out", str(ns)])
-    assert code == EXIT_BAD_CONFIG
-    assert "workers" in capsys.readouterr().err
-    assert not ns.exists()
-    assert main(["ghz-limit", *_QUICK_ARGS["ghz-limit"], "--out", str(ghz)]) == EXIT_OK
+    ns = tmp_path / "ns.csv"
+    assert main(["network-sweep", *_QUICK_ARGS["network-sweep"], "--out", str(ns)]) == EXIT_OK
+    assert "workers" not in json.loads(ns.with_name("ns.csv.manifest.json").read_text())["config"]
     capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\n")
+    for experiment in ("fig2b", "network-sweep"):
+        out = tmp_path / f"{experiment}.csv"
+        argv = [experiment, *_QUICK_ARGS[experiment], "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "does not read 'workers'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_fig2d_refuses_more_than_one_coupling(tmp_path, capsys, monkeypatch):

@@ -8,20 +8,25 @@ from cvswap.gaussian import (
     GaussianState,
     PhysicalityError,
     _two_mode_spectra,
-    apply_symplectic,
-    is_symplectic,
     log_negativity,
     partial_transpose,
     reduce,
     rotation,
     symplectic_eigenvalues,
-    symplectic_form,
     two_mode_standard_form,
-    vacuum,
 )
 from cvswap.relay import cluster_closed_form
 from cvswap.sources import TwoModeNormalForm, tmsv
-from gaussian_reference import omega_product_eigvals, standard_form_per_block, tensor, williamson_eigvals
+from gaussian_reference import (
+    apply_symplectic,
+    is_symplectic,
+    omega_product_eigvals,
+    standard_form_per_block,
+    symplectic_form,
+    tensor,
+    vacuum,
+    williamson_eigvals,
+)
 
 
 def test_symplectic_form_blocks():

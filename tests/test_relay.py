@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cvswap import gaussian
 from cvswap.gaussian import (
     GaussianState,
-    apply_symplectic,
-    is_symplectic,
     log_negativity,
     reduce,
     rotation,
-    vacuum,
 )
 from cvswap.relay import (
     RelayPlan,
@@ -26,7 +23,7 @@ from cvswap.relay import (
     sum_p_variance,
 )
 from cvswap.sources import TwoModeNormalForm, sample_normal_form, tmsv
-from gaussian_reference import embed_orthogonal, tensor
+from gaussian_reference import apply_symplectic, embed_orthogonal, is_symplectic, tensor, vacuum
 
 
 @pytest.mark.parametrize("n", range(2, 11))
