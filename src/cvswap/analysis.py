@@ -20,12 +20,13 @@ from .gaussian import (
     BONA_FIDE_TOL,
     GaussianState,
     PhysicalityError,
+    _as_index,
     _two_mode_spectra,
     partial_transpose,
     reduce as reduce_state,
     symplectic_eigenvalues,
 )
-from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _as_size, _readout_factor, cluster_closed_form
+from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _as_size, cluster_closed_form
 from .sources import TwoModeNormalForm, _grid_max, thermal_loss_on_a, tmsv
 
 __all__ = [
@@ -134,8 +135,7 @@ def network_cluster_cm(pt: NetworkPoint) -> np.ndarray:
 
 def _pt_spectrum(cluster_cov: np.ndarray, group_a, group_b) -> np.ndarray:
     """Williamson spectrum of the (group_a, group_b) marginal with group_a partially transposed."""
-    group_a = [int(m) for m in group_a]
-    group_b = [int(m) for m in group_b]
+    group_a, group_b = list(group_a), list(group_b)
     if not group_a or not group_b:
         raise ValueError("partition must be a nonempty proper subset of modes")
     if set(group_a) & set(group_b):
@@ -176,59 +176,25 @@ _GLE_GRID = 64
 _GLE_TOL = 1e-8
 _GLE_MAX_PASSES = 40
 
-def _common_angle_pairs(v: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Pair covariances left when every measured mode is read at one angle, per angle.
 
-    ``v`` orders the quadratures as (pair, measured modes). With all readouts
-    at theta, M = U V_oo U^T and C^T = U V_op have closed entries in cos theta
-    and sin theta, so the angles stack into one Cholesky factorization and one
-    solve. Returns an array of shape (len(thetas), 4, 4).
+def _read_last(v: np.ndarray, theta) -> np.ndarray:
+    """Condition on reading the last mode along X cos(theta) - P sin(theta), then drop it.
+
+    ``v`` is a covariance or a stack of them, shape (..., d, d), and ``theta``
+    a scalar or an array that broadcasts against that stack, whose shape
+    leads the result's. With u = (cos theta, -sin theta), c = V u and the
+    readout variance M = u^T V_mm u, the other modes keep V_oo - c_o c_o^T / M,
+    formed as g g^T with g = c_o / sqrt(M), one step of a Cholesky
+    factorization. A readout variance below _MIN_READOUT_VARIANCE raises
+    ValueError.
     """
-    cos, sin = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
-    v_op, v_oo = v[4:, :4], v[4:, 4:]
-    M = (
-        cos * cos * v_oo[0::2, 0::2]
-        - cos * sin * (v_oo[0::2, 1::2] + v_oo[1::2, 0::2])
-        + sin * sin * v_oo[1::2, 1::2]
-    )
-    G = np.linalg.solve(_readout_factor(M), cos * v_op[0::2] - sin * v_op[1::2])
-    return v[:4, :4] - np.swapaxes(G, 1, 2) @ G
-
-
-def _coordinate_block(v: np.ndarray, thetas: np.ndarray, a: int) -> np.ndarray:
-    """Covariance W of the pair and measured mode ``a``, given every other readout.
-
-    ``v`` orders the quadratures as (pair, measured modes), and measured mode
-    b is read along X cos(thetas[b]) - P sin(thetas[b]). Every readout except
-    that of mode ``a`` is conditioned on in one Schur complement, which leaves
-    the 6x6 covariance of (pair, a); thetas[a] is not read.
-    """
-    k = len(thetas)
-    t = [0, 1, 2, 3, 4 + 2 * a, 5 + 2 * a]
-    W = v[np.ix_(t, t)]
-    rest = [b for b in range(k) if b != a]
-    if rest:
-        U = np.zeros((k - 1, 2 * k))
-        rows, cols = np.arange(k - 1), 2 * np.array(rest)
-        U[rows, cols] = np.cos(thetas[rest])
-        U[rows, cols + 1] = -np.sin(thetas[rest])
-        G = np.linalg.solve(_readout_factor(U @ v[4:, 4:] @ U.T), U @ v[4:, t])
-        W = W - G.T @ G
-    return W
-
-
-def _rank_one_pairs(W: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Pair covariances left by reading mode ``a`` of ``W`` at each angle of ``thetas``.
-
-    With u = (cos theta, -sin theta), c = W_pm u and M = u^T W_mm u, the pair
-    keeps W_pp - c c^T / M. Returns an array of shape (len(thetas), 4, 4).
-    """
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    var = cos * cos * W[4, 4] - 2.0 * cos * sin * W[4, 5] + sin * sin * W[5, 5]
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    c = cos * v[..., -2] - sin * v[..., -1]
+    var = cos * c[..., -2:-1] - sin * c[..., -1:]
     if not np.min(var) >= _MIN_READOUT_VARIANCE:
         raise ValueError(_DEGENERATE)
-    c = np.outer(cos, W[:4, 4]) - np.outer(sin, W[:4, 5])
-    return W[:4, :4] - c[:, :, None] * c[:, None, :] / var[:, None, None]
+    g = c[..., :-2] / np.sqrt(var)
+    return v[..., :-2, :-2] - g[..., :, None] * g[..., None, :]
 
 
 def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
@@ -237,26 +203,30 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     Every mode except (i, j) is measured along an adjustable quadrature
     angle; the input is validated once, and every candidate pair is checked
     for physicality and read through the closed-form two-mode spectrum. The
-    readouts sit on distinct modes and commute, so one Schur complement
-    conditions the pair on all of them. The search maximizes the unclamped
-    -ln nu~_- of the conditioned pair (a physical pair has nu~_+ >= 1, so
-    that is its whole log-negativity when positive) and clamps only the
-    returned value at 0. The ascent starts from the best common angle on a
-    grid: the 64 grid angles stack into one Cholesky factorization and one
-    solve, and one kernel call scores the (64, 4, 4) stack of pairs. It then
-    optimizes one angle at a time until a full pass improves the objective
-    by less than 1e-8. Each coordinate m conditions the pair and mode m on
-    every other readout once (:func:`_coordinate_block`); each angle of m is
-    then a rank-one update of that 6x6 covariance. A coordinate scans the 64
-    grid angles as one stack, then refines within one grid step of the best
-    of them by the nested grids of :func:`cvswap.sources._grid_max`, one
-    stack per level. The objective has period pi, so that bracket may reach
-    past 0 or pi. A stack passes the bona-fide check only if its smallest
-    nu_- does (a NaN fails), so one unphysical angle raises PhysicalityError.
+    readouts sit on distinct modes and commute, so reading them one after
+    another by the rank-one step :func:`_read_last` conditions the pair on
+    all of them. The search maximizes the unclamped -ln nu~_- of the
+    conditioned pair (a physical pair has nu~_+ >= 1, so that is its whole
+    log-negativity when positive) and clamps only the returned value at 0.
+    The ascent starts from the best common angle on a grid: every measured
+    mode is read at the 64 grid angles as one stack, and one kernel call
+    scores the (64, 4, 4) stack of pairs. It then optimizes one angle at a
+    time until a full pass improves the objective by less than 1e-8. Each
+    coordinate m orders the modes as (pair, m, the rest) and reads the rest
+    at their current angles, which leaves the 6x6 covariance of the pair and
+    m; each angle of m is then one more read of that matrix. A coordinate
+    scans the 64 grid angles as one stack, then refines within one grid step
+    of the best of them by the nested grids of
+    :func:`cvswap.sources._grid_max`, one stack per level. The objective has
+    period pi, so that bracket may reach past 0 or pi. A stack passes the
+    bona-fide check only if its smallest nu_- does (a NaN fails), so one
+    unphysical angle raises PhysicalityError.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
-    reduce_state(state, [i, j])  # rejects a repeated or out-of-range pair
+    i, j = (_as_index(m, n) for m in (i, j))
+    if i == j:
+        raise ValueError("duplicate mode indices")
     others = [m for m in range(n) if m not in (i, j)]
     order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
     v = state.cov[np.ix_(order, order)]
@@ -277,17 +247,26 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     # common angle rather than a fixed corner starts near the global optimum.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
     step = np.pi / _GLE_GRID
-    seed_vals = pair_logneg(_common_angle_pairs(v, grid))
-    thetas = np.full(len(others), grid[int(np.argmax(seed_vals))])
+    k = len(others)
+    seeds = v
+    for _ in range(k):
+        seeds = _read_last(seeds, grid)
+    seed_vals = pair_logneg(seeds)
+    thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
+    # coordinate a orders v as (pair, a, rest) and reads the rest from the last
+    coords = []
+    for a in range(k):
+        rest = [b for b in range(k) if b != a]
+        q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
+        coords.append((v[np.ix_(q, q)], rest[::-1]))
     for _ in range(_GLE_MAX_PASSES):
         start = best
-        for a in range(len(others)):
-            W = _coordinate_block(v, thetas, a)
-            centre = grid[int(np.argmax(pair_logneg(_rank_one_pairs(W, grid))))]
-            theta_a, val = _grid_max(
-                lambda t: pair_logneg(_rank_one_pairs(W, t)), centre - step, centre + step
-            )
+        for a, (W, reads) in enumerate(coords):
+            for b in reads:
+                W = _read_last(W, thetas[b])
+            centre = grid[int(np.argmax(pair_logneg(_read_last(W, grid))))]
+            theta_a, val = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centre - step, centre + step)
             if val > best:
                 best = float(val)
                 thetas[a] = theta_a
@@ -297,7 +276,12 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
 
 
 def swap_logneg_two(x: float, y: float, z: float) -> float:
-    """Two-user swapped output entanglement max(0, -ln(y - z^2 / x)) for one copy pair."""
+    """Two-user swapped output entanglement max(0, -ln(y - z^2 / x)) for one copy pair.
+
+    x, y and z must be finite with x > 0, as in :func:`cvswap.relay.cluster_closed_form`.
+    """
+    if not (x > 0 and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("x, y and z must be finite and x positive")
     arg = y - z * z / x
     if not arg > 0:
         raise ValueError("invalid normal form: conditional variance not positive")

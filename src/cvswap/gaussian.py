@@ -35,6 +35,20 @@ class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty principle."""
 
 
+def _as_index(m, n: int) -> int:
+    """Mode index ``m`` of an n-mode state as an int, an integral float such as 1.0 read as 1.
+
+    A non-integral, NaN or infinite index raises ValueError, one outside
+    range(n) IndexError.
+    """
+    if not (math.isfinite(m) and m == int(m)):
+        raise ValueError(f"mode index must be an integer, got {m!r}")
+    m = int(m)
+    if not 0 <= m < n:
+        raise IndexError(f"mode index {m} out of range")
+    return m
+
+
 def _require_symmetric(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
@@ -153,9 +167,7 @@ def partial_transpose(cov: np.ndarray, partition) -> np.ndarray:
     n = cov.shape[0] // 2
     signs = np.ones(2 * n)
     for m in partition:
-        if not 0 <= m < n:
-            raise IndexError(f"mode index {m} out of range")
-        signs[2 * m + 1] = -1.0
+        signs[2 * _as_index(m, n) + 1] = -1.0
     F = np.diag(signs)
     return F @ cov @ F
 
@@ -169,12 +181,10 @@ def log_negativity(state: GaussianState, partition) -> float:
     either mode gives the same spectrum); larger states go through the
     Williamson eigensolve.
     """
-    part = sorted(set(int(m) for m in partition))
+    part = sorted({_as_index(m, state.n_modes) for m in partition})
     if not part or len(part) >= state.n_modes:
         raise ValueError("partition must be a nonempty proper subset of modes")
     if state.n_modes == 2:
-        if not 0 <= part[0] < 2:
-            raise IndexError(f"mode index {part[0]} out of range")
         _, nus = _two_mode_spectra(state.cov)
         return sum(max(0.0, -math.log(nu)) for nu in nus)
     nus = symplectic_eigenvalues(partial_transpose(state.cov, part))
@@ -210,8 +220,13 @@ def _two_mode_spectra(cov):
     (pure states); nu_- = sqrt(det V) / nu_+ does not cancel when nu_- << nu_+
     (strong squeezing). det V = det V_X det S, with S = V_P - K^T V_X^-1 K the
     Schur complement that the Cholesky pass forms, and both 2x2 determinants
-    taken as differences of products, so a state without X-P correlations (a
-    normal form, a TMSV) gets det V exactly from its entries. The closed
+    taken as differences of products. For a state without X-P correlations
+    (a normal form, a TMSV) these are the determinants of its X and P blocks,
+    but each product rounds, so det V carries an error of order
+    eps max|V|^2. That is large against det V when a strongly squeezed state
+    is nearly pure: a TMSV of variance 1e6 reads nu_- = 1 - 3.8e-6 although
+    its stored matrix has nu_- = 1 + 3.8e-6 (ROADMAP item 4 asks for exact
+    two-products). The closed
     forms in det A, det B, det C and det V (Serafini, Illuminati, De Siena,
     J. Phys. B 37, L21 (2004)) lose sqrt(eps) to the root of their
     discriminant when nu_- = nu_+, which this form avoids.
@@ -271,12 +286,9 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     ``modes`` listing every mode in order returns ``state`` itself: states
     are immutable, so there is nothing to copy.
     """
-    keep = [int(m) for m in modes]
+    keep = [_as_index(m, state.n_modes) for m in modes]
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate mode indices")
-    for m in keep:
-        if not 0 <= m < state.n_modes:
-            raise IndexError(f"mode index {m} out of range")
     if keep == list(range(state.n_modes)):
         return state
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)

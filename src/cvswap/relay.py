@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _as_index
 
 __all__ = [
     "RelayPlan",
@@ -211,20 +211,17 @@ def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None)
     Returns ``(state, gamma)``: the validated state of the kept modes, in
     their original order, and the outcome vector that was used.
     """
-    measured = tuple((int(m), q) for m, q in measured)
-    modes = [m for m, _ in measured]
     n = state.n_modes
+    measured = tuple((_as_index(m, n), q) for m, q in measured)
+    modes = [m for m, _ in measured]
     if not measured:
         raise ValueError("no homodynes to condition on")
     if len(set(modes)) != len(modes):
         raise ValueError("measured modes must be distinct")
     if len(modes) >= n:
         raise ValueError("conditioning must keep at least one mode")
-    for m, q in measured:
-        if not 0 <= m < n:
-            raise IndexError(f"mode index {m} out of range")
-        if q not in ("X", "P"):
-            raise ValueError("quadrature must be 'X' or 'P'")
+    if not all(q in ("X", "P") for _, q in measured):
+        raise ValueError("quadrature must be 'X' or 'P'")
     qidx = np.array([2 * m + (q == "P") for m, q in measured], dtype=int)
     kidx = np.array([2 * m + j for m in range(n) if m not in modes for j in (0, 1)], dtype=int)
 
@@ -344,9 +341,7 @@ def sum_p_variance(cov: np.ndarray) -> float:
 def diff_x_variance(cov: np.ndarray, i: int, j: int) -> float:
     """Var of the relative position X_i - X_j; an index outside range(N) raises IndexError."""
     n = cov.shape[0] // 2
-    for m in (i, j):
-        if not 0 <= m < n:
-            raise IndexError(f"mode index {m} out of range")
+    i, j = (_as_index(m, n) for m in (i, j))
     u = np.zeros(2 * n)
     u[2 * i] += 1.0
     u[2 * j] -= 1.0

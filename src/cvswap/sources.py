@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _two_mode_spectra
+from .gaussian import GaussianState, _as_index, _two_mode_spectra
 
 __all__ = [
     "TwoModeNormalForm",
@@ -116,8 +116,7 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     if not (omega >= 1.0 and math.isfinite(omega)):
         raise ValueError("omega must be finite and >= 1")
     n = state.n_modes
-    if not 0 <= mode < n:
-        raise IndexError(f"mode index {mode} out of range")
+    mode = _as_index(mode, n)
     scale = np.ones(2 * n)
     scale[2 * mode] = scale[2 * mode + 1] = np.sqrt(eta)
     X = np.diag(scale)

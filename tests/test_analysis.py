@@ -5,9 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from cvswap import analysis
 from cvswap.analysis import (
     NetworkPoint,
-    _common_angle_pairs,
-    _coordinate_block,
-    _rank_one_pairs,
+    _read_last,
     block_logneg_formula,
     block_logneg_numeric,
     block_logneg_numeric_raw,
@@ -237,18 +235,22 @@ def test_gle_numeric_rejects_unphysical_input():
             gle_numeric(cm)
 
 
-@pytest.mark.parametrize("scan", ["_common_angle_pairs", "_rank_one_pairs"])
-def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, scan):
+@pytest.mark.parametrize("route", ["seeds", "coordinate scan"])
+def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
     # a stacked scan is checked as a whole: one angle whose pair violates the
-    # uncertainty principle (positive definite, nu = 0.5) must raise
-    real = getattr(analysis, scan)
+    # uncertainty principle (positive definite, nu = 0.5) must raise. The
+    # seeds' last read turns a (64, 6, 6) stack into pairs; a coordinate's
+    # 64-angle scan reads its one 6x6 block.
+    real = analysis._read_last
 
-    def one_bad_angle(*args):
-        pairs = real(*args).copy()
-        pairs[17] = 0.5 * np.eye(4)
+    def one_bad_angle(v, theta):
+        pairs = real(v, theta)
+        if pairs.shape == (64, 4, 4) and (np.ndim(v) == 3) == (route == "seeds"):
+            pairs = pairs.copy()
+            pairs[17] = 0.5 * np.eye(4)
         return pairs
 
-    monkeypatch.setattr(analysis, scan, one_bad_angle)
+    monkeypatch.setattr(analysis, "_read_last", one_bad_angle)
     with pytest.raises(PhysicalityError, match="conditioned pair"):
         gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 4)))
 
@@ -313,6 +315,16 @@ def test_gle_numeric_matches_formula_with_rotated_measured_modes(seed, n):
     assert gle_numeric(R @ cm @ R.T) == pytest.approx(gle_formula(pt), abs=1e-6)
 
 
+def _read_all(v, thetas):
+    """Read every measured mode of the (pair, measured)-ordered ``v``, the last first.
+
+    The last axis of ``thetas`` holds one angle per measured mode.
+    """
+    for b in reversed(range(np.shape(thetas)[-1])):
+        v = _read_last(v, thetas[..., b])
+    return v
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(3, 6), common=st.booleans())
 def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
@@ -320,8 +332,9 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
 
     The second route rotates every measured mode by gaussian.rotation(theta)
     and conditions on all their X quadratures with condition_homodynes. The
-    optimizer's routes: the stacked common-angle seeds, and the rank-one
-    update of one coordinate.
+    optimizer's routes: the chain of _read_last steps (the seeds, with one
+    common angle), and a coordinate's block, which orders the modes as
+    (pair, a, rest), reads the rest from the last and then mode a.
     """
     rng = np.random.default_rng(seed)
     nf = sample_normal_form(rng, 10.0)
@@ -334,10 +347,11 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     cov = S @ cov @ S.T
     i, j = (int(m) for m in rng.choice(n_modes, 2, replace=False))
     others = [m for m in range(n_modes) if m not in (i, j)]
-    thetas = rng.uniform(0.0, np.pi, len(others))
+    k = len(others)
+    thetas = rng.uniform(0.0, np.pi, k)
     if common:
         thetas[:] = thetas[0]
-    a = int(rng.integers(len(others)))
+    a = int(rng.integers(k))
 
     R = np.eye(2 * n_modes)
     for m, theta in zip(others, thetas):
@@ -349,12 +363,29 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
     v = cov[np.ix_(order, order)]
     tol = 1e-12 * np.linalg.norm(cov, 2)
-    if common:
-        seeded = _common_angle_pairs(v, thetas[:1])[0]
-        np.testing.assert_allclose(seeded, reference, rtol=0.0, atol=tol)
-    W = _coordinate_block(v, thetas, a)
-    batch = _rank_one_pairs(W, thetas[a : a + 1])[0]
-    np.testing.assert_allclose(batch, reference, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(_read_all(v, thetas), reference, rtol=0.0, atol=tol)
+    if common:  # the seeds: one stack of angles, read at every mode
+        seeded = _read_all(v, np.repeat(thetas[None, :], 3, axis=0))
+        np.testing.assert_allclose(seeded, np.broadcast_to(reference, (3, 4, 4)), rtol=0.0, atol=tol)
+    rest = [b for b in range(k) if b != a]
+    q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
+    W = _read_all(v[np.ix_(q, q)], thetas[[a] + rest])
+    np.testing.assert_allclose(W, reference, rtol=0.0, atol=tol)
+
+    # a (P, k) stack of independent angle vectors, read as one stack
+    stack = rng.uniform(0.0, np.pi, (5, k))
+    per_vector = np.array([_read_all(v, row) for row in stack])
+    np.testing.assert_allclose(_read_all(v, stack), per_vector, rtol=0.0, atol=1e-14 * np.linalg.norm(cov, 2))
+
+
+def test_read_last_refuses_a_degenerate_readout():
+    # mode 1 has zero X variance: reading X is degenerate at theta = 0, and
+    # one such angle in a stack refuses the whole stack
+    v = np.diag([2.0, 1.0, 0.0, 4.0])
+    assert _read_last(v, np.pi / 2) == pytest.approx(np.diag([2.0, 1.0]))
+    for theta in (0.0, np.array([np.pi / 2, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="degenerate"):
+            _read_last(v, theta)
 
 
 def test_gle_numeric_dominates_pairwise():

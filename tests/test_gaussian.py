@@ -15,8 +15,15 @@ from cvswap.gaussian import (
     symplectic_eigenvalues,
     two_mode_standard_form,
 )
-from cvswap.relay import cluster_closed_form
-from cvswap.sources import TwoModeNormalForm, tmsv
+from cvswap.analysis import (
+    NetworkPoint,
+    block_logneg_numeric,
+    gle_numeric,
+    network_cluster_cm,
+    pairwise_logneg_numeric,
+)
+from cvswap.relay import cluster_closed_form, condition_homodynes, diff_x_variance
+from cvswap.sources import TwoModeNormalForm, thermal_loss_map, tmsv
 from gaussian_reference import (
     apply_symplectic,
     is_symplectic,
@@ -125,6 +132,19 @@ def test_partial_transpose_flips_momenta():
     )
 
 
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_partial_transpose_is_an_exact_involution(seed, n):
+    # random symmetric V whose entries span twelve decades, random partition
+    # (empty and full included): flipping the same momenta twice returns V
+    # exactly, since every product in F V F is by +-1 or 0
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 * n, 2 * n)) * 10.0 ** rng.uniform(-6.0, 6.0, (2 * n, 2 * n))
+    v = a + a.T
+    part = [int(m) for m in np.flatnonzero(rng.random(n) < 0.5)]
+    np.testing.assert_array_equal(partial_transpose(partial_transpose(v, part), part), v)
+
+
 def test_log_negativity_of_tmsv():
     for mu in (1.0, 2.0, 10.0):
         st = tmsv(mu).state()
@@ -144,6 +164,32 @@ def test_log_negativity_partition_validation():
         log_negativity(st, [5])
     with pytest.raises(IndexError):
         log_negativity(st, [-1])
+
+
+_CLUSTER = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 3))
+# each entry point reads one mode index m of a three-mode cluster (two modes for "log_negativity-2")
+_INDEX_READERS = {
+    "reduce": lambda m: reduce(GaussianState(_CLUSTER), [0, m]).cov,
+    "partial_transpose": lambda m: partial_transpose(_CLUSTER, [m]),
+    "log_negativity-2": lambda m: log_negativity(tmsv(3.0).state(), [m]),
+    "log_negativity-3": lambda m: log_negativity(GaussianState(_CLUSTER), [m]),
+    "condition_homodynes": lambda m: condition_homodynes(GaussianState(_CLUSTER), [(m, "X")])[0].cov,
+    "thermal_loss_map": lambda m: thermal_loss_map(GaussianState(_CLUSTER), m, 0.5, 1.2).cov,
+    "diff_x_variance": lambda m: diff_x_variance(_CLUSTER, 0, m),
+    "pairwise_logneg_numeric": lambda m: pairwise_logneg_numeric(_CLUSTER, 0, m),
+    "block_logneg_numeric": lambda m: block_logneg_numeric(_CLUSTER, [0], [m]),
+    "gle_numeric": lambda m: gle_numeric(_CLUSTER, 0, m),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, float("nan")])
+@pytest.mark.parametrize("read", list(_INDEX_READERS.values()), ids=list(_INDEX_READERS))
+def test_mode_indices_are_read_one_way(read, bad):
+    # a non-integral or NaN index is refused, never truncated to a mode;
+    # an integral float reads as its int
+    with pytest.raises(ValueError, match="mode index must be an integer"):
+        read(bad)
+    np.testing.assert_array_equal(read(1.0), read(1))
 
 
 def test_apply_symplectic_transforms_cov_and_mean():

@@ -272,6 +272,25 @@ def test_swap_never_creates_entanglement():
         assert log_negativity(out, [0]) <= nf.log_negativity() + 1e-12
 
 
+@settings(max_examples=250, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    x_max=st.floats(2.0, 50.0),
+    sampled=st.booleans(),
+)
+def test_bell_detect_of_identical_copies_is_bona_fide_and_gains_no_pair_entanglement(seed, n, x_max, sampled):
+    # N copies of one sampled state, zero or sampled readouts: the output is a
+    # state, and no pair of it is more entangled than one copy
+    rng = np.random.default_rng(seed)
+    nf = sample_normal_form(rng, x_max)
+    e_in = nf.log_negativity()
+    out, _ = bell_detect([nf.state()] * n, build_relay(n), "sample" if sampled else None, rng)
+    assert out.is_bona_fide()
+    for i, j in itertools.combinations(range(n), 2):
+        assert log_negativity(reduce(out, [i, j]), [0]) <= e_in + 1e-12
+
+
 def test_bell_detect_input_that_broke_intermediate_validation():
     # This input once raised "Eigenvalues did not converge" while an
     # intermediate 4/5-mode register was being validated; the joint

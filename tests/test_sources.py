@@ -96,6 +96,8 @@ _NAN_CASES = {
     "frontier_closed_form-d": lambda: frontier_closed_form(_NAN, 10.0),
     "frontier_closed_form-x_max": lambda: frontier_closed_form(0.0, _NAN),
     "swap_logneg_two-x": lambda: swap_logneg_two(_NAN, 2.0, 1.0),
+    "swap_logneg_two-y": lambda: swap_logneg_two(2.0, _NAN, 1.0),
+    "swap_logneg_two-z": lambda: swap_logneg_two(2.0, 2.0, _NAN),
     "cluster_closed_form-x": lambda: cluster_closed_form(_NAN, 2.0, 1.0, 3),
 }
 
@@ -116,6 +118,9 @@ _NON_FINITE_CASES = {
     "thermal_loss_map-omega": ("omega", lambda v: thermal_loss_map(tmsv(2.0).state(), 0, 0.5, v)),
     "NetworkPoint-mu": ("mu", lambda v: NetworkPoint(mu=v, eta=0.5, omega=1.0, n_users=3)),
     "NetworkPoint-omega": ("omega", lambda v: NetworkPoint(mu=2.0, eta=0.5, omega=v, n_users=3)),
+    "swap_logneg_two-x": ("x", lambda v: swap_logneg_two(v, 2.0, 1.0)),
+    "swap_logneg_two-y": ("y", lambda v: swap_logneg_two(2.0, v, 1.0)),
+    "swap_logneg_two-z": ("z", lambda v: swap_logneg_two(2.0, 2.0, v)),
 }
 
 
@@ -125,6 +130,12 @@ def test_builders_refuse_non_finite_parameters(case, bad):
     name, build = case
     with pytest.raises(ValueError, match=rf"\b{name}\b.*finite"):
         build(bad)
+
+
+@pytest.mark.parametrize("x", [0.0, -2.0])
+def test_swap_logneg_two_refuses_non_positive_x(x):
+    with pytest.raises(ValueError, match="x positive"):
+        swap_logneg_two(x, 2.0, 1.0)
 
 
 def test_general_map_agrees_with_specialized_form():
