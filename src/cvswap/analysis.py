@@ -3,10 +3,11 @@
 The closed forms describe N users who each share a two-mode squeezed vacuum
 of variance mu whose travelling arm crossed a thermal-loss channel
 (transmissivity eta, noise omega) before the relay. Every formula here has a
-matrix-side twin computed directly from the output covariance matrix via
-Williamson spectra (the GLE optimizer uses the closed-form two-mode spectrum
-of the conditioned pair) — the two roads are kept separate on purpose and
-the tests drive them against each other.
+matrix-side twin computed directly from the output covariance matrix: the
+pairwise and block oracles read the log-negativity of a marginal, the GLE
+optimizer the closed-form two-mode spectrum of the conditioned pair. The two
+roads are kept separate on purpose and the tests drive them against each
+other.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .gaussian import (
     PhysicalityError,
     _as_index,
     _two_mode_spectra,
-    partial_transpose,
+    log_negativity,
     reduce as reduce_state,
-    symplectic_eigenvalues,
 )
 from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _as_size, cluster_closed_form
 from .sources import TwoModeNormalForm, _grid_max, thermal_loss_on_a, tmsv
@@ -38,10 +38,8 @@ __all__ = [
     "full_house_logneg",
     "network_cluster_cm",
     "pairwise_logneg_numeric",
-    "pairwise_logneg_numeric_raw",
     "gle_numeric",
     "block_logneg_numeric",
-    "block_logneg_numeric_raw",
     "swap_logneg_two",
     "tmsv_swap_bound",
 ]
@@ -77,51 +75,64 @@ class NetworkPoint:
         return thermal_loss_on_a(tmsv(self.mu), self.eta, self.omega)
 
 
-def _clamp(value: float, clamped: bool) -> float:
-    return max(0.0, value) if clamped else value
+# Each formula's value before the cut at 0: negative where the users it names
+# are separable. The public formula returns max(0.0, value).
 
 
-def e2_formula(pt: NetworkPoint, clamped: bool = True) -> float:
-    """Two-user swapped log-negativity ln[(eta mu + (1-eta) omega) / (eta + (1-eta) mu omega)]."""
+def _e2(pt: NetworkPoint) -> float:
     num = pt.eta * pt.mu + (1.0 - pt.eta) * pt.omega
     den = pt.eta + (1.0 - pt.eta) * pt.mu * pt.omega
-    return _clamp(float(np.log(num / den)), clamped)
+    return float(np.log(num / den))
 
 
-def pairwise_logneg_formula(pt: NetworkPoint, clamped: bool = True) -> float:
-    """Entanglement between any two users: E2 - ln(1 + alpha (N-2)/N) / 2."""
+def _pairwise(pt: NetworkPoint) -> float:
     N = pt.n_users
-    raw = e2_formula(pt, clamped=False) - 0.5 * np.log(1.0 + pt.alpha * (N - 2) / N)
-    return _clamp(float(raw), clamped)
+    return float(_e2(pt) - 0.5 * np.log(1.0 + pt.alpha * (N - 2) / N))
 
 
-def gle_formula(pt: NetworkPoint, clamped: bool = True) -> float:
+def _gle(pt: NetworkPoint) -> float:
+    N = pt.n_users
+    a = pt.alpha
+    return float(_e2(pt) - 0.5 * np.log(1.0 + a * (N - 2) / (N + 2.0 * a)))
+
+
+def _block(pt: NetworkPoint, n_prime: int) -> float:
+    N = pt.n_users
+    n_prime = _as_size(n_prime, 1, "n_prime")
+    if 2 * n_prime > N:
+        raise ValueError("2 * n_prime must not exceed n_users")
+    return float(_e2(pt) - 0.5 * np.log(1.0 + pt.alpha * (N - 2 * n_prime) / N))
+
+
+def e2_formula(pt: NetworkPoint) -> float:
+    """Two-user swapped log-negativity ln[(eta mu + (1-eta) omega) / (eta + (1-eta) mu omega)]."""
+    return max(0.0, _e2(pt))
+
+
+def pairwise_logneg_formula(pt: NetworkPoint) -> float:
+    """Entanglement between any two users: E2 - ln(1 + alpha (N-2)/N) / 2."""
+    return max(0.0, _pairwise(pt))
+
+
+def gle_formula(pt: NetworkPoint) -> float:
     """Localizable entanglement when the other N-2 users homodyne optimally.
 
     Algebraically identical to E2 - ln(1 + (N-2)/(N/alpha + 2)) / 2 but
     written so that alpha = 0 is regular (the correction vanishes there).
     """
-    N = pt.n_users
-    a = pt.alpha
-    raw = e2_formula(pt, clamped=False) - 0.5 * np.log(1.0 + a * (N - 2) / (N + 2.0 * a))
-    return _clamp(float(raw), clamped)
+    return max(0.0, _gle(pt))
 
 
-def block_logneg_formula(pt: NetworkPoint, n_prime: int, clamped: bool = True) -> float:
+def block_logneg_formula(pt: NetworkPoint, n_prime: int) -> float:
     """Entanglement between two disjoint groups of n_prime users each (an integer >= 1)."""
-    N = pt.n_users
-    n_prime = _as_size(n_prime, 1, "n_prime")
-    if 2 * n_prime > N:
-        raise ValueError("2 * n_prime must not exceed n_users")
-    raw = e2_formula(pt, clamped=False) - 0.5 * np.log(1.0 + pt.alpha * (N - 2 * n_prime) / N)
-    return _clamp(float(raw), clamped)
+    return max(0.0, _block(pt, n_prime))
 
 
-def full_house_logneg(pt: NetworkPoint, clamped: bool = True) -> float:
+def full_house_logneg(pt: NetworkPoint) -> float:
     """Block entanglement of the even split N' = N/2 — exactly E2."""
     if pt.n_users % 2:
         raise ValueError("full-house splitting needs an even number of users")
-    return block_logneg_formula(pt, pt.n_users // 2, clamped=clamped)
+    return block_logneg_formula(pt, pt.n_users // 2)
 
 
 # --- numerical oracles ---------------------------------------------------
@@ -133,41 +144,22 @@ def network_cluster_cm(pt: NetworkPoint) -> np.ndarray:
     return cluster_closed_form(nf.x, nf.y, nf.z, pt.n_users).assemble()
 
 
-def _pt_spectrum(cluster_cov: np.ndarray, group_a, group_b) -> np.ndarray:
-    """Williamson spectrum of the (group_a, group_b) marginal with group_a partially transposed."""
-    group_a, group_b = list(group_a), list(group_b)
-    if not group_a or not group_b:
-        raise ValueError("partition must be a nonempty proper subset of modes")
-    if set(group_a) & set(group_b):
-        raise ValueError("groups must be disjoint")
-    sub = reduce_state(GaussianState(cluster_cov, check=False), group_a + group_b)
-    return symplectic_eigenvalues(partial_transpose(sub.cov, range(len(group_a))))
-
-
 def pairwise_logneg_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Log-negativity of the (i, j) pair reduced out of the cluster."""
-    nus = _pt_spectrum(cluster_cov, [i], [j])
-    return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
-
-
-def pairwise_logneg_numeric_raw(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
-    """Unclamped -ln(nu_min) of the partially transposed (i, j) pair.
-
-    Negative values mean the pair is separable with that much margin; this is
-    the matrix-side twin of the unclamped formulas.
-    """
-    return float(-np.log(_pt_spectrum(cluster_cov, [i], [j])[0]))
+    return block_logneg_numeric(cluster_cov, [i], [j])
 
 
 def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
-    """Log-negativity across two disjoint groups of cluster modes."""
-    nus = _pt_spectrum(cluster_cov, group_a, group_b)
-    return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
+    """Log-negativity across two disjoint groups of cluster modes.
 
-
-def block_logneg_numeric_raw(cluster_cov: np.ndarray, group_a, group_b) -> float:
-    """Unclamped -ln(nu_min) across two disjoint groups of cluster modes."""
-    return float(-np.log(_pt_spectrum(cluster_cov, group_a, group_b)[0]))
+    The (group_a, group_b) marginal goes through :func:`cvswap.gaussian.log_negativity`
+    with group_a partially transposed: the closed-form two-mode spectrum for a
+    pair, the Williamson spectrum for larger groups. ``reduce`` refuses a mode
+    listed twice, and ``log_negativity`` an empty group.
+    """
+    group_a = list(group_a)
+    marginal = reduce_state(GaussianState(cluster_cov, check=False), group_a + list(group_b))
+    return log_negativity(marginal, range(len(group_a)))
 
 
 #: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops when a full pass

@@ -208,11 +208,6 @@ def _stable_steady_state(A: np.ndarray, D: np.ndarray, omega_m: float) -> Gaussi
     return GaussianState(V[_CAVITY_FIRST])
 
 
-def lyapunov_residual(p: OptomechParams) -> float:
-    """Max-abs residual of the normalized Lyapunov solve, relative to ||D||."""
-    return _solve_lyapunov(*drift_diffusion(p), p.omega_m)[1]
-
-
 def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianState:
     """The state each block hands the relay: ``single``, or its two-mode standard form.
 

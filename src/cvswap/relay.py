@@ -92,7 +92,8 @@ class RelayPlan:
     """Orthogonal mixing matrix plus the homodynes of one Bell detection.
 
     ``measurements`` is an ordered list of (port index, quadrature) pairs with
-    ports numbered from 0; the relay measures P on port 0 and X on the rest.
+    ports numbered from 0 (an integral float such as 1.0 reads as 1); the
+    relay measures P on port 0 and X on the rest.
     A Bell detection reads every port exactly once, in any order (distinct
     ports also make the readouts commute, so joint conditioning is exact);
     quadratures are ``"X"`` or ``"P"``. The plan keeps a read-only copy of
@@ -117,7 +118,7 @@ class RelayPlan:
         if self.measurements is None:
             meas = ((0, "P"),) + tuple((k, "X") for k in range(1, self.n_users))
         else:
-            meas = tuple((int(port), q) for port, q in self.measurements)
+            meas = tuple((_as_size(port, 0, "port"), q) for port, q in self.measurements)
         if sorted(port for port, _ in meas) != list(range(self.n_users)):
             raise ValueError("every port in range(n_users) must be measured exactly once")
         if not all(q in ("X", "P") for _, q in meas):

@@ -126,11 +126,12 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     return GaussianState(X @ state.cov @ X + add, mean)
 
 
+#: :func:`sample_normal_form` gives up with RuntimeError after this many draws.
+_SAMPLE_ATTEMPTS = 100_000
+
+
 def sample_normal_form(
-    rng: np.random.Generator,
-    x_max: float,
-    require_entangled: bool = True,
-    max_attempts: int = 100_000,
+    rng: np.random.Generator, x_max: float, require_entangled: bool = True
 ) -> TwoModeNormalForm:
     """Draw a random physical (and by default entangled) normal form.
 
@@ -141,7 +142,7 @@ def sample_normal_form(
     if not (x_max > 1.0 and math.isfinite(x_max)):
         raise ValueError("x_max must be finite and > 1")
     span = np.log(x_max)
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         x = float(np.exp(rng.uniform(0.0, span)))
         y = float(np.exp(rng.uniform(0.0, span)))
         zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))

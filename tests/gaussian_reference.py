@@ -16,12 +16,21 @@ promotes a passive mode mixer to a symplectic on a whole register: the
 register route that the relay's block-wise ``bell_detect`` is checked
 against. ``symplectic_form``, ``is_symplectic``, ``apply_symplectic`` and
 ``vacuum`` are the symplectic algebra the tests build and check states
-with; no package code path calls them.
+with; no package code path calls them. ``unclamped_logneg`` is the
+unclamped -ln nu~_min of a partially transposed marginal from the Williamson
+spectrum: the matrix-side value of the unclamped network formulas, and the
+reference the pairwise and block oracles are checked against.
 """
 
 import numpy as np
 
-from cvswap.gaussian import GaussianState, _require_symmetric, rotation
+from cvswap.gaussian import (
+    GaussianState,
+    _require_symmetric,
+    partial_transpose,
+    rotation,
+    symplectic_eigenvalues,
+)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -69,6 +78,20 @@ def williamson_eigvals(cov):
     if np.max(spread) > 1e-8 * max(1.0, float(mags[-1])):
         raise ValueError("could not pair symplectic eigenvalues")
     return 0.5 * (mags[0::2] + mags[1::2])
+
+
+def unclamped_logneg(cov, group_a, group_b):
+    """-ln nu~_min of the (group_a, group_b) marginal of ``cov`` with group_a partially transposed.
+
+    Negative where the groups are separable, by that margin. The
+    log-negativity is max(0, this) whenever at most one nu~ lies below 1, as
+    for any physical pair.
+    """
+    group_a, group_b = list(group_a), list(group_b)
+    idx = [2 * m + q for m in group_a + group_b for q in (0, 1)]
+    marginal = np.asarray(cov, dtype=float)[np.ix_(idx, idx)]
+    nus = symplectic_eigenvalues(partial_transpose(marginal, range(len(group_a))))
+    return float(-np.log(nus[0]))
 
 
 def omega_product_eigvals(cov):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import cvswap as cs
+from cvswap import analysis, optomech
 from cvswap.analysis import (
     NetworkPoint,
     block_logneg_formula,
-    block_logneg_numeric_raw,
+    block_logneg_numeric,
     e2_formula,
     full_house_logneg,
     gle_formula,
@@ -23,7 +24,6 @@ from cvswap.analysis import (
     network_cluster_cm,
     pairwise_logneg_formula,
     pairwise_logneg_numeric,
-    pairwise_logneg_numeric_raw,
     swap_logneg_two,
     tmsv_swap_bound,
 )
@@ -31,13 +31,14 @@ from cvswap.cli import main
 from cvswap.gaussian import log_negativity, symplectic_eigenvalues
 from cvswap.optomech import (
     detuning_sweep,
-    lyapunov_residual,
+    drift_diffusion,
     mechanical_cluster,
     standard_params,
     steady_state_cm,
 )
 from cvswap.relay import bell_detect, build_relay, cluster_closed_form, diff_x_variance, sum_p_variance
 from cvswap.sources import frontier_closed_form, sample_normal_form, tmsv
+from gaussian_reference import unclamped_logneg
 
 OMEGA_M = 2 * np.pi * 10e6
 
@@ -67,9 +68,11 @@ def test_criterion_1_closed_form_matches_pipeline():
 
 
 def test_criterion_2_formulas_match_oracles():
-    """Pairwise/block formulas vs matrix oracles at 1e-9 (raw scale) and the
-    GLE formula vs the measurement optimizer at 1e-6, over a 100-point grid;
-    the full-house splitting is exactly the two-user value."""
+    """Pairwise/block formulas vs matrix oracles at 1e-9 (on the raw scale
+    against the unclamped Williamson reference, and clamped against the
+    package oracles) and the GLE formula vs the measurement optimizer at
+    1e-6, over a 100-point grid; the full-house splitting is exactly the
+    two-user value."""
     rng = np.random.default_rng(202)
     worst_pair = worst_block = worst_gle = 0.0
     for _ in range(100):
@@ -81,16 +84,17 @@ def test_criterion_2_formulas_match_oracles():
         )
         cm = network_cluster_cm(pt)
 
-        pair_err = abs(
-            pairwise_logneg_numeric_raw(cm) - pairwise_logneg_formula(pt, clamped=False)
+        pair_err = max(
+            abs(unclamped_logneg(cm, [0], [1]) - analysis._pairwise(pt)),
+            abs(pairwise_logneg_numeric(cm) - pairwise_logneg_formula(pt)),
         )
         worst_pair = max(worst_pair, pair_err)
 
         for n_prime in range(1, pt.n_users // 2 + 1):
             groups = (range(n_prime), range(n_prime, 2 * n_prime))
-            block_err = abs(
-                block_logneg_numeric_raw(cm, *groups)
-                - block_logneg_formula(pt, n_prime, clamped=False)
+            block_err = max(
+                abs(unclamped_logneg(cm, *groups) - analysis._block(pt, n_prime)),
+                abs(block_logneg_numeric(cm, *groups) - block_logneg_formula(pt, n_prime)),
             )
             worst_block = max(worst_block, block_err)
 
@@ -98,7 +102,8 @@ def test_criterion_2_formulas_match_oracles():
         worst_gle = max(worst_gle, gle_err)
 
         if pt.n_users % 2 == 0:
-            assert full_house_logneg(pt, clamped=False) == e2_formula(pt, clamped=False)
+            assert full_house_logneg(pt) == e2_formula(pt)
+            assert analysis._block(pt, pt.n_users // 2) == analysis._e2(pt)
 
     assert worst_pair < 1e-9, f"pairwise formula vs oracle deviation {worst_pair:.3e}"
     assert worst_block < 1e-9, f"block formula vs oracle deviation {worst_block:.3e}"
@@ -261,7 +266,7 @@ def test_criterion_6_physicality_suite():
     for convention in ("angular", "ordinary"):
         for ratio in np.linspace(0.05, 1.5, 10):
             p = standard_params(delta=ratio * OMEGA_M, kappa_convention=convention)
-            assert lyapunov_residual(p) < 1e-10
+            assert optomech._solve_lyapunov(*drift_diffusion(p), p.omega_m)[1] < 1e-10
             st = steady_state_cm(p)
             assert symplectic_eigenvalues(st.cov)[0] >= 1.0 - 1e-9
             _, e_pair = mechanical_cluster(p, 2)

@@ -8,7 +8,6 @@ from cvswap.analysis import (
     _read_last,
     block_logneg_formula,
     block_logneg_numeric,
-    block_logneg_numeric_raw,
     e2_formula,
     full_house_logneg,
     gle_formula,
@@ -16,14 +15,13 @@ from cvswap.analysis import (
     network_cluster_cm,
     pairwise_logneg_formula,
     pairwise_logneg_numeric,
-    pairwise_logneg_numeric_raw,
     swap_logneg_two,
     tmsv_swap_bound,
 )
 from cvswap.gaussian import GaussianState, PhysicalityError, rotation
 from cvswap.relay import bell_detect, build_relay, cluster_closed_form, condition_homodynes
 from cvswap.sources import sample_normal_form, tmsv
-from gaussian_reference import embed_orthogonal, tensor, vacuum
+from gaussian_reference import embed_orthogonal, is_symplectic, tensor, unclamped_logneg, vacuum
 
 
 def test_network_point_validation():
@@ -94,12 +92,10 @@ def test_frozen_reference_values():
         pt = NetworkPoint(n_users=n, **REFERENCE_POINT)
         assert pt.alpha == pytest.approx(REFERENCE_VALUES["alpha"], rel=1e-12)
         assert e2_formula(pt) == pytest.approx(REFERENCE_VALUES["e2"], rel=1e-12)
-        assert pairwise_logneg_formula(pt, clamped=False) == pytest.approx(expected, rel=1e-12)
+        assert analysis._pairwise(pt) == pytest.approx(expected, rel=1e-12)
         assert gle_formula(pt) == pytest.approx(REFERENCE_VALUES["gle"][n], rel=1e-12)
     pt6 = NetworkPoint(n_users=6, **REFERENCE_POINT)
-    assert block_logneg_formula(pt6, 2, clamped=False) == pytest.approx(
-        0.10605257508400975, rel=1e-12
-    )
+    assert analysis._block(pt6, 2) == pytest.approx(0.10605257508400975, rel=1e-12)
 
 
 def test_pairwise_formula_lossless_cases():
@@ -130,7 +126,7 @@ def test_gle_reduces_to_e2_for_two_users():
 def test_gle_alpha_zero_is_regular():
     # mu = 1 gives alpha = 0; the correction must vanish, not blow up
     pt = NetworkPoint(1.0, 0.5, 2.0, 6)
-    assert gle_formula(pt, clamped=False) == e2_formula(pt, clamped=False)
+    assert analysis._gle(pt) == analysis._e2(pt)
 
 
 def test_block_edge_cases():
@@ -155,8 +151,7 @@ def test_pairwise_numeric_matches_formula():
             int(rng.integers(2, 9)),
         )
         cm = network_cluster_cm(pt)
-        raw = pairwise_logneg_formula(pt, clamped=False)
-        assert pairwise_logneg_numeric_raw(cm) == pytest.approx(raw, abs=1e-9)
+        assert unclamped_logneg(cm, [0], [1]) == pytest.approx(analysis._pairwise(pt), abs=1e-9)
         assert pairwise_logneg_numeric(cm) == pytest.approx(
             pairwise_logneg_formula(pt), abs=1e-9
         )
@@ -170,6 +165,50 @@ def test_pairwise_numeric_pair_choice_is_irrelevant():
         for i, j in [(0, 1), (0, 4), (2, 3), (1, 3)]
     }
     assert max(values) - min(values) < 1e-10
+
+
+def _random_symplectic(rng, n):
+    """O1 Z O2 on n modes: passive O from random unitaries, Z single-mode squeezers (|r| <= 1.5)."""
+
+    def passive():
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        O = np.empty((2 * n, 2 * n))  # x' = Re Q x - Im Q p, p' = Im Q x + Re Q p
+        O[0::2, 0::2], O[0::2, 1::2] = Q.real, -Q.imag
+        O[1::2, 0::2], O[1::2, 1::2] = Q.imag, Q.real
+        return O
+
+    r = rng.uniform(-1.5, 1.5, n)
+    Z = np.diag(np.exp(np.stack([r, -r], axis=1).ravel()))
+    return passive() @ Z @ passive()
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), cluster=st.booleans())
+def test_pair_oracles_match_the_williamson_reference(seed, n, cluster):
+    # Every pair goes through the closed-form two-mode kernel of
+    # log_negativity; the reference takes the Williamson spectrum of the
+    # partially transposed pair. Inputs: S diag(nu) S^T for random
+    # symplectic S and thermal nu in [1, 1.5], or a closed-form cluster whose
+    # modes are rotated one by one. About 25% of the random pairs and 14% of
+    # the cluster pairs are entangled; the rest test the clamp.
+    rng = np.random.default_rng(seed)
+    if cluster:
+        pt = NetworkPoint(rng.uniform(1.0, 20.0), rng.uniform(0.5, 1.0), rng.uniform(1.0, 2.0), n)
+        S = np.zeros((2 * n, 2 * n))
+        for m in range(n):
+            S[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0.0, np.pi))
+        cm = S @ network_cluster_cm(pt) @ S.T
+    else:
+        S = _random_symplectic(rng, n)
+        assert is_symplectic(S)
+        cm = S @ np.diag(np.repeat(rng.uniform(1.0, 1.5, n), 2)) @ S.T
+    assert GaussianState(cm).n_modes == n
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                expected = max(0.0, unclamped_logneg(cm, [i], [j]))
+                assert pairwise_logneg_numeric(cm, i, j) == pytest.approx(expected, abs=1e-12)
+                assert block_logneg_numeric(cm, [i], [j]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pipeline_cluster_equals_closed_form_cluster():
@@ -413,8 +452,8 @@ def test_block_numeric_matches_formula():
         cm = network_cluster_cm(pt)
         for n_prime in (1, 2, 3):
             groups = (range(n_prime), range(n_prime, 2 * n_prime))
-            raw = block_logneg_formula(pt, n_prime, clamped=False)
-            assert block_logneg_numeric_raw(cm, *groups) == pytest.approx(raw, abs=1e-9)
+            raw = analysis._block(pt, n_prime)
+            assert unclamped_logneg(cm, *groups) == pytest.approx(raw, abs=1e-9)
             assert block_logneg_numeric(cm, *groups) == pytest.approx(
                 block_logneg_formula(pt, n_prime), abs=1e-9
             )
@@ -428,10 +467,7 @@ def test_block_numeric_rejects_overlap():
 
 def test_pairwise_strictly_decreasing_in_n():
     for mu, eta, omega in [(2.0, 0.8, 1.3), (5.0, 0.95, 1.0), (10.0, 0.5, 2.0)]:
-        raw = [
-            pairwise_logneg_formula(NetworkPoint(mu, eta, omega, n), clamped=False)
-            for n in range(2, 17)
-        ]
+        raw = [analysis._pairwise(NetworkPoint(mu, eta, omega, n)) for n in range(2, 17)]
         assert np.all(np.diff(raw) < 0.0)
 
 

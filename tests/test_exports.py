@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,13 +18,24 @@ def test_every_exported_name_resolves(module_name):
     assert len(set(exported)) == len(exported)
 
 
-def test_package_exports_are_exported_by_their_submodules():
-    # a name the package re-exports must be public where it is defined too
-    missing = []
-    for name in cvswap.__all__:
-        if name == "__version__":
-            continue
-        home = getattr(cvswap, name).__module__
-        if name not in importlib.import_module(home).__all__:
-            missing.append(f"{home}.{name}")
-    assert missing == []
+def test_package_surface_is_the_union_of_the_submodule_surfaces():
+    # the public surface is declared once, in the modules; the package adds
+    # only its version and never a name of its own
+    declared = [name for m in _MODULES[1:] for name in getattr(importlib.import_module(m), "__all__", [])]
+    assert cvswap.__all__[0] == "__version__"
+    assert len(set(cvswap.__all__)) == len(cvswap.__all__)
+    assert set(cvswap.__all__[1:]) == set(declared)
+    assert len(set(declared)) == len(declared)
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # an exception class inherits a builtin with none to read
+        return {}
+
+
+def test_no_public_callable_takes_a_clamped_flag():
+    # a formula's unclamped value is private; the public name returns max(0, value)
+    callables = [getattr(cvswap, name) for name in cvswap.__all__ if callable(getattr(cvswap, name))]
+    assert [f.__name__ for f in callables if "clamped" in _parameters(f)] == []

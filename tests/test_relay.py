@@ -93,6 +93,11 @@ def test_relay_plan_stores_an_integral_size_as_int():
     plan = RelayPlan(n_users=4.0, ortho=relay_orthogonal(4))
     assert plan.n_users == 4 and type(plan.n_users) is int
     assert type(build_relay(5.0).n_users) is int
+    # measured ports are read the same way
+    plan = RelayPlan(n_users=2, ortho=relay_orthogonal(2), measurements=((0.0, "P"), (1.0, "X")))
+    assert plan.measurements == ((0, "P"), (1, "X"))
+    assert all(type(port) is int for port, _ in plan.measurements)
+    np.testing.assert_array_equal(plan.readout, build_relay(2).readout)
 
 
 def test_relay_plan_ortho_is_a_read_only_copy():
@@ -133,6 +138,10 @@ def test_relay_plan_readout_is_read_only_and_matches_the_per_call_build(n):
         ((0, "P"), (0, "X")),  # repeated port: the readouts would not commute
         ((0, "P"), (2, "X")),  # port out of range
         ((-1, "P"), (1, "X")),
+        ((0.5, "P"), (1.9, "X")),  # non-integral ports, never truncated to 0 and 1
+        ((0, "P"), (1.5, "X")),
+        ((0, "P"), (float("nan"), "X")),
+        ((0, "P"), (float("inf"), "X")),
         ((0, "P"), (1, "Y")),
         ((1, "X"),),  # port 0 left unmeasured
     ],

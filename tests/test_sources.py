@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cvswap import sources
 from cvswap.analysis import NetworkPoint, swap_logneg_two, tmsv_swap_bound
 from cvswap.gaussian import log_negativity, symplectic_eigenvalues
 from cvswap.optomech import standard_params
@@ -221,12 +222,13 @@ def test_cleaner_kept_side_states_can_beat_the_tmsv_curve():
     assert e_out < e_in
 
 
-def test_sampler_validation_and_budget():
+def test_sampler_validation_and_budget(monkeypatch):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_normal_form(rng, 1.0)
+    monkeypatch.setattr(sources, "_SAMPLE_ATTEMPTS", 0)
     with pytest.raises(RuntimeError):
-        sample_normal_form(rng, 10.0, max_attempts=0)
+        sample_normal_form(rng, 10.0)
 
 
 def test_frontier_numeric_matches_closed_form():
