@@ -40,7 +40,7 @@ def main():
     # only the displacement needed to re-center the cluster does
     rng = np.random.default_rng(11)
     ref, _ = bell_detect([nf.state()] * 3, build_relay(3))
-    rand, gamma = bell_detect([nf.state()] * 3, build_relay(3), outcomes="sample", rng=rng)
+    rand, gamma = bell_detect([nf.state()] * 3, build_relay(3), outcomes=rng)
     print("\noutcome independence (N = 3, sampled readouts)")
     print(f"  readouts gamma = {np.array2string(gamma, precision=3)}")
     print(f"  max |cov difference| = {np.max(np.abs(ref.cov - rand.cov)):.2e}")

@@ -275,15 +275,19 @@ def _run_network_sweep(cfg):
     return columns, rows, f"network-sweep: {len(rows)} grid points"
 
 
+def _optomech_params(cfg, g_mhz):
+    """The standard optomechanical parameters at coupling ``g_mhz`` (ordinary MHz) under ``cfg``."""
+    return standard_params(
+        g_eff=2 * np.pi * g_mhz * 1e6,
+        kappa_convention=cfg["kappa_convention"],
+        temp=cfg["temp_mk"] * 1e-3,
+    )
+
+
 def _run_fig2c(cfg):
     rows = []
-    deltas = None
     for g_mhz in cfg["g_eff_mhz"]:
-        base = standard_params(
-            g_eff=2 * np.pi * g_mhz * 1e6,
-            kappa_convention=cfg["kappa_convention"],
-            temp=cfg["temp_mk"] * 1e-3,
-        )
+        base = _optomech_params(cfg, g_mhz)
         deltas = [r * base.omega_m for r in cfg["delta_over_omega_m"]]
         for row in detuning_sweep(base, deltas, n_users=(2,), local_preprocessing=cfg["local_preprocessing"]):
             rows.append((g_mhz,) + row)
@@ -295,11 +299,7 @@ def _run_fig2d(cfg):
     if len(cfg["g_eff_mhz"]) != 1:
         raise ConfigError(f"fig2d takes one g_eff_mhz value, got {cfg['g_eff_mhz']}")
     (g_mhz,) = cfg["g_eff_mhz"]
-    base = standard_params(
-        g_eff=2 * np.pi * g_mhz * 1e6,
-        kappa_convention=cfg["kappa_convention"],
-        temp=cfg["temp_mk"] * 1e-3,
-    )
+    base = _optomech_params(cfg, g_mhz)
     deltas = [r * base.omega_m for r in cfg["delta_over_omega_m"]]
     sweep = detuning_sweep(base, deltas, n_users=cfg["n"], local_preprocessing=cfg["local_preprocessing"])
     rows = []

@@ -53,6 +53,8 @@ def _require_symmetric(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
+    if not cov.size:
+        raise ValueError("covariance matrix is empty (0 x 0)")
     # NaN and inf both reach this max; test it before max(1.0, .), which
     # would drop a NaN
     peak = float(abs(cov).max())
@@ -187,7 +189,8 @@ def log_negativity(state: GaussianState, partition) -> float:
     if state.n_modes == 2:
         _, nus = _two_mode_spectra(state.cov)
         return sum(max(0.0, -math.log(nu)) for nu in nus)
-    nus = symplectic_eigenvalues(partial_transpose(state.cov, part))
+    # the partial transpose of a validated state is exactly symmetric: no re-check
+    nus = _williamson(partial_transpose(state.cov, part))
     return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
 
 
@@ -287,6 +290,8 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     are immutable, so there is nothing to copy.
     """
     keep = [_as_index(m, state.n_modes) for m in modes]
+    if not keep:
+        raise ValueError("mode list is empty: a marginal needs at least one mode")
     if len(set(keep)) != len(keep):
         raise ValueError("duplicate mode indices")
     if keep == list(range(state.n_modes)):

@@ -1,4 +1,4 @@
-"""The N-port Bell-detection relay and Gaussian homodyne conditioning.
+"""The N-port Bell-detection relay and its joint homodyne conditioning.
 
 The relay interferes the N travelling modes through a fixed cascade of
 beam splitters with transmissivities T_k = 1 - 1/k (k = 2..N), which is
@@ -7,9 +7,10 @@ quadrature vectors. Port 1 is homodyned in P, ports 2..N in X; broadcasting
 the outcomes lets each user cancel the conditional displacement locally, so
 the state left on the kept modes is a covariance-only object.
 
-Both ``condition_homodynes`` (on an explicit state) and ``bell_detect`` (from
-the copies' 2 x 2 blocks, with no register of all 2N modes) condition
-through one Schur complement, ``_schur_condition``.
+``bell_detect`` conditions the kept modes on all N readouts at once, in one
+Schur complement built from the copies' 2 x 2 blocks, with no register of
+all 2N modes. The tests check it against an independent register route that
+reads one quadrature at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "build_relay",
     "relay_orthogonal",
     "relay_from_cascade",
-    "condition_homodynes",
     "bell_detect",
     "displacement_correction",
     "cluster_closed_form",
@@ -145,101 +145,7 @@ _MIN_READOUT_VARIANCE = 1e-12
 _DEGENERATE = "measured quadrature variance is numerically degenerate"
 
 
-def _readout_factor(m: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a readout covariance (or a stack of them).
-
-    Its pivots are the conditional variances of the readouts, one after
-    another; each must be at least _MIN_READOUT_VARIANCE.
-    """
-    try:
-        L = np.linalg.cholesky(m)
-        degenerate = np.min(np.diagonal(L, axis1=-2, axis2=-1)) ** 2 < _MIN_READOUT_VARIANCE
-    except np.linalg.LinAlgError:
-        degenerate = True
-    if degenerate:
-        raise ValueError(_DEGENERATE)
-    return L
-
-
-def _schur_condition(v_kept, cross, m_cov, mean_kept, mean_q, outcomes, rng):
-    """Condition kept quadratures on k jointly Gaussian readouts: one Schur complement.
-
-    ``m_cov`` is the readouts' covariance M, ``cross`` their covariance with
-    the kept quadratures (k rows), ``v_kept`` the kept quadratures' own:
-
-        cov -> V_B - C M^-1 C^T
-        mean -> mean_B + C M^-1 (outcomes - mean_q)
-
-    evaluated through the Cholesky factor M = L L^T and one solve for
-    L^-1 [C^T | outcomes - mean_q]. The pivots of L are the conditional
-    variances of a measurement chain in readout order; :func:`_readout_factor`
-    refuses a degenerate one. ``outcomes`` is a vector in readout order, None
-    for all zeros, or ``"sample"``: gamma = mean_q + L @ rng.standard_normal(k),
-    which is the same draw as measuring one by one in readout order with
-    ``rng.normal``.
-
-    Returns ``(cov, mean, gamma)`` of the kept quadratures, unvalidated.
-    """
-    L = _readout_factor(m_cov)
-    k = len(mean_q)
-    if isinstance(outcomes, str) and outcomes == "sample":
-        if rng is None:
-            raise ValueError("sampling outcomes requires an rng")
-        gamma = mean_q + L @ rng.standard_normal(k)
-    elif outcomes is None:
-        gamma = np.zeros(k)
-    else:
-        gamma = np.asarray(outcomes, dtype=float).reshape(-1)
-        if gamma.shape[0] != k:
-            raise ValueError("outcome vector has wrong length")
-
-    # numpy has no triangular solver; k is small, so a general solve on L is cheap
-    W = np.linalg.solve(L, np.column_stack([cross, gamma - mean_q]))
-    G, r = W[:, :-1], W[:, -1]
-    return v_kept - G.T @ G, mean_kept + G.T @ r, gamma
-
-
-def condition_homodynes(state: GaussianState, measured, outcomes=None, rng=None):
-    """Condition on homodynes of several distinct modes at once and drop them.
-
-    ``measured`` lists (mode, quadrature) pairs on distinct modes. Their
-    quadratures commute, so one Schur complement is exact
-    (``_schur_condition``, with M = cov[q, q] and C = cov[kept, q] for q the
-    measured quadratures). ``outcomes`` is a vector in list order, None for
-    all zeros, or ``"sample"`` (draw them with ``rng``, the same draw as
-    measuring one by one in list order with ``rng.normal``).
-
-    Returns ``(state, gamma)``: the validated state of the kept modes, in
-    their original order, and the outcome vector that was used.
-    """
-    n = state.n_modes
-    measured = tuple((_as_index(m, n), q) for m, q in measured)
-    modes = [m for m, _ in measured]
-    if not measured:
-        raise ValueError("no homodynes to condition on")
-    if len(set(modes)) != len(modes):
-        raise ValueError("measured modes must be distinct")
-    if len(modes) >= n:
-        raise ValueError("conditioning must keep at least one mode")
-    if not all(q in ("X", "P") for _, q in measured):
-        raise ValueError("quadrature must be 'X' or 'P'")
-    qidx = np.array([2 * m + (q == "P") for m, q in measured], dtype=int)
-    kidx = np.array([2 * m + j for m in range(n) if m not in modes for j in (0, 1)], dtype=int)
-
-    cov, mean = state.cov, state.mean
-    out_cov, out_mean, gamma = _schur_condition(
-        cov[np.ix_(kidx, kidx)],
-        cov[np.ix_(qidx, kidx)],
-        cov[np.ix_(qidx, qidx)],
-        mean[kidx],
-        mean[qidx],
-        outcomes,
-        rng,
-    )
-    return GaussianState(out_cov, out_mean), gamma
-
-
-def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
+def bell_detect(copies, plan: RelayPlan, outcomes=None):
     """Run the multipartite Bell detection on N two-mode copies.
 
     Each copy is a state on modes (A, B) with A the mode sent to the relay;
@@ -248,12 +154,24 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
     U[p_j, k] on quadrature q_j of A_k (the plan holds W^T as ``readout``,
     built once per plan). The readouts then have covariance
     M = W blockdiag(a_k) W^T and cross covariance C = blockdiag(c_k)^T W^T
-    with the kept modes (B1..BN), whose own covariance is blockdiag(b_k);
-    one Schur complement (as in ``condition_homodynes``) conditions on all
-    readouts jointly. No 4N-dimensional register is formed. ``outcomes`` may
-    be a vector with one entry per planned homodyne, ``"sample"`` (draw the
-    readouts from their exact joint Gaussian law using ``rng``), or None for
-    all zeros.
+    with the kept modes (B1..BN), whose own covariance is V_B = blockdiag(b_k).
+    One Schur complement conditions on all readouts jointly:
+
+        cov -> V_B - C M^-1 C^T
+        mean -> mean_B + C M^-1 (gamma - mean_q)
+
+    evaluated through the Cholesky factor M = L L^T and one solve for
+    G, r = L^-1 [C^T | gamma - mean_q], as V_B - G^T G and mean_B + G^T r.
+    The pivots of L are the conditional variances of the readouts measured
+    one after another in plan order; one below _MIN_READOUT_VARIANCE, or an
+    M that is not positive definite, raises ValueError. No 4N-dimensional
+    register is formed.
+
+    ``outcomes`` is None for all zeros, a vector with one entry per planned
+    homodyne, or a :class:`numpy.random.Generator` that draws the readouts
+    from their exact joint Gaussian law, gamma = mean_q + L @
+    outcomes.standard_normal(N): the same draw as measuring one by one in plan
+    order with ``outcomes.normal``.
 
     Only the returned state is validated.
 
@@ -275,20 +193,36 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None, rng=None):
     # readouts' covariance with A_k (to be summed over k into M) and with B_k
     # (C's rows)
     y = covs[:, :, :2] @ wt.reshape(N, 2, N)
-    m_cov = wt.T @ y[:, :2].reshape(2 * N, N)
+    mean_q = wt.T @ means[:, :2].reshape(-1)
+    try:
+        L = np.linalg.cholesky(wt.T @ y[:, :2].reshape(2 * N, N))
+        degenerate = np.min(np.diagonal(L)) ** 2 < _MIN_READOUT_VARIANCE
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
+        raise ValueError(_DEGENERATE)
+
+    if outcomes is None:
+        gamma = np.zeros(N)
+    elif isinstance(outcomes, np.random.Generator):
+        gamma = mean_q + L @ outcomes.standard_normal(N)
+    else:
+        try:
+            gamma = np.asarray(outcomes, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"outcomes must be None, a vector or a numpy Generator, got {outcomes!r}"
+            ) from None
+        if gamma.shape[0] != N:
+            raise ValueError("outcome vector has wrong length")
+
+    # numpy has no triangular solver; N is small, so a general solve on L is cheap
+    W = np.linalg.solve(L, np.column_stack([y[:, 2:].reshape(2 * N, N).T, gamma - mean_q]))
+    G, r = W[:, :-1], W[:, -1]
     v_b = np.zeros((N, 2, N, 2))
     v_b[np.arange(N), :, np.arange(N), :] = covs[:, 2:, 2:]
-
-    cov, mean, gamma = _schur_condition(
-        v_b.reshape(2 * N, 2 * N),
-        y[:, 2:].reshape(2 * N, N).T,
-        m_cov,
-        means[:, 2:].reshape(-1),
-        wt.T @ means[:, :2].reshape(-1),
-        outcomes,
-        rng,
-    )
-    return GaussianState(cov, mean), gamma
+    cov = v_b.reshape(2 * N, 2 * N) - G.T @ G
+    return GaussianState(cov, means[:, 2:].reshape(-1) + G.T @ r), gamma
 
 
 def displacement_correction(state: GaussianState) -> GaussianState:

@@ -14,9 +14,11 @@ and one ``det`` per rotation; the package must match it bit for bit too.
 ``tensor`` builds direct sums for test setup, and ``embed_orthogonal``
 promotes a passive mode mixer to a symplectic on a whole register: the
 register route that the relay's block-wise ``bell_detect`` is checked
-against. ``symplectic_form``, ``is_symplectic``, ``apply_symplectic`` and
-``vacuum`` are the symplectic algebra the tests build and check states
-with; no package code path calls them. ``unclamped_logneg`` is the
+against, reading one quadrature at a time with ``read_quadrature``: the
+plain rank-one update, which shares no step with the Cholesky and solve of
+``bell_detect``. ``symplectic_form``, ``is_symplectic``,
+``apply_symplectic`` and ``vacuum`` are the symplectic algebra the tests
+build and check states with; no package code path calls them. ``unclamped_logneg`` is the
 unclamped -ln nu~_min of a partially transposed marginal from the Williamson
 spectrum: the matrix-side value of the unclamped network formulas, and the
 reference the pairwise and block oracles are checked against.
@@ -142,6 +144,22 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov[:na, :na] = a.cov
     cov[na:, na:] = b.cov
     return GaussianState(cov, np.concatenate([a.mean, b.mean]), check=False)
+
+
+def read_quadrature(state: GaussianState, mode, quad, outcome=0.0) -> GaussianState:
+    """Homodyne ``quad`` ("X" or "P") of ``mode`` with readout ``outcome``, then drop that mode.
+
+    With q the measured quadrature, c = V[:, q] and m = V[q, q]:
+    V -> V - c c^T / m and mean -> mean + c (outcome - mean_q) / m. The
+    other modes keep their order; the result is validated.
+    """
+    q = 2 * mode + (quad == "P")
+    c = state.cov[:, q]
+    m = c[q]
+    cov = state.cov - np.outer(c, c) / m
+    mean = state.mean + c * (outcome - state.mean[q]) / m
+    keep = [k for k in range(2 * state.n_modes) if k // 2 != mode]
+    return GaussianState(cov[np.ix_(keep, keep)], mean[keep])
 
 
 def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:

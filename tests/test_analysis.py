@@ -19,9 +19,16 @@ from cvswap.analysis import (
     tmsv_swap_bound,
 )
 from cvswap.gaussian import GaussianState, PhysicalityError, rotation
-from cvswap.relay import bell_detect, build_relay, cluster_closed_form, condition_homodynes
+from cvswap.relay import bell_detect, build_relay, cluster_closed_form
 from cvswap.sources import sample_normal_form, tmsv
-from gaussian_reference import embed_orthogonal, is_symplectic, tensor, unclamped_logneg, vacuum
+from gaussian_reference import (
+    embed_orthogonal,
+    is_symplectic,
+    read_quadrature,
+    tensor,
+    unclamped_logneg,
+    vacuum,
+)
 
 
 def test_network_point_validation():
@@ -370,10 +377,11 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     """The optimizer's pair covariance at one angle set, against a second route.
 
     The second route rotates every measured mode by gaussian.rotation(theta)
-    and conditions on all their X quadratures with condition_homodynes. The
-    optimizer's routes: the chain of _read_last steps (the seeds, with one
-    common angle), and a coordinate's block, which orders the modes as
-    (pair, a, rest), reads the rest from the last and then mode a.
+    and reads their X quadratures one at a time with the rank-one
+    read_quadrature of gaussian_reference. The optimizer's routes: the
+    chain of _read_last steps (the seeds, with one common angle), and a
+    coordinate's block, which orders the modes as (pair, a, rest), reads the
+    rest from the last and then mode a.
     """
     rng = np.random.default_rng(seed)
     nf = sample_normal_form(rng, 10.0)
@@ -395,8 +403,10 @@ def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     R = np.eye(2 * n_modes)
     for m, theta in zip(others, thetas):
         R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(theta)
-    pair, _ = condition_homodynes(GaussianState(R @ cov @ R.T), [(m, "X") for m in others])
-    kept = [0, 1, 2, 3] if i < j else [2, 3, 0, 1]  # condition_homodynes keeps mode order
+    pair = GaussianState(R @ cov @ R.T)
+    for m in reversed(others):  # highest first: the modes still to read keep their index
+        pair = read_quadrature(pair, m, "X")
+    kept = [0, 1, 2, 3] if i < j else [2, 3, 0, 1]  # read_quadrature keeps mode order
     reference = pair.cov[np.ix_(kept, kept)]
 
     order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
@@ -463,6 +473,12 @@ def test_block_numeric_rejects_overlap():
     cm = network_cluster_cm(NetworkPoint(2.0, 1.0, 1.0, 4))
     with pytest.raises(ValueError):
         block_logneg_numeric(cm, [0, 1], [1, 2])
+
+
+def test_block_numeric_refuses_two_empty_groups_by_name():
+    cm = network_cluster_cm(NetworkPoint(2.0, 1.0, 1.0, 4))
+    with pytest.raises(ValueError, match="mode list is empty"):
+        block_logneg_numeric(cm, [], [])
 
 
 def test_pairwise_strictly_decreasing_in_n():

@@ -22,7 +22,7 @@ from cvswap.analysis import (
     network_cluster_cm,
     pairwise_logneg_numeric,
 )
-from cvswap.relay import cluster_closed_form, condition_homodynes, diff_x_variance
+from cvswap.relay import cluster_closed_form, diff_x_variance
 from cvswap.sources import TwoModeNormalForm, thermal_loss_map, tmsv
 from gaussian_reference import (
     apply_symplectic,
@@ -76,6 +76,12 @@ def test_symplectic_eigenvalues_reject_bad_input():
             symplectic_eigenvalues(V)
         # the Cholesky's LinAlgError (a ValueError too) must not leak out
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("build", [GaussianState, symplectic_eigenvalues])
+def test_empty_covariance_is_refused_by_name(build):
+    with pytest.raises(ValueError, match=r"covariance matrix is empty \(0 x 0\)"):
+        build(np.zeros((0, 0)))
 
 
 def test_bona_fide_tolerance_band():
@@ -173,7 +179,6 @@ _INDEX_READERS = {
     "partial_transpose": lambda m: partial_transpose(_CLUSTER, [m]),
     "log_negativity-2": lambda m: log_negativity(tmsv(3.0).state(), [m]),
     "log_negativity-3": lambda m: log_negativity(GaussianState(_CLUSTER), [m]),
-    "condition_homodynes": lambda m: condition_homodynes(GaussianState(_CLUSTER), [(m, "X")])[0].cov,
     "thermal_loss_map": lambda m: thermal_loss_map(GaussianState(_CLUSTER), m, 0.5, 1.2).cov,
     "diff_x_variance": lambda m: diff_x_variance(_CLUSTER, 0, m),
     "pairwise_logneg_numeric": lambda m: pairwise_logneg_numeric(_CLUSTER, 0, m),
@@ -212,6 +217,11 @@ def test_tensor_and_reduce_round_trip():
     # reduce can also reorder
     swapped = reduce(joint, [1, 0])
     np.testing.assert_array_equal(swapped.cov[:2, :2], a.cov[2:, 2:])
+
+
+def test_reduce_refuses_an_empty_mode_list_by_name():
+    with pytest.raises(ValueError, match="mode list is empty"):
+        reduce(tmsv(2.0).state(), [])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -288,6 +298,27 @@ def test_state_checks_symmetry_once(monkeypatch, n):
     cov = cluster_closed_form(nf.x, nf.y, nf.z, n).assemble() if n > 1 else 2.0 * np.eye(2)
     GaussianState(cov)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_log_negativity_does_not_recheck_a_validated_state(monkeypatch, n):
+    # the partial transpose of a validated state is exactly symmetric, so the
+    # spectrum is the one symplectic_eigenvalues reads, bit for bit
+    nf = tmsv(5.0)
+    state = GaussianState(cluster_closed_form(nf.x, nf.y, nf.z, n).assemble())
+    part = list(range(n // 2))
+    nus = symplectic_eigenvalues(partial_transpose(state.cov, part))
+    expected = float(np.sum(np.clip(-np.log(nus), 0.0, None)))
+    calls = []
+    original = gaussian._require_symmetric
+
+    def counted(cov):
+        calls.append(1)
+        return original(cov)
+
+    monkeypatch.setattr(gaussian, "_require_symmetric", counted)
+    assert log_negativity(state, part) == expected
+    assert calls == []
 
 
 def test_state_arrays_are_read_only_copies():

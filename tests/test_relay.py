@@ -16,14 +16,20 @@ from cvswap.relay import (
     bell_detect,
     build_relay,
     cluster_closed_form,
-    condition_homodynes,
     diff_x_variance,
     relay_from_cascade,
     relay_orthogonal,
     sum_p_variance,
 )
 from cvswap.sources import TwoModeNormalForm, sample_normal_form, tmsv
-from gaussian_reference import apply_symplectic, embed_orthogonal, is_symplectic, tensor, vacuum
+from gaussian_reference import (
+    apply_symplectic,
+    embed_orthogonal,
+    is_symplectic,
+    read_quadrature,
+    tensor,
+    vacuum,
+)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -162,41 +168,46 @@ def test_embed_orthogonal_is_symplectic():
         embed_orthogonal(U, [0, 2, 2], 6)
 
 
+# The homodyne pins below check read_quadrature, the test reference that
+# bell_detect is compared against on the full register.
+
+
 def test_homodyne_condition_on_tmsv():
     mu = 4.0
     st = tmsv(mu).state()
-    out, _ = condition_homodynes(st, [(0, "X")])
+    out = read_quadrature(st, 0, "X")
     # measuring X_A projects the partner to variance 1/mu in X, mu in P
     np.testing.assert_allclose(out.cov, np.diag([1.0 / mu, mu]), atol=1e-12)
-    out_p, _ = condition_homodynes(st, [(0, "P")])
+    out_p = read_quadrature(st, 0, "P")
     np.testing.assert_allclose(out_p.cov, np.diag([mu, 1.0 / mu]), atol=1e-12)
 
 
 def test_homodyne_outcome_moves_mean_not_cov():
     st = tmsv(3.0).state()
-    a, _ = condition_homodynes(st, [(0, "X")], [0.0])
-    b, _ = condition_homodynes(st, [(0, "X")], [3.7])
+    a = read_quadrature(st, 0, "X", 0.0)
+    b = read_quadrature(st, 0, "X", 3.7)
     np.testing.assert_array_equal(a.cov, b.cov)
     # correlated quadrature shifts proportionally to the outcome
     assert b.mean[0] != 0.0
     np.testing.assert_allclose(b.mean, a.mean + 3.7 / 3.0 * np.array([np.sqrt(8.0), 0.0]))
 
 
-def test_homodyne_rejects_degenerate_quadrature():
-    # a second mode is kept, so the refusal comes from the readout variance
-    squeezed_flat = GaussianState(np.diag([1e-13, 1e13, 1.0, 1.0]), check=False)
+@pytest.mark.parametrize("x_var", [1e-13, 0.0])
+def test_bell_detect_rejects_degenerate_readout(x_var):
+    # the X readout of port 1, (X_A2 - X_A1) / sqrt(2), has variance x_var:
+    # a pivot below the floor, or a readout covariance that is not positive
+    # definite
+    squeezed_flat = GaussianState(np.diag([x_var, 1e13, 1.0, 1.0]), check=False)
     with pytest.raises(ValueError, match="degenerate"):
-        condition_homodynes(squeezed_flat, [(0, "X")])
+        bell_detect([squeezed_flat, squeezed_flat], build_relay(2))
 
 
 def test_homodyne_order_independence():
     nf = TwoModeNormalForm(2.5, 2.0, 1.5)
     st = tensor(nf.state(), vacuum(1))
     # measure modes (0, 2) in both orders; positions shift after each drop
-    a, _ = condition_homodynes(st, [(0, "X")])
-    ab, _ = condition_homodynes(a, [(1, "P")])
-    b, _ = condition_homodynes(st, [(2, "P")])
-    ba, _ = condition_homodynes(b, [(0, "X")])
+    ab = read_quadrature(read_quadrature(st, 0, "X"), 1, "P")
+    ba = read_quadrature(read_quadrature(st, 2, "P"), 0, "X")
     np.testing.assert_allclose(ab.cov, ba.cov, atol=1e-12)
     np.testing.assert_allclose(ab.mean, ba.mean, atol=1e-12)
 
@@ -213,8 +224,8 @@ def test_bell_detect_matches_closed_form_spot():
 def test_bell_detect_sampled_outcomes_reproducible():
     nf = tmsv(2.0)
     copies = [nf.state(), nf.state(), nf.state()]
-    out1, g1 = bell_detect(copies, build_relay(3), outcomes="sample", rng=np.random.default_rng(5))
-    out2, g2 = bell_detect(copies, build_relay(3), outcomes="sample", rng=np.random.default_rng(5))
+    out1, g1 = bell_detect(copies, build_relay(3), outcomes=np.random.default_rng(5))
+    out2, g2 = bell_detect(copies, build_relay(3), outcomes=np.random.default_rng(5))
     np.testing.assert_array_equal(g1, g2)
     np.testing.assert_array_equal(out1.mean, out2.mean)
     # covariance of the kept modes never depends on the outcomes
@@ -227,6 +238,16 @@ def test_bell_detect_explicit_outcomes_length_check():
     nf = tmsv(2.0)
     with pytest.raises(ValueError):
         bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=[1.0])
+
+
+@pytest.mark.parametrize(
+    "outcomes", ["sample", np.random.RandomState(5), ["a", "b"]], ids=["sample", "RandomState", "strings"]
+)
+def test_bell_detect_refuses_outcomes_that_are_neither_numbers_nor_a_generator(outcomes):
+    # sampled readouts come from a numpy Generator passed as the outcomes
+    nf = tmsv(2.0)
+    with pytest.raises(ValueError, match="outcomes must be None, a vector or a numpy Generator"):
+        bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=outcomes)
 
 
 def test_cluster_closed_form_known_blocks():
@@ -294,7 +315,7 @@ def test_bell_detect_of_identical_copies_is_bona_fide_and_gains_no_pair_entangle
     rng = np.random.default_rng(seed)
     nf = sample_normal_form(rng, x_max)
     e_in = nf.log_negativity()
-    out, _ = bell_detect([nf.state()] * n, build_relay(n), "sample" if sampled else None, rng)
+    out, _ = bell_detect([nf.state()] * n, build_relay(n), rng if sampled else None)
     assert out.is_bona_fide()
     for i, j in itertools.combinations(range(n), 2):
         assert log_negativity(reduce(out, [i, j]), [0]) <= e_in + 1e-12
@@ -326,30 +347,42 @@ def _random_state(rng, n_modes):
     return GaussianState(S @ state.cov @ S.T, rng.normal(size=2 * n_modes))
 
 
+def _register(copies, plan):
+    """The copies' 2N-mode register (A1, B1, ..., AN, BN) after the relay's mode mixer."""
+    state = copies[0]
+    for c in copies[1:]:
+        state = tensor(state, c)
+    N = plan.n_users
+    return apply_symplectic(state, embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N))
+
+
 def _condition_in_order(state, order):
     """Chain single homodynes over (mode, quadrature, outcome) in the given order."""
     removed = []
     for mode, quad, outcome in order:
         position = mode - sum(r < mode for r in removed)
-        state, _ = condition_homodynes(state, [(position, quad)], [outcome])
+        state = read_quadrature(state, position, quad, outcome)
         removed.append(mode)
     return state
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(2, 4), data=st.data())
-def test_joint_conditioning_equals_sequential_in_every_order(seed, n_modes, data):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_joint_conditioning_equals_sequential_in_every_order(seed, n):
+    # bell_detect's one joint Schur step against single readouts of the
+    # register, chained in every order of the plan's homodynes
     rng = np.random.default_rng(seed)
-    state = _random_state(rng, n_modes)
-    k = data.draw(st.integers(1, n_modes - 1))
-    modes = rng.permutation(n_modes)[:k].tolist()
-    measured = [(m, "X" if rng.random() < 0.5 else "P") for m in modes]
-    outcomes = rng.normal(size=k)
-    joint, gamma = condition_homodynes(state, measured, outcomes)
+    copies = [_random_state(rng, 2) for _ in range(n)]
+    measured = [(int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n)]
+    plan = RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=measured)
+    outcomes = rng.normal(size=n)
+    joint, gamma = bell_detect(copies, plan, outcomes)
     np.testing.assert_array_equal(gamma, outcomes)
-    tol = 1e-12 * np.linalg.norm(state.cov, 2)
-    for order in itertools.permutations(zip(modes, (q for _, q in measured), outcomes)):
-        chained = _condition_in_order(state, order)
+    register = _register(copies, plan)
+    tol = 1e-12 * max(1.0, max(np.linalg.norm(c.cov, 2) for c in copies))
+    readouts = [(2 * port, quad, g) for (port, quad), g in zip(measured, outcomes)]
+    for order in itertools.permutations(readouts):
+        chained = _condition_in_order(register, order)
         np.testing.assert_allclose(joint.cov, chained.cov, rtol=0, atol=tol)
         np.testing.assert_allclose(joint.mean, chained.mean, rtol=0, atol=tol)
 
@@ -360,11 +393,8 @@ def _bell_detect_sequential(copies, plan, rng=None, outcomes=None):
     Each readout is drawn from its marginal with ``rng``, or else taken from
     ``outcomes`` (all zeros if None), in plan order.
     """
-    state = copies[0]
-    for c in copies[1:]:
-        state = tensor(state, c)
+    state = _register(copies, plan)
     N = plan.n_users
-    state = apply_symplectic(state, embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N))
     if outcomes is None:
         outcomes = np.zeros(N)
     gamma, removed = [], []
@@ -372,7 +402,7 @@ def _bell_detect_sequential(copies, plan, rng=None, outcomes=None):
         mode = 2 * port - sum(r < 2 * port for r in removed)
         q = 2 * mode + (quad == "P")
         gamma.append(outcomes[j] if rng is None else rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
-        state, _ = condition_homodynes(state, [(mode, quad)], [gamma[-1]])
+        state = read_quadrature(state, mode, quad, gamma[-1])
         removed.append(2 * port)
     return state, np.array(gamma)
 
@@ -382,7 +412,7 @@ def test_sampled_outcomes_match_sequential_draw(n):
     rng = np.random.default_rng(41 + n)
     copies = [_random_state(rng, 2) for _ in range(n)]
     plan = build_relay(n)
-    joint, g_joint = bell_detect(copies, plan, outcomes="sample", rng=np.random.default_rng(n))
+    joint, g_joint = bell_detect(copies, plan, outcomes=np.random.default_rng(n))
     seq, g_seq = _bell_detect_sequential(copies, plan, np.random.default_rng(n))
     np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=1e-12)
     np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=1e-12)
@@ -429,7 +459,7 @@ def test_block_bell_detect_matches_register_reference(seed, n, outcomes):
     measurements = tuple((int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n))
     plan = RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=measurements)
     if outcomes == "sample":
-        joint, g_joint = bell_detect(copies, plan, "sample", np.random.default_rng(seed))
+        joint, g_joint = bell_detect(copies, plan, np.random.default_rng(seed))
         seq, g_seq = _bell_detect_sequential(copies, plan, rng=np.random.default_rng(seed))
     else:
         given_outcomes = rng.normal(size=n) if outcomes == "given" else None

@@ -258,10 +258,23 @@ def test_frontier_grid_peaks_at_the_cap(x_max, frac):
     # and the search needs no refinement over x.
     d = frac * (x_max - 1.0) / 2.0
     lo, hi = max(1.0, 1.0 + 2.0 * d), min(x_max, x_max + 2.0 * d)
-    assume(hi > lo)  # frac * (x_max - 1) / 2 can round onto the feasibility limit
+    # frac * (x_max - 1) / 2 can round onto the feasibility limit, or to
+    # within a few ulps of it, where the grid holds a handful of distinct
+    # doubles and every value is rounding noise
+    assume(hi - lo > 8 * np.spacing(hi))
     vals = _best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID))
     assert vals[-1] == np.max(vals)
     assert max_swap_logneg_at_asymmetry(d, x_max) == vals[-1]
+
+
+def test_frontier_at_a_range_one_ulp_wide():
+    # the draw the grid-peak property skips: hi - lo is one ulp, and the
+    # search still meets the closed form
+    x_max, frac = 64.35640577868442, 0.9999999999999999
+    d = frac * (x_max - 1.0) / 2.0
+    assert min(x_max, x_max + 2.0 * d) - max(1.0, 1.0 + 2.0 * d) == np.spacing(x_max)
+    numeric = max_swap_logneg_at_asymmetry(d, x_max)
+    assert numeric == pytest.approx(frontier_closed_form(d, x_max), abs=1e-9)
 
 
 def test_frontier_symmetric_point_is_log_xmax():
