@@ -85,11 +85,6 @@ def _e2(pt: NetworkPoint) -> float:
     return float(np.log(num / den))
 
 
-def _pairwise(pt: NetworkPoint) -> float:
-    N = pt.n_users
-    return float(_e2(pt) - 0.5 * np.log(1.0 + pt.alpha * (N - 2) / N))
-
-
 def _gle(pt: NetworkPoint) -> float:
     N = pt.n_users
     a = pt.alpha
@@ -110,8 +105,8 @@ def e2_formula(pt: NetworkPoint) -> float:
 
 
 def pairwise_logneg_formula(pt: NetworkPoint) -> float:
-    """Entanglement between any two users: E2 - ln(1 + alpha (N-2)/N) / 2."""
-    return max(0.0, _pairwise(pt))
+    """Entanglement between any two users: E2 - ln(1 + alpha (N-2)/N) / 2, the block formula at N' = 1."""
+    return max(0.0, _block(pt, 1))
 
 
 def gle_formula(pt: NetworkPoint) -> float:
@@ -155,11 +150,13 @@ def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
     The (group_a, group_b) marginal goes through :func:`cvswap.gaussian.log_negativity`
     with group_a partially transposed: the closed-form two-mode spectrum for a
     pair, the Williamson spectrum for larger groups. ``reduce`` refuses a mode
-    listed twice, and ``log_negativity`` an empty group.
+    listed twice, and ``log_negativity`` an empty group. Only the marginal is
+    read, so only the marginal is checked: one that is not bona fide raises
+    PhysicalityError.
     """
     group_a = list(group_a)
     marginal = reduce_state(GaussianState(cluster_cov, check=False), group_a + list(group_b))
-    return log_negativity(marginal, range(len(group_a)))
+    return log_negativity(GaussianState(marginal.cov), range(len(group_a)))
 
 
 #: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops when a full pass

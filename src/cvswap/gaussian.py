@@ -117,8 +117,7 @@ class GaussianState:
     covariance is checked for symmetry once. Two-mode states are checked
     through the closed-form two-mode spectrum (no eigensolve); states of one
     mode or of three or more through the Williamson spectrum of
-    :func:`symplectic_eigenvalues`. ``is_bona_fide`` uses the same route as
-    the constructor.
+    :func:`symplectic_eigenvalues`. A given mean must be finite.
 
     Instances are value-like: ``cov`` and ``mean`` are the state's own
     read-only arrays (``mean`` is copied, so the caller's array stays
@@ -136,6 +135,8 @@ class GaussianState:
             mean = np.zeros(2 * n)
         else:
             mean = np.array(mean, dtype=float).reshape(-1)
+            if not np.isfinite(mean).all():
+                raise ValueError("mean vector has non-finite entries")
         if mean.shape[0] != 2 * n:
             raise ValueError("mean vector length does not match covariance size")
         if check:
@@ -152,9 +153,6 @@ class GaussianState:
 
     def __repr__(self):
         return f"GaussianState(n_modes={self.n_modes})"
-
-    def is_bona_fide(self) -> bool:
-        return _smallest_nu(self.cov) >= 1.0 - BONA_FIDE_TOL
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -47,15 +47,24 @@ _RESIDUAL_LIMIT = 1e-8
 
 
 def mean_occupation(omega_m: float, temp: float) -> float:
-    """Bose-Einstein phonon occupation of a bath at temperature ``temp`` (K)."""
+    """Bose-Einstein phonon occupation of a bath at temperature ``temp`` (K).
+
+    Finite and >= 0 at every finite temp >= 0: it falls to the smallest
+    floats, then to exactly 0.0, as temp goes to 0.
+    """
     # chained comparisons, so NaN fails them as inf does
     if not 0 < omega_m < math.inf:
         raise ValueError("omega_m must be positive and finite")
     if not 0 <= temp < math.inf:
         raise ValueError("temperature must be non-negative and finite")
-    if temp == 0:
+    kt = k_B * temp
+    if kt == 0.0:  # T = 0, or a T so small that k_B T underflows
         return 0.0
-    return 1.0 / math.expm1(hbar * omega_m / (k_B * temp))
+    x = hbar * omega_m / kt
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # e^x beyond the float range: 1 / (e^x - 1) is e^-x
+        return math.exp(-x)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 The relay interferes the N travelling modes through a fixed cascade of
 beam splitters with transmissivities T_k = 1 - 1/k (k = 2..N), which is
 equivalent to one orthogonal N x N matrix acting identically on the X and P
-quadrature vectors. Port 1 is homodyned in P, ports 2..N in X; broadcasting
-the outcomes lets each user cancel the conditional displacement locally, so
-the state left on the kept modes is a covariance-only object.
+quadrature vectors; :func:`relay_orthogonal` writes that matrix row by row,
+and the tests check it against the cascade built splitter by splitter.
+Port 1 is homodyned in P, ports 2..N in X. That measurement depends on N
+alone, so :func:`build_relay` builds one plan per N. Broadcasting the
+outcomes lets each user cancel the conditional displacement locally, so the
+state left on the kept modes is a covariance-only object.
 
 ``bell_detect`` conditions the kept modes on all N readouts at once, in one
 Schur complement built from the copies' 2 x 2 blocks, with no register of
@@ -16,8 +19,8 @@ reads one quadrature at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,7 +31,6 @@ __all__ = [
     "ClusterBlocks",
     "build_relay",
     "relay_orthogonal",
-    "relay_from_cascade",
     "bell_detect",
     "displacement_correction",
     "cluster_closed_form",
@@ -65,79 +67,42 @@ def relay_orthogonal(n_users: int) -> np.ndarray:
     return U
 
 
-def relay_from_cascade(n_users: int) -> np.ndarray:
-    """Same matrix built the way the hardware does it: a beam-splitter chain.
-
-    Each two-port splitter with transmissivity T acts on (bus, port k) as
-    [[sqrt(T), sqrt(1-T)], [-sqrt(1-T), sqrt(T)]]; the bus accumulates the
-    uniform combination while the reflected outputs realize rows 2..N.
-    """
-    N = _as_size(n_users, 2, "n_users")
-    U = np.eye(N)
-    for k in range(2, N + 1):
-        T = 1.0 - 1.0 / k
-        t, r = np.sqrt(T), np.sqrt(1.0 - T)
-        bs = np.eye(N)
-        bs[0, 0] = t
-        bs[0, k - 1] = r
-        bs[k - 1, 0] = -r
-        bs[k - 1, k - 1] = t
-        U = bs @ U
-    # the cascade leaves the uniform row on the bus (slot 1) and row k on slot k
-    return U
-
-
 @dataclass(frozen=True)
 class RelayPlan:
-    """Orthogonal mixing matrix plus the homodynes of one Bell detection.
+    """The relay's one Bell detection on N ports, fixed by N alone.
 
-    ``measurements`` is an ordered list of (port index, quadrature) pairs with
-    ports numbered from 0 (an integral float such as 1.0 reads as 1); the
-    relay measures P on port 0 and X on the rest.
-    A Bell detection reads every port exactly once, in any order (distinct
-    ports also make the readouts commute, so joint conditioning is exact);
-    quadratures are ``"X"`` or ``"P"``. The plan keeps a read-only copy of
-    ``ortho`` (the caller's array stays writeable) and the read-only readout
-    matrix ``readout`` = W^T, a 2N x N matrix whose column j holds readout j's
-    weights on the sent quadratures (X_1, P_1, ..., X_N, P_N), so one plan can
-    serve every detection of its N. ``n_users`` must be an integer >= 2; an
-    integral float such as 4.0 is stored as 4.
+    The relay mixes the N sent modes with :func:`relay_orthogonal` and
+    homodynes P on port 0 and X on ports 1..N-1. The plan holds the
+    read-only readout matrix ``readout`` = W^T, a 2N x N matrix whose column
+    j holds readout j's weights on the sent quadratures (X_1, P_1, ..., X_N,
+    P_N), so one plan serves every detection of its N. ``n_users`` must be
+    an integer >= 2; an integral float such as 4.0 is stored as 4.
     """
 
     n_users: int
-    ortho: np.ndarray
-    measurements: tuple = field(default=None)
-    readout: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_users", _as_size(self.n_users, 2, "n_users"))
-        U = np.array(self.ortho, dtype=float)
-        U.flags.writeable = False
-        if np.max(np.abs(U @ U.T - np.eye(self.n_users))) > 1e-12:
-            raise ValueError("relay matrix is not orthogonal")
-        if self.measurements is None:
-            meas = ((0, "P"),) + tuple((k, "X") for k in range(1, self.n_users))
-        else:
-            meas = tuple((_as_size(port, 0, "port"), q) for port, q in self.measurements)
-        if sorted(port for port, _ in meas) != list(range(self.n_users)):
-            raise ValueError("every port in range(n_users) must be measured exactly once")
-        if not all(q in ("X", "P") for _, q in meas):
-            raise ValueError("quadrature must be 'X' or 'P'")
-        # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped
+
+    @cached_property
+    def readout(self) -> np.ndarray:
+        """W^T of this N, built on first use."""
         N = self.n_users
+        U = relay_orthogonal(N)
+        # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped:
+        # readout 0 is P of port 0, readout j >= 1 is X of port j
         wt = np.zeros((N, 2, N))
-        wt[:, [int(q == "P") for _, q in meas], np.arange(N)] = U[[port for port, _ in meas]].T
+        wt[:, 1, 0] = U[0]
+        wt[:, 0, 1:] = U[1:].T
         wt = wt.reshape(2 * N, N)
         wt.flags.writeable = False
-        object.__setattr__(self, "ortho", U)
-        object.__setattr__(self, "measurements", meas)
-        object.__setattr__(self, "readout", wt)
+        return wt
 
 
 @cache
 def build_relay(n_users: int) -> RelayPlan:
-    """The relay plan for ``n_users`` ports, built and checked once per N (4.0 reads as 4)."""
-    return RelayPlan(n_users=n_users, ortho=relay_orthogonal(n_users))
+    """The relay plan for ``n_users`` ports, built once per N (4.0 reads as 4)."""
+    return RelayPlan(n_users)
 
 
 #: A measured readout whose conditional variance falls below this is degenerate.
@@ -149,10 +114,11 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None):
     """Run the multipartite Bell detection on N two-mode copies.
 
     Each copy is a state on modes (A, B) with A the mode sent to the relay;
-    write its covariance as [[a_k, c_k], [c_k^T, b_k]]. Readout j of the plan
-    measures quadrature q_j of the mixed port p_j, the row of W that holds
-    U[p_j, k] on quadrature q_j of A_k (the plan holds W^T as ``readout``,
-    built once per plan). The readouts then have covariance
+    write its covariance as [[a_k, c_k], [c_k^T, b_k]]. The relay mixes the
+    A modes by U = :func:`relay_orthogonal`, then reads P of port 0 (readout
+    0) and X of port j (readout j, j = 1..N-1): row j of W holds U[j, k] on
+    that quadrature of A_k (the plan holds W^T as ``readout``, built once
+    per N). The readouts then have covariance
     M = W blockdiag(a_k) W^T and cross covariance C = blockdiag(c_k)^T W^T
     with the kept modes (B1..BN), whose own covariance is V_B = blockdiag(b_k).
     One Schur complement conditions on all readouts jointly:
@@ -163,14 +129,14 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None):
     evaluated through the Cholesky factor M = L L^T and one solve for
     G, r = L^-1 [C^T | gamma - mean_q], as V_B - G^T G and mean_B + G^T r.
     The pivots of L are the conditional variances of the readouts measured
-    one after another in plan order; one below _MIN_READOUT_VARIANCE, or an
+    one after another in port order; one below _MIN_READOUT_VARIANCE, or an
     M that is not positive definite, raises ValueError. No 4N-dimensional
     register is formed.
 
-    ``outcomes`` is None for all zeros, a vector with one entry per planned
-    homodyne, or a :class:`numpy.random.Generator` that draws the readouts
+    ``outcomes`` is None for all zeros, a vector with one entry per port in
+    readout order, or a :class:`numpy.random.Generator` that draws the readouts
     from their exact joint Gaussian law, gamma = mean_q + L @
-    outcomes.standard_normal(N): the same draw as measuring one by one in plan
+    outcomes.standard_normal(N): the same draw as measuring one by one in port
     order with ``outcomes.normal``.
 
     Only the returned state is validated.

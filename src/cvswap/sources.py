@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _as_index, _two_mode_spectra
+from .gaussian import GaussianState, _two_mode_spectra
 
 __all__ = [
     "TwoModeNormalForm",
     "tmsv",
     "thermal_loss_on_a",
-    "thermal_loss_map",
     "sample_normal_form",
     "max_swap_logneg_at_asymmetry",
     "frontier_closed_form",
@@ -61,18 +60,10 @@ class TwoModeNormalForm:
     def state(self) -> GaussianState:
         return GaussianState(self.cov())
 
-    def z_max(self) -> float:
-        """Largest |z| compatible with the uncertainty principle."""
-        val = self.x * self.y - 1.0 - abs(self.x - self.y)
-        return float(np.sqrt(max(val, 0.0)))
-
     def is_bona_fide(self) -> bool:
         # (xy - z^2)^2 >= x^2 + y^2 - 2 z^2 - 1 to within 1e-9, plus x, y >= 1
         x, y, z2 = self.x, self.y, self.z * self.z
         return (x * y - z2) ** 2 + 1e-9 >= x * x + y * y - 2.0 * z2 - 1.0
-
-    def is_entangled(self) -> bool:
-        return self.z * self.z > (self.x - 1.0) * (self.y - 1.0)
 
     def log_negativity(self) -> float:
         """Input entanglement across A | B."""
@@ -101,29 +92,6 @@ def thermal_loss_on_a(nf: TwoModeNormalForm, eta: float, omega: float) -> TwoMod
     return TwoModeNormalForm(
         eta * nf.x + (1.0 - eta) * omega, nf.y, float(np.sqrt(eta)) * nf.z
     )
-
-
-def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) -> GaussianState:
-    """General thermal-loss channel on one mode of any Gaussian state.
-
-    Mixes the mode with a thermal environment of variance omega on a beam
-    splitter of transmissivity eta: the mode's rows/columns scale by
-    sqrt(eta) and (1 - eta) omega is added on its diagonal block. Used as an
-    independent cross-check of :func:`thermal_loss_on_a`.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
-    if not (omega >= 1.0 and math.isfinite(omega)):
-        raise ValueError("omega must be finite and >= 1")
-    n = state.n_modes
-    mode = _as_index(mode, n)
-    scale = np.ones(2 * n)
-    scale[2 * mode] = scale[2 * mode + 1] = np.sqrt(eta)
-    X = np.diag(scale)
-    add = np.zeros((2 * n, 2 * n))
-    add[2 * mode, 2 * mode] = add[2 * mode + 1, 2 * mode + 1] = (1.0 - eta) * omega
-    mean = scale * state.mean
-    return GaussianState(X @ state.cov @ X + add, mean)
 
 
 #: :func:`sample_normal_form` gives up with RuntimeError after this many draws.

@@ -16,7 +16,12 @@ promotes a passive mode mixer to a symplectic on a whole register: the
 register route that the relay's block-wise ``bell_detect`` is checked
 against, reading one quadrature at a time with ``read_quadrature``: the
 plain rank-one update, which shares no step with the Cholesky and solve of
-``bell_detect``. ``symplectic_form``, ``is_symplectic``,
+``bell_detect``. ``relay_from_cascade`` builds the relay's
+mode mixer splitter by splitter, the hardware route that the package's
+row-by-row ``relay_orthogonal`` is checked against, and
+``thermal_loss_map`` is the thermal-loss channel on one mode of any state,
+the general route that the package's normal-form ``thermal_loss_on_a`` is
+checked against. ``symplectic_form``, ``is_symplectic``,
 ``apply_symplectic`` and ``vacuum`` are the symplectic algebra the tests
 build and check states with; no package code path calls them. ``unclamped_logneg`` is the
 unclamped -ln nu~_min of a partially transposed marginal from the Williamson
@@ -182,3 +187,39 @@ def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
     S[np.ix_(x, x)] = U
     S[np.ix_(x + 1, x + 1)] = U
     return S
+
+
+def relay_from_cascade(n_users: int) -> np.ndarray:
+    """The relay's N x N mode mixer built the way the hardware does it: a beam-splitter chain.
+
+    Splitter k = 2..N, of transmissivity T = 1 - 1/k, acts on (bus, port k)
+    as [[sqrt(T), sqrt(1-T)], [-sqrt(1-T), sqrt(T)]]; the bus (slot 1)
+    accumulates the uniform combination and the reflected output of
+    splitter k is row k.
+    """
+    U = np.eye(n_users)
+    for k in range(2, n_users + 1):
+        T = 1.0 - 1.0 / k
+        t, r = np.sqrt(T), np.sqrt(1.0 - T)
+        bs = np.eye(n_users)
+        bs[0, 0] = t
+        bs[0, k - 1] = r
+        bs[k - 1, 0] = -r
+        bs[k - 1, k - 1] = t
+        U = bs @ U
+    return U
+
+
+def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) -> GaussianState:
+    """Thermal-loss channel of transmissivity ``eta`` and noise variance ``omega`` on one mode.
+
+    Mixing the mode with a thermal environment on a beam splitter scales its
+    rows and columns by sqrt(eta) and adds (1 - eta) omega to its diagonal
+    block; the result is validated.
+    """
+    scale = np.ones(2 * state.n_modes)
+    scale[2 * mode : 2 * mode + 2] = np.sqrt(eta)
+    add = np.zeros(2 * state.n_modes)
+    add[2 * mode : 2 * mode + 2] = (1.0 - eta) * omega
+    cov = scale[:, None] * state.cov * scale[None, :] + np.diag(add)
+    return GaussianState(cov, scale * state.mean)

@@ -85,7 +85,7 @@ def test_criterion_2_formulas_match_oracles():
         cm = network_cluster_cm(pt)
 
         pair_err = max(
-            abs(unclamped_logneg(cm, [0], [1]) - analysis._pairwise(pt)),
+            abs(unclamped_logneg(cm, [0], [1]) - analysis._block(pt, 1)),
             abs(pairwise_logneg_numeric(cm) - pairwise_logneg_formula(pt)),
         )
         worst_pair = max(worst_pair, pair_err)

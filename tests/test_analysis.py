@@ -99,7 +99,7 @@ def test_frozen_reference_values():
         pt = NetworkPoint(n_users=n, **REFERENCE_POINT)
         assert pt.alpha == pytest.approx(REFERENCE_VALUES["alpha"], rel=1e-12)
         assert e2_formula(pt) == pytest.approx(REFERENCE_VALUES["e2"], rel=1e-12)
-        assert analysis._pairwise(pt) == pytest.approx(expected, rel=1e-12)
+        assert analysis._block(pt, 1) == pytest.approx(expected, rel=1e-12)
         assert gle_formula(pt) == pytest.approx(REFERENCE_VALUES["gle"][n], rel=1e-12)
     pt6 = NetworkPoint(n_users=6, **REFERENCE_POINT)
     assert analysis._block(pt6, 2) == pytest.approx(0.10605257508400975, rel=1e-12)
@@ -158,7 +158,7 @@ def test_pairwise_numeric_matches_formula():
             int(rng.integers(2, 9)),
         )
         cm = network_cluster_cm(pt)
-        assert unclamped_logneg(cm, [0], [1]) == pytest.approx(analysis._pairwise(pt), abs=1e-9)
+        assert unclamped_logneg(cm, [0], [1]) == pytest.approx(analysis._block(pt, 1), abs=1e-9)
         assert pairwise_logneg_numeric(cm) == pytest.approx(
             pairwise_logneg_formula(pt), abs=1e-9
         )
@@ -268,6 +268,23 @@ def test_gle_numeric_rejects_bad_pair():
         gle_numeric(cm, 0, 7)
     with pytest.raises(IndexError, match="out of range"):
         gle_numeric(cm, -1, 2)
+
+
+def test_pair_and_block_oracles_refuse_an_unphysical_marginal():
+    # the marginal an oracle reads must be a state; a mode it does not read
+    # is not checked
+    with pytest.raises(PhysicalityError):
+        pairwise_logneg_numeric(np.diag([0.1, 0.1, 1.0, 1.0]))
+    cluster = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 3))
+    cm = np.zeros((8, 8))
+    cm[:6, :6] = cluster
+    cm[6:, 6:] = 0.3 * np.eye(2)
+    with pytest.raises(PhysicalityError):
+        pairwise_logneg_numeric(cm, 0, 3)
+    with pytest.raises(PhysicalityError):
+        block_logneg_numeric(cm, [0, 1], [3])
+    assert pairwise_logneg_numeric(cm, 0, 1) == pairwise_logneg_numeric(cluster, 0, 1)
+    assert block_logneg_numeric(cm, [0], [1, 2]) == block_logneg_numeric(cluster, [0], [1, 2])
 
 
 def test_gle_numeric_rejects_unphysical_input():
@@ -483,7 +500,7 @@ def test_block_numeric_refuses_two_empty_groups_by_name():
 
 def test_pairwise_strictly_decreasing_in_n():
     for mu, eta, omega in [(2.0, 0.8, 1.3), (5.0, 0.95, 1.0), (10.0, 0.5, 2.0)]:
-        raw = [analysis._pairwise(NetworkPoint(mu, eta, omega, n)) for n in range(2, 17)]
+        raw = [analysis._block(NetworkPoint(mu, eta, omega, n), 1) for n in range(2, 17)]
         assert np.all(np.diff(raw) < 0.0)
 
 

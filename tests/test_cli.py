@@ -409,6 +409,16 @@ def test_malformed_value_exits_3_from_a_flag_and_a_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fig2c_runs_at_a_tiny_positive_temperature(tmp_path, capsys):
+    # at 0.1 uK, hbar omega_m / k_B T is past exp's float range: the thermal
+    # occupation is exactly 0, as at 0 K, and the table is the 0 K table
+    tiny, zero = tmp_path / "tiny.csv", tmp_path / "zero.csv"
+    assert main(["fig2c", "--temp-mk", "0.0001", "--out", str(tiny)]) == EXIT_OK
+    assert main(["fig2c", "--temp-mk", "0", "--out", str(zero)]) == EXIT_OK
+    assert tiny.read_bytes() == zero.read_bytes()
+    capsys.readouterr()
+
+
 def test_workers_is_neither_read_from_the_environment_nor_a_key(tmp_path, capsys, monkeypatch):
     # every experiment runs in-process: CVSWAP_WORKERS is ignored, and a
     # config file that sets workers is refused like any other unread key

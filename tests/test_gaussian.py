@@ -23,7 +23,7 @@ from cvswap.analysis import (
     pairwise_logneg_numeric,
 )
 from cvswap.relay import cluster_closed_form, diff_x_variance
-from cvswap.sources import TwoModeNormalForm, thermal_loss_map, tmsv
+from cvswap.sources import TwoModeNormalForm, tmsv
 from gaussian_reference import (
     apply_symplectic,
     is_symplectic,
@@ -92,7 +92,6 @@ def test_bona_fide_tolerance_band():
         GaussianState((1.0 - 1e-8) * np.eye(2))
     # within the numerical tolerance band: accepted
     st = GaussianState((1.0 - 5e-10) * np.eye(2))
-    assert st.is_bona_fide()
     assert symplectic_eigenvalues(st.cov)[0] < 1.0
 
 
@@ -108,6 +107,15 @@ def test_non_finite_entries_raise_value_error(n_modes, bad, where):
             call(cov)
         # LinAlgError subclasses ValueError; the refusal must come before any solver
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check", [True, False])
+def test_non_finite_mean_raises_value_error(bad, check):
+    with pytest.raises(ValueError, match="mean vector has non-finite entries"):
+        GaussianState(np.eye(2), [0.0, bad], check=check)
+    # no mean given: a zero mean, with nothing to check
+    assert not GaussianState(np.eye(2), check=check).mean.any()
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
@@ -179,7 +187,6 @@ _INDEX_READERS = {
     "partial_transpose": lambda m: partial_transpose(_CLUSTER, [m]),
     "log_negativity-2": lambda m: log_negativity(tmsv(3.0).state(), [m]),
     "log_negativity-3": lambda m: log_negativity(GaussianState(_CLUSTER), [m]),
-    "thermal_loss_map": lambda m: thermal_loss_map(GaussianState(_CLUSTER), m, 0.5, 1.2).cov,
     "diff_x_variance": lambda m: diff_x_variance(_CLUSTER, 0, m),
     "pairwise_logneg_numeric": lambda m: pairwise_logneg_numeric(_CLUSTER, 0, m),
     "block_logneg_numeric": lambda m: block_logneg_numeric(_CLUSTER, [0], [m]),
@@ -575,4 +582,3 @@ def test_two_mode_verdict_matches_williamson(seed, s):
     except PhysicalityError:
         accepted = False
     assert accepted == (nu_min >= edge)
-    assert GaussianState(V, check=False).is_bona_fide() == accepted

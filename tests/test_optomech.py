@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,17 @@ def test_mean_occupation_basics():
         mean_occupation(OMEGA_M, -1.0)
     with pytest.raises(ValueError):
         mean_occupation(0.0, 1.0)
+
+
+def test_mean_occupation_falls_to_zero_at_tiny_temperatures():
+    # below about 0.67 uK, e^(hbar omega / k_B T) leaves the float range; the
+    # occupation keeps falling through the smallest floats to exactly 0
+    temps = [1e-6, 7e-7, 6.9e-7, 6.7e-7, 6.6e-7, 1e-7, 1e-300, 5e-324, 0.0]
+    occupations = [mean_occupation(OMEGA_M, t) for t in temps]
+    assert all(math.isfinite(n) and n >= 0.0 for n in occupations)
+    assert occupations == sorted(occupations, reverse=True)
+    assert 0.0 < occupations[4] < 1e-300
+    assert occupations[-4:] == [0.0] * 4
 
 
 def test_mean_occupation_classical_limit():

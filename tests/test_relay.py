@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvswap import gaussian
 from cvswap.gaussian import (
+    BONA_FIDE_TOL,
     GaussianState,
     log_negativity,
     reduce,
@@ -17,7 +18,6 @@ from cvswap.relay import (
     build_relay,
     cluster_closed_form,
     diff_x_variance,
-    relay_from_cascade,
     relay_orthogonal,
     sum_p_variance,
 )
@@ -27,12 +27,14 @@ from gaussian_reference import (
     embed_orthogonal,
     is_symplectic,
     read_quadrature,
+    relay_from_cascade,
     tensor,
     vacuum,
+    williamson_eigvals,
 )
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", [*range(2, 11), 16, 24, 32])
 def test_relay_rows_are_orthonormal(n):
     U = relay_orthogonal(n)
     np.testing.assert_allclose(U @ U.T, np.eye(n), atol=1e-12)
@@ -51,15 +53,6 @@ def test_cascade_reproduces_orthogonal_rows(n):
     np.testing.assert_allclose(relay_from_cascade(n), relay_orthogonal(n), atol=1e-12)
 
 
-def test_relay_plan_validates_orthogonality():
-    bad = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        RelayPlan(n_users=2, ortho=bad)
-    plan = build_relay(3)
-    assert plan.measurements[0] == (0, "P")
-    assert all(q == "X" for _, q in plan.measurements[1:])
-
-
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
 def test_build_relay_returns_one_plan_per_n(n):
     assert build_relay(n) is build_relay(n)
@@ -69,9 +62,8 @@ def test_build_relay_returns_one_plan_per_n(n):
 # each entry point maps a size or cap to a result, and names the values it accepts
 _SIZE_ENTRY_POINTS = {
     "relay_orthogonal": (relay_orthogonal, {4.0}),
-    "relay_from_cascade": (relay_from_cascade, {4.0}),
-    "build_relay": (lambda n: build_relay(n).ortho, {4.0}),
-    "RelayPlan": (lambda n: RelayPlan(n_users=n, ortho=relay_orthogonal(4)).ortho, {4.0}),
+    "build_relay": (lambda n: build_relay(n).readout, {4.0}),
+    "RelayPlan": (lambda n: RelayPlan(n).readout, {4.0}),
     "sample_normal_form": (
         lambda x_max: sample_normal_form(np.random.default_rng(0), x_max).x,
         {4.0, 2.5},
@@ -96,65 +88,34 @@ def test_sizes_and_caps_are_read_or_refused_with_value_error(entry, value):
 
 
 def test_relay_plan_stores_an_integral_size_as_int():
-    plan = RelayPlan(n_users=4.0, ortho=relay_orthogonal(4))
+    plan = RelayPlan(4.0)
     assert plan.n_users == 4 and type(plan.n_users) is int
     assert type(build_relay(5.0).n_users) is int
-    # measured ports are read the same way
-    plan = RelayPlan(n_users=2, ortho=relay_orthogonal(2), measurements=((0.0, "P"), (1.0, "X")))
-    assert plan.measurements == ((0, "P"), (1, "X"))
-    assert all(type(port) is int for port, _ in plan.measurements)
-    np.testing.assert_array_equal(plan.readout, build_relay(2).readout)
+    np.testing.assert_array_equal(plan.readout, build_relay(4).readout)
 
 
-def test_relay_plan_ortho_is_a_read_only_copy():
-    ortho = relay_orthogonal(3)
-    plan = RelayPlan(n_users=3, ortho=ortho)
+def _relay_measurements(n):
+    """The relay's homodynes in readout order: P of port 0, then X of ports 1..N-1."""
+    return [(0, "P")] + [(port, "X") for port in range(1, n)]
+
+
+def _relay_readout(n):
+    """W^T (2N x N): column j holds row p_j of the relay matrix on quadrature q_j of each A_k."""
+    U = relay_orthogonal(n)
+    wt = np.zeros((2 * n, n))
+    for j, (port, quad) in enumerate(_relay_measurements(n)):
+        for k in range(n):
+            wt[2 * k + (quad == "P"), j] = U[port, k]
+    return wt
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_relay_plan_readout_is_read_only_and_matches_the_relay_measurement(n):
+    plan = build_relay(n)
+    assert plan.readout.shape == (2 * n, n)
+    np.testing.assert_array_equal(plan.readout, _relay_readout(n))
     with pytest.raises(ValueError):
-        plan.ortho[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        build_relay(3).ortho[:] = 0.0
-    ortho[0, 0] = 0.5  # the caller's array stays writeable and apart from the plan
-    np.testing.assert_array_equal(plan.ortho, relay_orthogonal(3))
-
-
-def _readout_per_call(plan):
-    """W^T (2N x N) as bell_detect built it on every call before plans held it."""
-    N = plan.n_users
-    ports = [port for port, _ in plan.measurements]
-    quads = [int(q == "P") for _, q in plan.measurements]
-    wt = np.zeros((N, 2, N))
-    wt[:, quads, np.arange(N)] = plan.ortho[ports].T
-    return wt.reshape(2 * N, N)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_relay_plan_readout_is_read_only_and_matches_the_per_call_build(n):
-    rng = np.random.default_rng(n)
-    permuted = tuple((int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n))
-    for plan in (build_relay(n), RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=permuted)):
-        assert plan.readout.shape == (2 * n, n)
-        np.testing.assert_array_equal(plan.readout, _readout_per_call(plan))
-        with pytest.raises(ValueError):
-            plan.readout[0, 0] = 1.0
-
-
-@pytest.mark.parametrize(
-    "measurements",
-    [
-        ((0, "P"), (0, "X")),  # repeated port: the readouts would not commute
-        ((0, "P"), (2, "X")),  # port out of range
-        ((-1, "P"), (1, "X")),
-        ((0.5, "P"), (1.9, "X")),  # non-integral ports, never truncated to 0 and 1
-        ((0, "P"), (1.5, "X")),
-        ((0, "P"), (float("nan"), "X")),
-        ((0, "P"), (float("inf"), "X")),
-        ((0, "P"), (1, "Y")),
-        ((1, "X"),),  # port 0 left unmeasured
-    ],
-)
-def test_relay_plan_validates_measurements(measurements):
-    with pytest.raises(ValueError):
-        RelayPlan(n_users=2, ortho=relay_orthogonal(2), measurements=measurements)
+        plan.readout[0, 0] = 1.0
 
 
 def test_embed_orthogonal_is_symplectic():
@@ -250,6 +211,14 @@ def test_bell_detect_refuses_outcomes_that_are_neither_numbers_nor_a_generator(o
         bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=outcomes)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bell_detect_refuses_non_finite_outcomes(bad):
+    # a non-finite readout would leave a non-finite conditional mean
+    nf = tmsv(2.0)
+    with pytest.raises(ValueError, match="mean vector has non-finite entries"):
+        bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=[bad, 0.0])
+
+
 def test_cluster_closed_form_known_blocks():
     blocks = cluster_closed_form(5.0 / 3.0, 5.0 / 3.0, 4.0 / 3.0, 2)
     np.testing.assert_allclose(blocks.v_prime, np.diag([17.0 / 15.0, 17.0 / 15.0]), atol=1e-15)
@@ -316,7 +285,7 @@ def test_bell_detect_of_identical_copies_is_bona_fide_and_gains_no_pair_entangle
     nf = sample_normal_form(rng, x_max)
     e_in = nf.log_negativity()
     out, _ = bell_detect([nf.state()] * n, build_relay(n), rng if sampled else None)
-    assert out.is_bona_fide()
+    assert williamson_eigvals(out.cov)[0] >= 1.0 - BONA_FIDE_TOL
     for i, j in itertools.combinations(range(n), 2):
         assert log_negativity(reduce(out, [i, j]), [0]) <= e_in + 1e-12
 
@@ -347,13 +316,13 @@ def _random_state(rng, n_modes):
     return GaussianState(S @ state.cov @ S.T, rng.normal(size=2 * n_modes))
 
 
-def _register(copies, plan):
+def _register(copies):
     """The copies' 2N-mode register (A1, B1, ..., AN, BN) after the relay's mode mixer."""
     state = copies[0]
     for c in copies[1:]:
         state = tensor(state, c)
-    N = plan.n_users
-    return apply_symplectic(state, embed_orthogonal(plan.ortho, range(0, 2 * N, 2), 2 * N))
+    N = len(copies)
+    return apply_symplectic(state, embed_orthogonal(relay_orthogonal(N), range(0, 2 * N, 2), 2 * N))
 
 
 def _condition_in_order(state, order):
@@ -373,32 +342,30 @@ def test_joint_conditioning_equals_sequential_in_every_order(seed, n):
     # register, chained in every order of the plan's homodynes
     rng = np.random.default_rng(seed)
     copies = [_random_state(rng, 2) for _ in range(n)]
-    measured = [(int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n)]
-    plan = RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=measured)
     outcomes = rng.normal(size=n)
-    joint, gamma = bell_detect(copies, plan, outcomes)
+    joint, gamma = bell_detect(copies, build_relay(n), outcomes)
     np.testing.assert_array_equal(gamma, outcomes)
-    register = _register(copies, plan)
+    register = _register(copies)
     tol = 1e-12 * max(1.0, max(np.linalg.norm(c.cov, 2) for c in copies))
-    readouts = [(2 * port, quad, g) for (port, quad), g in zip(measured, outcomes)]
+    readouts = [(2 * port, quad, g) for (port, quad), g in zip(_relay_measurements(n), outcomes)]
     for order in itertools.permutations(readouts):
         chained = _condition_in_order(register, order)
         np.testing.assert_allclose(joint.cov, chained.cov, rtol=0, atol=tol)
         np.testing.assert_allclose(joint.mean, chained.mean, rtol=0, atol=tol)
 
 
-def _bell_detect_sequential(copies, plan, rng=None, outcomes=None):
+def _bell_detect_sequential(copies, rng=None, outcomes=None):
     """Reference on the full register: one homodyne at a time.
 
     Each readout is drawn from its marginal with ``rng``, or else taken from
-    ``outcomes`` (all zeros if None), in plan order.
+    ``outcomes`` (all zeros if None), in readout order.
     """
-    state = _register(copies, plan)
-    N = plan.n_users
+    state = _register(copies)
+    N = len(copies)
     if outcomes is None:
         outcomes = np.zeros(N)
     gamma, removed = [], []
-    for j, (port, quad) in enumerate(plan.measurements):
+    for j, (port, quad) in enumerate(_relay_measurements(N)):
         mode = 2 * port - sum(r < 2 * port for r in removed)
         q = 2 * mode + (quad == "P")
         gamma.append(outcomes[j] if rng is None else rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
@@ -411,9 +378,8 @@ def _bell_detect_sequential(copies, plan, rng=None, outcomes=None):
 def test_sampled_outcomes_match_sequential_draw(n):
     rng = np.random.default_rng(41 + n)
     copies = [_random_state(rng, 2) for _ in range(n)]
-    plan = build_relay(n)
-    joint, g_joint = bell_detect(copies, plan, outcomes=np.random.default_rng(n))
-    seq, g_seq = _bell_detect_sequential(copies, plan, np.random.default_rng(n))
+    joint, g_joint = bell_detect(copies, build_relay(n), outcomes=np.random.default_rng(n))
+    seq, g_seq = _bell_detect_sequential(copies, np.random.default_rng(n))
     np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=1e-12)
     np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(joint.cov, seq.cov, rtol=0, atol=1e-12)
@@ -453,18 +419,17 @@ def test_bell_detect_validates_copies_without_williamson(monkeypatch):
     outcomes=st.sampled_from(["zero", "given", "sample"]),
 )
 def test_block_bell_detect_matches_register_reference(seed, n, outcomes):
-    # permuted ports, random quadratures, random copies with nonzero means
+    # random rotated copies with nonzero means
     rng = np.random.default_rng(seed)
     copies = [_random_state(rng, 2) for _ in range(n)]
-    measurements = tuple((int(p), "X" if rng.random() < 0.5 else "P") for p in rng.permutation(n))
-    plan = RelayPlan(n_users=n, ortho=relay_orthogonal(n), measurements=measurements)
+    plan = build_relay(n)
     if outcomes == "sample":
         joint, g_joint = bell_detect(copies, plan, np.random.default_rng(seed))
-        seq, g_seq = _bell_detect_sequential(copies, plan, rng=np.random.default_rng(seed))
+        seq, g_seq = _bell_detect_sequential(copies, rng=np.random.default_rng(seed))
     else:
         given_outcomes = rng.normal(size=n) if outcomes == "given" else None
         joint, g_joint = bell_detect(copies, plan, given_outcomes)
-        seq, g_seq = _bell_detect_sequential(copies, plan, outcomes=given_outcomes)
+        seq, g_seq = _bell_detect_sequential(copies, outcomes=given_outcomes)
     tol = 1e-12 * max(1.0, max(np.linalg.norm(c.cov, 2) for c in copies))
     np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=tol)
     np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=tol)
