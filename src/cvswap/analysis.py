@@ -200,14 +200,23 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     The ascent starts from the best common angle on a grid: every measured
     mode is read at the 64 grid angles as one stack, and one kernel call
     scores the (64, 4, 4) stack of pairs. It then optimizes one angle at a
-    time until a full pass improves the objective by less than 1e-8. Each
-    coordinate m orders the modes as (pair, m, the rest) and reads the rest
-    at their current angles, which leaves the 6x6 covariance of the pair and
-    m; each angle of m is then one more read of that matrix. A coordinate
-    scans the 64 grid angles as one stack, then refines within one grid step
-    of the best of them by the nested grids of
-    :func:`cvswap.sources._grid_max`, one stack per level. The objective has
-    period pi, so that bracket may reach past 0 or pi. A stack passes the
+    time (Gauss-Seidel: each coordinate is scored at the angles the earlier
+    ones of its pass have just set) until a full pass improves the
+    objective by less than 1e-8. Each coordinate m orders the modes as
+    (pair, m, the rest) and reads the rest at their current angles, which
+    leaves the 6x6 covariance of the pair and m; each angle of m is then
+    one more read of that matrix. A pass scores its coordinates in batches:
+    a batch of the next w coordinates builds their w blocks with k - 1
+    stacked reads (k = N - 2 measured modes), scans the 64 grid angles of
+    all of them as one (w, 64) stack, then refines within one grid step of
+    each best angle by the nested grids of :func:`cvswap.sources._grid_max`,
+    one (w, 97) stack per level. The objective has period pi, so a bracket
+    may reach past 0 or pi. The first coordinate of the batch that gains is
+    moved; those after it were scored at a stale angle and start the next
+    batch. w starts at k, drops to 1 after a move and doubles after a batch
+    that moves nothing, so a first pass that only confirms the seed costs 3
+    stacked kernel calls at any N, and a coordinate that moves costs 3 as in
+    a one-coordinate pass, with the same values bit for bit. A stack passes the
     bona-fide check only if its smallest nu_- does (a NaN fails), so one
     unphysical angle raises PhysicalityError.
     """
@@ -222,6 +231,8 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
 
     def pair_logneg(covs):
         """Unclamped -ln nu~_- of a pair covariance or of each in a (..., 4, 4) stack."""
+        if covs.ndim > 3:  # the kernel's entry-wise reads cost less on a flat stack
+            return pair_logneg(covs.reshape(-1, 4, 4)).reshape(covs.shape[:-2])
         (nu_min, _), (pt_minus, _) = _two_mode_spectra(covs)
         worst = float(np.min(nu_min))
         if not worst >= 1.0 - BONA_FIDE_TOL:
@@ -243,22 +254,39 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     seed_vals = pair_logneg(seeds)
     thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
-    # coordinate a orders v as (pair, a, rest) and reads the rest from the last
-    coords = []
+    # coordinate a orders v as (pair, a, rest) and reads the rest from the
+    # last: blocks[a] is that matrix, reads[a] the rest in reading order
+    blocks, reads = [], []
     for a in range(k):
         rest = [b for b in range(k) if b != a]
         q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
-        coords.append((v[np.ix_(q, q)], rest[::-1]))
+        blocks.append(v[np.ix_(q, q)])
+        reads.append(rest[::-1])
+    blocks, reads = np.array(blocks), np.array(reads, dtype=int)
+    width = k
     for _ in range(_GLE_MAX_PASSES):
         start = best
-        for a, (W, reads) in enumerate(coords):
-            for b in reads:
-                W = _read_last(W, thetas[b])
-            centre = grid[int(np.argmax(pair_logneg(_read_last(W, grid))))]
-            theta_a, val = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centre - step, centre + step)
-            if val > best:
-                best = float(val)
-                thetas[a] = theta_a
+        a = 0
+        while a < k:
+            batch = slice(a, min(a + width, k))
+            W = blocks[batch]
+            for angles in thetas[reads[batch]].T:
+                W = _read_last(W, angles)
+            W = W[:, None]
+            centres = grid[np.argmax(pair_logneg(_read_last(W, grid)), axis=-1)]
+            tops, vals = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centres - step, centres + step)
+            # the first gain is taken; the coordinates after it were scored
+            # at a stale angle and start the next batch
+            gains = vals > best
+            if gains.any():
+                m = int(gains.argmax())
+                best = float(vals[m])
+                thetas[a + m] = tops[m]
+                a += m + 1
+                width = 1
+            else:
+                a = batch.stop
+                width *= 2
         if best - start < _GLE_TOL:
             break
     return max(0.0, float(best))

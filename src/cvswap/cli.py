@@ -20,7 +20,8 @@ Exit codes: 0 success, 2 unknown experiment or command-line usage error
 non-finite value, a missing required key, or a key the experiment does
 not read), 4 unwritable output path, 5 numerical failure (a Lyapunov residual
 over its limit, the state sampler out of attempts, a state that fails the
-bona-fide check, or a numpy linear-algebra failure). Data file and manifest
+bona-fide check, a numpy linear-algebra failure, or a floating-point overflow
+or non-finite result, as from variances too large to square). Data file and manifest
 are each written to a temp file and renamed into place.
 """
 
@@ -479,8 +480,8 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         columns, rows, summary = runner(cfg)
     # PhysicalityError and LinAlgError are ValueErrors too, so they go first
-    except (RuntimeError, PhysicalityError, np.linalg.LinAlgError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
+    except (RuntimeError, ArithmeticError, PhysicalityError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

@@ -199,7 +199,7 @@ def _pivot(t):
 
 
 def _stack_pivot(t):
-    if not np.all(t > 0.0):
+    if not (t > 0.0).all():
         raise ValueError("covariance matrix must be positive-definite")
     return np.sqrt(t)
 
@@ -308,6 +308,11 @@ def two_mode_standard_form(cov: np.ndarray):
     cov = _require_symmetric(cov)
     if cov.shape[0] != 4:
         raise ValueError("standard form is defined for two-mode states")
+    return _standard_form(cov)
+
+
+def _standard_form(cov: np.ndarray):
+    """:func:`two_mode_standard_form` of a covariance already checked: symmetric, 4x4 and finite."""
     # whiten both diagonal blocks as one (2, 2, 2) stack: with s = sqrt(det)
     # and block = L L^T, sqrt(s) L^-1 has det 1 (hence is symplectic) and
     # takes the block to s I

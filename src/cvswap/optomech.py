@@ -19,12 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    log_negativity,
-    reduce as reduce_state,
-    two_mode_standard_form,
-)
+from .gaussian import GaussianState, _standard_form, log_negativity, reduce as reduce_state
 from .relay import _as_size, bell_detect, build_relay
 
 __all__ = [
@@ -221,11 +216,13 @@ def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianSta
     """The state each block hands the relay: ``single``, or its two-mode standard form.
 
     ``two_mode_standard_form`` builds S = S_1 (+) S_2 symplectic, so the
-    rotated copy S V S^T is formed directly, with no symplectic check.
+    rotated copy S V S^T is formed directly, with no symplectic check. The
+    validated state's covariance is already symmetric, so its standard form
+    is taken without a second symmetry check.
     """
     if not local_preprocessing:
         return single
-    _, _, _, _, S = two_mode_standard_form(single.cov)
+    _, _, _, _, S = _standard_form(single.cov)
     return GaussianState(S @ single.cov @ S.T, S @ single.mean)
 
 

@@ -197,10 +197,16 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     ln(x / (1 + 2|d|)), which increases in x, so the best grid point is the
     last one, x at its cap.
     This search never reads :func:`frontier_closed_form`, which the tests
-    check it against.
+    check it against. Near the boundary y - z^2/x cancels to rounding noise
+    once x_max is large (from about 1e8), and a value that comes out NaN or
+    infinite raises FloatingPointError instead of a numpy warning.
     """
     lo, hi = _feasible_x_range(d, x_max)
-    return float(np.max(_best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID))))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        best = float(np.max(_best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID))))
+    if not math.isfinite(best):
+        raise FloatingPointError(f"frontier search at d = {d!r}, x_max = {x_max!r} gave {best}")
+    return best
 
 
 def frontier_closed_form(d: float, x_max: float) -> float:

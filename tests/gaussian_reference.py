@@ -27,17 +27,25 @@ build and check states with; no package code path calls them. ``unclamped_logneg
 unclamped -ln nu~_min of a partially transposed marginal from the Williamson
 spectrum: the matrix-side value of the unclamped network formulas, and the
 reference the pairwise and block oracles are checked against.
+``gle_sequential`` is the GLE oracle's coordinate ascent as it was before
+a pass scored its coordinates in batches: one coordinate at a time, each
+with its own 64-angle scan and refinement, from the package's own
+``_read_last``, ``_two_mode_spectra`` and ``_grid_max``; the package must
+match it bit for bit.
 """
 
 import numpy as np
 
+from cvswap.analysis import _GLE_GRID, _GLE_MAX_PASSES, _GLE_TOL, _read_last
 from cvswap.gaussian import (
     GaussianState,
     _require_symmetric,
+    _two_mode_spectra,
     partial_transpose,
     rotation,
     symplectic_eigenvalues,
 )
+from cvswap.sources import _grid_max
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -223,3 +231,48 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     add[2 * mode : 2 * mode + 2] = (1.0 - eta) * omega
     cov = scale[:, None] * state.cov * scale[None, :] + np.diag(add)
     return GaussianState(cov, scale * state.mean)
+
+
+def gle_sequential(cluster_cov, i: int = 0, j: int = 1) -> float:
+    """The GLE of the (i, j) pair by coordinate ascent, one coordinate per scan.
+
+    The same seeds, grid, tolerance and acceptance rule as
+    ``cvswap.analysis.gle_numeric``; each coordinate reads the others at
+    their current angles, scans its own 64 angles and refines its own
+    bracket before the next coordinate is scored. The input is symmetrized
+    as ``GaussianState`` stores it.
+    """
+    cov = GaussianState(cluster_cov).cov
+    n = cov.shape[0] // 2
+    others = [m for m in range(n) if m not in (i, j)]
+    order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
+    v = cov[np.ix_(order, order)]
+
+    def pair_logneg(covs):
+        return -np.log(_two_mode_spectra(covs)[1][0])
+
+    grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
+    step = np.pi / _GLE_GRID
+    k = len(others)
+    seeds = v
+    for _ in range(k):
+        seeds = _read_last(seeds, grid)
+    seed_vals = pair_logneg(seeds)
+    thetas = np.full(k, grid[int(np.argmax(seed_vals))])
+    best = float(np.max(seed_vals))
+    for _ in range(_GLE_MAX_PASSES):
+        start = best
+        for a in range(k):
+            rest = [b for b in range(k) if b != a]
+            q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
+            W = v[np.ix_(q, q)]
+            for b in reversed(rest):
+                W = _read_last(W, thetas[b])
+            centre = grid[int(np.argmax(pair_logneg(_read_last(W, grid))))]
+            theta_a, val = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centre - step, centre + step)
+            if val > best:
+                best = float(val)
+                thetas[a] = theta_a
+        if best - start < _GLE_TOL:
+            break
+    return max(0.0, float(best))

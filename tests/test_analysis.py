@@ -20,9 +20,10 @@ from cvswap.analysis import (
 )
 from cvswap.gaussian import GaussianState, PhysicalityError, rotation
 from cvswap.relay import bell_detect, build_relay, cluster_closed_form
-from cvswap.sources import sample_normal_form, tmsv
+from cvswap.sources import _GRID_POINTS, sample_normal_form, tmsv
 from gaussian_reference import (
     embed_orthogonal,
+    gle_sequential,
     is_symplectic,
     read_quadrature,
     tensor,
@@ -298,19 +299,28 @@ def test_gle_numeric_rejects_unphysical_input():
             gle_numeric(cm)
 
 
-@pytest.mark.parametrize("route", ["seeds", "coordinate scan"])
+# the shape of the stack of pairs each scan reads at N = 4: the seeds' last
+# read turns a (64, 6, 6) stack into pairs, and the first batch holds both
+# coordinates, so its 64-angle scan reads a (2, 64) stack and each level of
+# its refinement a (2, 97) one
+_SCANNED_PAIRS = {
+    "seeds": (64, 4, 4),
+    "coordinate scan": (2, 64, 4, 4),
+    "refinement level": (2, _GRID_POINTS, 4, 4),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SCANNED_PAIRS))
 def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
     # a stacked scan is checked as a whole: one angle whose pair violates the
-    # uncertainty principle (positive definite, nu = 0.5) must raise. The
-    # seeds' last read turns a (64, 6, 6) stack into pairs; a coordinate's
-    # 64-angle scan reads its one 6x6 block.
+    # uncertainty principle (positive definite, nu = 0.5) must raise
     real = analysis._read_last
 
     def one_bad_angle(v, theta):
         pairs = real(v, theta)
-        if pairs.shape == (64, 4, 4) and (np.ndim(v) == 3) == (route == "seeds"):
+        if pairs.shape == _SCANNED_PAIRS[route]:
             pairs = pairs.copy()
-            pairs[17] = 0.5 * np.eye(4)
+            pairs.reshape(-1, 4, 4)[17] = 0.5 * np.eye(4)
         return pairs
 
     monkeypatch.setattr(analysis, "_read_last", one_bad_angle)
@@ -320,9 +330,10 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
-    # the seeds, each coordinate's 64-angle scan and each of the two levels
-    # of its nested-grid refinement are one stacked call each (one pass
-    # here), and no angle is scored on its own
+    # the seeds are best here, so the first batch holds every coordinate and
+    # moves none: the seeds, its (N - 2, 64)-angle scan and each of the two
+    # levels of its nested-grid refinement are one stacked call each, and no
+    # angle is scored on its own
     calls = {"scalar": 0, "stacked": 0}
     kernel = analysis._two_mode_spectra
 
@@ -332,7 +343,27 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
 
     monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
     gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n)))
-    assert calls == {"scalar": 0, "stacked": 1 + 3 * (n - 2)}
+    assert calls == {"scalar": 0, "stacked": 4}
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), rotated=st.booleans())
+def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
+    # Batching a pass's coordinates must not change the ascent: each batch
+    # keeps only its first gain, so every accepted move is the one the
+    # one-coordinate-at-a-time pass of gle_sequential makes, bit for bit.
+    # Rotating the measured modes moves nearly every coordinate in every
+    # pass; without rotations the seed is already best and nothing moves.
+    rng = np.random.default_rng(seed)
+    pt = NetworkPoint(rng.uniform(1.0, 30.0), rng.uniform(0.5, 1.0), rng.uniform(1.0, 1.5), n)
+    cm = network_cluster_cm(pt)
+    if rotated:
+        R = np.eye(2 * n)
+        for m in range(2, n):
+            R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0.0, np.pi))
+        cm = R @ cm @ R.T
+    i, j = (int(m) for m in rng.choice(n, 2, replace=False))
+    assert gle_numeric(cm, i, j) == gle_sequential(cm, i, j)
 
 
 # The closed-form clusters are best read in P (angle pi/2), and rotating a

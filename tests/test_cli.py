@@ -97,6 +97,25 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
+    "argv, raised",
+    [
+        (["network-sweep", "--mu", "1e200"], "OverflowError"),
+        (["swap-check", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
+        (["fig2a", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
+        (["fig2b", "--x-max", "1e150"], "FloatingPointError"),
+    ],
+)
+def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path):
+    # finite configurations whose variances overflow when squared, or leave
+    # the frontier search only rounding noise, are numerical failures: no
+    # traceback, and no data file holding NaN
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+    assert f"numerical failure: {raised}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "error, code",
     [
         (PhysicalityError("state is not bona fide"), EXIT_NUMERICAL),

@@ -276,6 +276,16 @@ def test_frontier_at_a_range_one_ulp_wide():
     assert numeric == pytest.approx(frontier_closed_form(d, x_max), abs=1e-9)
 
 
+@pytest.mark.parametrize("x_max", [1e8, 1e150])
+def test_frontier_refuses_a_value_that_is_not_finite(x_max):
+    # at these caps y - z^2/x rounds to zero or below near the boundary for
+    # some d of the default grid, so the search reads inf or NaN: it raises
+    # instead of returning it
+    with pytest.raises(FloatingPointError, match="frontier search"):
+        for d in np.linspace(-1.5, 1.5, 31):
+            max_swap_logneg_at_asymmetry(float(d), x_max)
+
+
 def test_frontier_symmetric_point_is_log_xmax():
     assert frontier_closed_form(0.0, 10.0) == pytest.approx(np.log(10.0), abs=1e-12)
     assert max_swap_logneg_at_asymmetry(0.0, 10.0) == pytest.approx(np.log(10.0), abs=1e-6)
