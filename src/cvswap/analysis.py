@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    BONA_FIDE_TOL,
     GaussianState,
-    PhysicalityError,
     _as_index,
+    _require_bona_fide,
     _two_mode_spectra,
     log_negativity,
     reduce as reduce_state,
@@ -149,14 +148,14 @@ def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
 
     The (group_a, group_b) marginal goes through :func:`cvswap.gaussian.log_negativity`
     with group_a partially transposed: the closed-form two-mode spectrum for a
-    pair, the Williamson spectrum for larger groups. ``reduce`` refuses a mode
-    listed twice, and ``log_negativity`` an empty group. Only the marginal is
-    read, so only the marginal is checked: one that is not bona fide raises
-    PhysicalityError.
+    pair, one Cholesky of the marginal for larger groups. ``reduce`` refuses
+    a mode listed twice, and ``log_negativity`` an empty group. Only the
+    marginal is read, so only it is checked, by ``log_negativity`` from the
+    same spectra: one that is not bona fide raises PhysicalityError.
     """
     group_a = list(group_a)
     marginal = reduce_state(GaussianState(cluster_cov, check=False), group_a + list(group_b))
-    return log_negativity(GaussianState(marginal.cov), range(len(group_a)))
+    return log_negativity(marginal, range(len(group_a)))
 
 
 #: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops when a full pass
@@ -234,9 +233,7 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
         if covs.ndim > 3:  # the kernel's entry-wise reads cost less on a flat stack
             return pair_logneg(covs.reshape(-1, 4, 4)).reshape(covs.shape[:-2])
         (nu_min, _), (pt_minus, _) = _two_mode_spectra(covs)
-        worst = float(np.min(nu_min))
-        if not worst >= 1.0 - BONA_FIDE_TOL:
-            raise PhysicalityError(f"conditioned pair is not bona fide: nu_min {worst!r}")
+        _require_bona_fide(float(np.min(nu_min)), "conditioned pair")
         return -np.log(pt_minus)
 
     if not others:

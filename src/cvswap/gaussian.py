@@ -19,7 +19,6 @@ __all__ = [
     "PhysicalityError",
     "GaussianState",
     "symplectic_eigenvalues",
-    "partial_transpose",
     "log_negativity",
     "reduce",
     "rotation",
@@ -74,47 +73,66 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     same eigenvalues as Omega V, +/- i nu; so i L^T Omega L is Hermitian with
     eigenvalues +/- nu, and its upper half is the spectrum (Serafini, Quantum
     Continuous Variables, CRC 2017, ch. 3). Returns the n values in ascending
-    order; a matrix that is not positive definite raises ValueError.
+    order; a matrix that is not positive definite raises PhysicalityError.
     """
     return _williamson(_require_symmetric(cov))
 
 
-def _williamson(cov: np.ndarray) -> np.ndarray:
+def _williamson(cov: np.ndarray, part=None) -> np.ndarray:
     """:func:`symplectic_eigenvalues` of a matrix that ``_require_symmetric`` returned.
 
-    Omega has one +-1 per column, so L^T Omega is L^T with each column pair
-    (2k, 2k+1) swapped and the new even column negated; no Omega is built.
+    Given mode indices ``part``, returns the (2, n) spectra of V and of F V F,
+    F flipping P on those modes: F L F is the Cholesky factor of F V F, so
+    [L, F L F] go through the rest as one stack. Omega has one +-1 per
+    column, so L^T Omega is L^T with each column pair (2k, 2k+1) swapped
+    and the new even column negated; no Omega is built.
     """
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise ValueError("covariance matrix must be positive-definite") from None
-    n = cov.shape[0] // 2
-    lt = L.T
+        raise PhysicalityError("covariance matrix must be positive-definite") from None
+    if part is not None:
+        f = np.ones(cov.shape[0])
+        f[[2 * m + 1 for m in part]] = -1.0
+        # + 0.0 turns the -0 above the diagonal into the +0 numpy's Cholesky leaves there
+        L = np.stack([L, f[:, None] * L * f + 0.0])
+    n = cov.shape[-1] // 2
+    lt = np.swapaxes(L, -1, -2)
     lt_omega = np.empty(lt.shape)  # C order, as the product L^T @ Omega is
-    lt_omega[:, 1::2] = lt[:, 0::2]
-    np.subtract(0.0, lt[:, 1::2], out=lt_omega[:, 0::2])  # 0 - 0 is +0, as in L^T @ Omega
-    return np.linalg.eigvalsh(1j * (lt_omega @ L))[n:]
+    lt_omega[..., 1::2] = lt[..., 0::2]
+    np.subtract(0.0, lt[..., 1::2], out=lt_omega[..., 0::2])  # 0 - 0 is +0, as in L^T @ Omega
+    return np.linalg.eigvalsh(1j * (lt_omega @ L))[..., n:]
 
 
-def _smallest_nu(cov: np.ndarray) -> float:
-    """Smallest symplectic eigenvalue of a symmetric covariance, for the bona-fide check.
+def _spectra(cov: np.ndarray, part=None):
+    """(nu_min, E_N) of a symmetric covariance: E_N = sum(max(0, -ln nu~)) across ``part``, or None.
 
-    Two-mode (4x4) matrices go through the closed-form :func:`_two_mode_spectra`;
-    one mode and three or more keep the Williamson eigensolve.
+    Two-mode (4x4) matrices go through :func:`_two_mode_spectra` (transposing
+    either mode gives the same spectrum); one mode and three or more through
+    one Cholesky in :func:`_williamson`, a single eigensolve without ``part``.
     """
     if cov.shape[0] == 4:
-        (nu_minus, _), _ = _two_mode_spectra(cov)
-        return nu_minus
-    return float(_williamson(cov)[0])
+        (nu_min, _), pt_nus = _two_mode_spectra(cov)
+        return nu_min, None if part is None else sum(max(0.0, -math.log(nu)) for nu in pt_nus)
+    if part is None:
+        return float(_williamson(cov)[0]), None
+    nus, pt_nus = _williamson(cov, part)
+    return float(nus[0]), float(np.sum(np.clip(-np.log(pt_nus), 0.0, None)))
+
+
+def _require_bona_fide(nu_min, what: str = "state") -> None:
+    """Refuse ``what`` unless its smallest symplectic eigenvalue is >= 1 - BONA_FIDE_TOL (a NaN fails)."""
+    if not nu_min >= 1.0 - BONA_FIDE_TOL:
+        raise PhysicalityError(f"{what} is not bona fide: min symplectic eigenvalue {nu_min!r}")
 
 
 class GaussianState:
     """A Gaussian state: mean vector + covariance matrix + mode count.
 
     The constructor validates symmetry, finiteness and (by default)
-    physicality: every symplectic eigenvalue must be >= 1 - 1e-9. Each
-    covariance is checked for symmetry once. Two-mode states are checked
+    physicality: every symplectic eigenvalue must be >= 1 - 1e-9 (a matrix
+    that is not positive definite fails). Each covariance is checked for
+    symmetry once. Two-mode states are checked
     through the closed-form two-mode spectrum (no eigensolve); states of one
     mode or of three or more through the Williamson spectrum of
     :func:`symplectic_eigenvalues`. A given mean must be finite.
@@ -140,11 +158,7 @@ class GaussianState:
         if mean.shape[0] != 2 * n:
             raise ValueError("mean vector length does not match covariance size")
         if check:
-            nu_min = _smallest_nu(cov)
-            if nu_min < 1.0 - BONA_FIDE_TOL:
-                raise PhysicalityError(
-                    f"state is not bona fide: min symplectic eigenvalue {nu_min!r}"
-                )
+            _require_bona_fide(_spectra(cov)[0])
         cov.flags.writeable = False
         mean.flags.writeable = False
         self.n_modes = n
@@ -161,46 +175,31 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def partial_transpose(cov: np.ndarray, partition) -> np.ndarray:
-    """Flip the sign of P on every mode in ``partition`` (an involution)."""
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    signs = np.ones(2 * n)
-    for m in partition:
-        signs[2 * _as_index(m, n) + 1] = -1.0
-    F = np.diag(signs)
-    return F @ cov @ F
-
-
 def log_negativity(state: GaussianState, partition) -> float:
     """Logarithmic negativity across ``partition`` | rest.
 
-    Partial-transposes the modes in ``partition``, takes the symplectic
-    eigenvalues nu~ of the result and returns sum(max(0, -ln nu~)). A
-    two-mode state reads nu~ from :func:`_two_mode_spectra` (transposing
-    either mode gives the same spectrum); larger states go through the
-    Williamson eigensolve.
+    Returns sum(max(0, -ln nu~)) over the symplectic eigenvalues nu~ of the
+    state with P flipped on the modes in ``partition``. One :func:`_spectra`
+    call reads nu~ and the state's own nu_min, so a ``check=False`` state
+    that is not bona fide raises PhysicalityError; symmetry is not rechecked.
     """
     part = sorted({_as_index(m, state.n_modes) for m in partition})
     if not part or len(part) >= state.n_modes:
         raise ValueError("partition must be a nonempty proper subset of modes")
-    if state.n_modes == 2:
-        _, nus = _two_mode_spectra(state.cov)
-        return sum(max(0.0, -math.log(nu)) for nu in nus)
-    # the partial transpose of a validated state is exactly symmetric: no re-check
-    nus = _williamson(partial_transpose(state.cov, part))
-    return float(np.sum(np.clip(-np.log(nus), 0.0, None)))
+    nu_min, neg = _spectra(state.cov, part)
+    _require_bona_fide(nu_min)
+    return neg
 
 
 def _pivot(t):
     if not t > 0.0:
-        raise ValueError("covariance matrix must be positive-definite")
+        raise PhysicalityError("covariance matrix must be positive-definite")
     return math.sqrt(t)
 
 
 def _stack_pivot(t):
     if not (t > 0.0).all():
-        raise ValueError("covariance matrix must be positive-definite")
+        raise PhysicalityError("covariance matrix must be positive-definite")
     return np.sqrt(t)
 
 
@@ -239,7 +238,7 @@ def _two_mode_spectra(cov):
     ``cov.shape[:-2]``, to within rounding of the per-matrix results.
 
     Only the upper triangle is read; a matrix that is not positive definite
-    (any matrix, for a stack) raises ValueError, as
+    (any matrix, for a stack) raises PhysicalityError, as
     :func:`symplectic_eigenvalues` does. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
     """
     cov = np.asarray(cov, dtype=float)

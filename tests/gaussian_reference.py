@@ -27,6 +27,10 @@ build and check states with; no package code path calls them. ``unclamped_logneg
 unclamped -ln nu~_min of a partially transposed marginal from the Williamson
 spectrum: the matrix-side value of the unclamped network formulas, and the
 reference the pairwise and block oracles are checked against.
+``partial_transpose`` is the library's partial transpose as it was before
+``log_negativity`` read it from the Cholesky factor of V: F V F with F the
+diagonal sign matrix built and multiplied, the independent reference the
+package's (2, d, d) Williamson stack [L, F L F] is checked against.
 ``gle_sequential`` is the GLE oracle's coordinate ascent as it was before
 a pass scored its coordinates in batches: one coordinate at a time, each
 with its own 64-angle scan and refinement, from the package's own
@@ -41,7 +45,6 @@ from cvswap.gaussian import (
     GaussianState,
     _require_symmetric,
     _two_mode_spectra,
-    partial_transpose,
     rotation,
     symplectic_eigenvalues,
 )
@@ -93,6 +96,16 @@ def williamson_eigvals(cov):
     if np.max(spread) > 1e-8 * max(1.0, float(mags[-1])):
         raise ValueError("could not pair symplectic eigenvalues")
     return 0.5 * (mags[0::2] + mags[1::2])
+
+
+def partial_transpose(cov, partition) -> np.ndarray:
+    """F V F: flip the sign of P on every mode in ``partition`` (an involution)."""
+    cov = np.asarray(cov, dtype=float)
+    signs = np.ones(cov.shape[0])
+    for m in partition:
+        signs[2 * int(m) + 1] = -1.0
+    F = np.diag(signs)
+    return F @ cov @ F
 
 
 def unclamped_logneg(cov, group_a, group_b):

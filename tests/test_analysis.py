@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cvswap import analysis
+from cvswap import analysis, gaussian
 from cvswap.analysis import (
     NetworkPoint,
     _read_last,
@@ -346,6 +346,43 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
     assert calls == {"scalar": 0, "stacked": 4}
 
 
+@pytest.mark.parametrize(
+    "oracle, groups, counts",
+    [
+        (block_logneg_numeric, ([0, 1, 2], [3, 4, 5]), {"_require_symmetric": 1, "cholesky": 1, "_two_mode_spectra": 0}),
+        (
+            lambda cm, a, b: pairwise_logneg_numeric(cm, *a, *b),
+            ([2], [4]),
+            {"_require_symmetric": 2, "cholesky": 0, "_two_mode_spectra": 1},
+        ),
+    ],
+    ids=["block-3|3", "pairwise"],
+)
+def test_pair_and_block_oracles_read_their_marginal_once(monkeypatch, oracle, groups, counts):
+    # log_negativity reads nu_min and nu~ of the marginal from one spectrum
+    # call: one Cholesky of V for a block (F L F factors F V F), one kernel
+    # call for a pair; the symmetry checks are the input's and, for a
+    # reordered or partial marginal, reduce's
+    cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 6))
+    calls = dict.fromkeys(counts, 0)
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(gaussian, "_require_symmetric")
+    count(np.linalg, "cholesky")
+    count(gaussian, "_two_mode_spectra")
+    value = oracle(cm, *groups)
+    assert calls == counts
+    assert value == pytest.approx(max(0.0, unclamped_logneg(cm, *groups)), rel=1e-12, abs=1e-12)
+
+
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), rotated=st.booleans())
 def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
@@ -527,6 +564,36 @@ def test_block_numeric_refuses_two_empty_groups_by_name():
     cm = network_cluster_cm(NetworkPoint(2.0, 1.0, 1.0, 4))
     with pytest.raises(ValueError, match="mode list is empty"):
         block_logneg_numeric(cm, [], [])
+
+
+def _unclamped_formulas(mu, eta, omega, n):
+    pt = NetworkPoint(mu, eta, omega, n)
+    return [analysis._e2(pt), analysis._gle(pt), analysis._block(pt, 1), analysis._block(pt, n // 2)]
+
+
+_ETA = st.floats(0.0, 1.0, exclude_min=True)
+_OMEGA = st.floats(1.0, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.floats(1.0, 1e3),
+    n=st.integers(2, 11),
+    etas=st.tuples(_ETA, _ETA).map(sorted),
+    omegas=st.tuples(_OMEGA, _OMEGA).map(sorted),
+)
+def test_formulas_grow_with_eta_and_fall_with_omega(mu, n, etas, omegas):
+    # less loss or less channel noise never lowers E2, the GLE, the pairwise
+    # or the even-split block value, unclamped, to within 1e-12 relative
+    def ordered(low, high):
+        for a, b in zip(_unclamped_formulas(mu, *low, n), _unclamped_formulas(mu, *high, n)):
+            assert a <= b + 1e-12 * max(abs(a), abs(b))
+
+    (eta_lo, eta_hi), (omega_lo, omega_hi) = etas, omegas
+    for omega in omegas:
+        ordered((eta_lo, omega), (eta_hi, omega))
+    for eta in etas:
+        ordered((eta, omega_hi), (eta, omega_lo))
 
 
 def test_pairwise_strictly_decreasing_in_n():

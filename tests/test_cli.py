@@ -103,6 +103,7 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
         (["swap-check", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
         (["fig2a", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
         (["fig2b", "--x-max", "1e150"], "FloatingPointError"),
+        (["network-sweep", "--mu", "1e30"], "PhysicalityError"),
     ],
 )
 def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path):

@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,23 @@ def test_no_public_callable_takes_a_clamped_flag():
     # a formula's unclamped value is private; the public name returns max(0, value)
     callables = [getattr(cvswap, name) for name in cvswap.__all__ if callable(getattr(cvswap, name))]
     assert [f.__name__ for f in callables if "clamped" in _parameters(f)] == []
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_name_is_reached_outside_its_definition():
+    # a public name is code only if something calls or reads it: the library,
+    # a demo or the benchmark harness, not the tests alone. A NAME token
+    # counts unless it is the name a def or class line defines.
+    reached = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((_ROOT / folder).rglob("*.py")):
+            with path.open("rb") as f:
+                previous = None
+                for token in tokenize.tokenize(f.readline):
+                    if token.type == tokenize.NAME and previous not in ("def", "class"):
+                        reached.add(token.string)
+                    if token.type not in (tokenize.NL, tokenize.COMMENT):
+                        previous = token.string
+    assert [name for name in cvswap.__all__ if name not in reached] == []

@@ -8,8 +8,8 @@ from cvswap.gaussian import (
     GaussianState,
     PhysicalityError,
     _two_mode_spectra,
+    _williamson,
     log_negativity,
-    partial_transpose,
     reduce,
     rotation,
     symplectic_eigenvalues,
@@ -28,6 +28,7 @@ from gaussian_reference import (
     apply_symplectic,
     is_symplectic,
     omega_product_eigvals,
+    partial_transpose,
     standard_form_per_block,
     symplectic_form,
     tensor,
@@ -72,7 +73,7 @@ def test_symplectic_eigenvalues_reject_bad_input():
     singular = np.eye(6)
     singular[:4, :4] = tmsv(2.0).cov() - np.eye(4)
     for V in (np.diag([1.0, -1.0]), np.zeros((4, 4)), singular):
-        with pytest.raises(ValueError, match="positive-definite") as info:
+        with pytest.raises(PhysicalityError, match="positive-definite") as info:
             symplectic_eigenvalues(V)
         # the Cholesky's LinAlgError (a ValueError too) must not leak out
         assert not isinstance(info.value, np.linalg.LinAlgError)
@@ -184,7 +185,6 @@ _CLUSTER = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 3))
 # each entry point reads one mode index m of a three-mode cluster (two modes for "log_negativity-2")
 _INDEX_READERS = {
     "reduce": lambda m: reduce(GaussianState(_CLUSTER), [0, m]).cov,
-    "partial_transpose": lambda m: partial_transpose(_CLUSTER, [m]),
     "log_negativity-2": lambda m: log_negativity(tmsv(3.0).state(), [m]),
     "log_negativity-3": lambda m: log_negativity(GaussianState(_CLUSTER), [m]),
     "diff_x_variance": lambda m: diff_x_variance(_CLUSTER, 0, m),
@@ -308,8 +308,8 @@ def test_state_checks_symmetry_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
-def test_log_negativity_does_not_recheck_a_validated_state(monkeypatch, n):
-    # the partial transpose of a validated state is exactly symmetric, so the
+def test_log_negativity_reads_a_state_without_a_symmetry_check(monkeypatch, n):
+    # a state's covariance is exactly symmetric, so its partial transpose's
     # spectrum is the one symplectic_eigenvalues reads, bit for bit
     nf = tmsv(5.0)
     state = GaussianState(cluster_closed_form(nf.x, nf.y, nf.z, n).assemble())
@@ -326,6 +326,43 @@ def test_log_negativity_does_not_recheck_a_validated_state(monkeypatch, n):
     monkeypatch.setattr(gaussian, "_require_symmetric", counted)
     assert log_negativity(state, part) == expected
     assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), bona_fide=st.booleans())
+def test_williamson_stack_reads_both_spectra_bit_for_bit(seed, n, bona_fide):
+    # one Cholesky V = L L^T and [L, F L F] as one (2, d, d) stack give the
+    # spectra of V and of F V F exactly as symplectic_eigenvalues reads each
+    # matrix on its own, for a random proper partition
+    rng = np.random.default_rng(seed)
+    V, nus = _random_williamson_form(rng, n)
+    if not bona_fide:
+        V = V * (rng.uniform(0.2, 0.95) / nus.min())
+    part = sorted(int(m) for m in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    spectra = _williamson(V, part)
+    assert spectra.shape == (2, n)
+    assert (spectra[0, 0] >= 1.0 - BONA_FIDE_TOL) == bona_fide
+    np.testing.assert_array_equal(spectra[0], symplectic_eigenvalues(V))
+    np.testing.assert_array_equal(spectra[1], symplectic_eigenvalues(partial_transpose(V, part)))
+
+
+_NOT_BONA_FIDE = {
+    "below-vacuum": lambda n: np.diag([0.1, 0.1] + [1.0] * (2 * n - 2)),
+    "not-positive-definite": lambda n: np.diag([1.0] * (2 * n - 1) + [-1.0]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", list(_NOT_BONA_FIDE.values()), ids=list(_NOT_BONA_FIDE))
+def test_a_state_that_is_not_bona_fide_is_refused_with_or_without_check(n, build):
+    # check=False skips the constructor's check, not log_negativity's: its
+    # nu_min comes from the same spectra as nu~. A covariance that is not
+    # positive definite is not bona fide either
+    cov = build(n)
+    with pytest.raises(PhysicalityError):
+        GaussianState(cov)
+    with pytest.raises(PhysicalityError):
+        log_negativity(GaussianState(cov, check=False), [0])
 
 
 def test_state_arrays_are_read_only_copies():
@@ -488,7 +525,7 @@ def test_two_mode_spectra_of_pure_products_are_exactly_one():
 
 def test_two_mode_spectra_reject_non_positive_definite():
     for V in (np.diag([1.0, 1.0, 1.0, -1.0]), np.zeros((4, 4)), tmsv(2.0).cov() - np.eye(4)):
-        with pytest.raises(ValueError, match="positive-definite"):
+        with pytest.raises(PhysicalityError, match="positive-definite"):
             _two_mode_spectra(V)
 
 
@@ -525,7 +562,7 @@ def test_two_mode_spectra_read_nested_lists_as_arrays():
 def test_two_mode_spectra_refuse_a_stack_with_one_non_positive_definite_matrix():
     stack = _random_stack(np.random.default_rng(13), (8,))
     stack[5] = tmsv(2.0).cov() - np.eye(4)
-    with pytest.raises(ValueError, match="positive-definite"):
+    with pytest.raises(PhysicalityError, match="positive-definite"):
         _two_mode_spectra(stack)
 
 
