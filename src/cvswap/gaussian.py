@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,10 @@ __all__ = [
 #: States whose smallest symplectic eigenvalue drops below 1 - BONA_FIDE_TOL
 #: are rejected; anything inside the band is accepted as numerical noise.
 BONA_FIDE_TOL = 1e-9
+
+
+#: Above this, 0.5 * (a + b) overflows in a + b.
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 class PhysicalityError(ValueError):
@@ -62,7 +67,10 @@ def _require_symmetric(cov: np.ndarray) -> np.ndarray:
     cov_t = cov.T
     if abs(cov - cov_t).max() > 1e-12 * max(1.0, peak):
         raise ValueError("covariance matrix is not symmetric")
-    # Symmetrize exactly so downstream linear algebra sees a clean input.
+    # Symmetrize exactly so downstream linear algebra sees a clean input;
+    # above half the largest double, cov + cov_t would overflow to inf
+    if peak > _HALF_MAX:
+        return 0.5 * cov + 0.5 * cov_t
     return 0.5 * (cov + cov_t)
 
 
@@ -110,6 +118,9 @@ def _spectra(cov: np.ndarray, part=None):
     Two-mode (4x4) matrices go through :func:`_two_mode_spectra` (transposing
     either mode gives the same spectrum); one mode and three or more through
     one Cholesky in :func:`_williamson`, a single eigensolve without ``part``.
+    Without ``part`` it serves only the constructor's check, and for one mode
+    and three or more only where :func:`_require_bona_fide_cov`'s certificate
+    has failed.
     """
     if cov.shape[0] == 4:
         (nu_min, _), pt_nus = _two_mode_spectra(cov)
@@ -118,6 +129,43 @@ def _spectra(cov: np.ndarray, part=None):
         return float(_williamson(cov)[0]), None
     nus, pt_nus = _williamson(cov, part)
     return float(nus[0]), float(np.sum(np.clip(-np.log(pt_nus), 0.0, None)))
+
+
+@functools.cache
+def _certificate_shift(d: int) -> np.ndarray:
+    """i (1 - BONA_FIDE_TOL) Omega of dimension d, built once per d and read-only."""
+    shift = np.zeros((d, d), dtype=complex)
+    even = np.arange(0, d, 2)
+    shift[even, even + 1] = 1j * (1.0 - BONA_FIDE_TOL)
+    shift[even + 1, even] = -1j * (1.0 - BONA_FIDE_TOL)
+    shift.flags.writeable = False
+    return shift
+
+
+def _require_bona_fide_cov(cov: np.ndarray) -> None:
+    """The constructor's check of a symmetric covariance: refuse it unless nu_min >= 1 - BONA_FIDE_TOL.
+
+    A pair reads nu_min from the closed-form kernel. Any other size first
+    tries one complex Cholesky of V + i c Omega, c = 1 - BONA_FIDE_TOL: the
+    Hermitian V + i c Omega is positive semidefinite exactly when nu_min >= c
+    (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)), so a factorization that
+    succeeds certifies the state with no eigensolve. One that fails (a state
+    that is not bona fide, or one so near the edge that rounding decides)
+    leaves the verdict to the Williamson spectrum, so every state the
+    spectrum accepts is accepted and every refusal keeps the spectrum's
+    message. Within rounding of the edge the certificate may accept a state
+    the spectrum would refuse; from a norm of about 1e4 on, that rounding
+    exceeds BONA_FIDE_TOL on near-pure states for both routes. ``cov`` must
+    be finite, as ``_require_symmetric`` leaves it: numpy's Cholesky passes
+    a NaN through without raising.
+    """
+    if cov.shape[0] != 4:
+        try:
+            np.linalg.cholesky(cov + _certificate_shift(cov.shape[0]))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    _require_bona_fide(_spectra(cov)[0])
 
 
 def _require_bona_fide(nu_min, what: str = "state") -> None:
@@ -134,8 +182,12 @@ class GaussianState:
     that is not positive definite fails). Each covariance is checked for
     symmetry once. Two-mode states are checked
     through the closed-form two-mode spectrum (no eigensolve); states of one
-    mode or of three or more through the Williamson spectrum of
-    :func:`symplectic_eigenvalues`. A given mean must be finite.
+    mode or of three or more by one complex Cholesky of V + i(1 - 1e-9) Omega,
+    which exists exactly when nu_min >= 1 - 1e-9, with no eigensolve; where
+    that factorization fails, the Williamson spectrum of
+    :func:`symplectic_eigenvalues` decides and names the refusal. A given
+    mean must be finite. Marginals taken by :func:`reduce` are not checked
+    again.
 
     Instances are value-like: ``cov`` and ``mean`` are the state's own
     read-only arrays (``mean`` is copied, so the caller's array stays
@@ -158,7 +210,7 @@ class GaussianState:
         if mean.shape[0] != 2 * n:
             raise ValueError("mean vector length does not match covariance size")
         if check:
-            _require_bona_fide(_spectra(cov)[0])
+            _require_bona_fide_cov(cov)
         cov.flags.writeable = False
         mean.flags.writeable = False
         self.n_modes = n
@@ -284,7 +336,10 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     """Marginal state on ``modes`` (rows/columns of the others deleted).
 
     ``modes`` listing every mode in order returns ``state`` itself: states
-    are immutable, so there is nothing to copy.
+    are immutable, so there is nothing to copy. A marginal is not checked
+    again: a submatrix of the state's exactly symmetric, finite covariance
+    is exactly symmetric and finite, and the check's 0.5 (a + a) = a would
+    return it bit for bit.
     """
     keep = [_as_index(m, state.n_modes) for m in modes]
     if not keep:
@@ -294,7 +349,11 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     if keep == list(range(state.n_modes)):
         return state
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)
-    return GaussianState(state.cov[np.ix_(idx, idx)], state.mean[idx], check=False)
+    cov, mean = state.cov[np.ix_(idx, idx)], state.mean[idx]
+    cov.flags.writeable = mean.flags.writeable = False
+    marginal = object.__new__(GaussianState)
+    marginal.n_modes, marginal.mean, marginal.cov = len(keep), mean, cov
+    return marginal
 
 
 def two_mode_standard_form(cov: np.ndarray):

@@ -353,7 +353,7 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
         (
             lambda cm, a, b: pairwise_logneg_numeric(cm, *a, *b),
             ([2], [4]),
-            {"_require_symmetric": 2, "cholesky": 0, "_two_mode_spectra": 1},
+            {"_require_symmetric": 1, "cholesky": 0, "_two_mode_spectra": 1},
         ),
     ],
     ids=["block-3|3", "pairwise"],
@@ -361,8 +361,8 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
 def test_pair_and_block_oracles_read_their_marginal_once(monkeypatch, oracle, groups, counts):
     # log_negativity reads nu_min and nu~ of the marginal from one spectrum
     # call: one Cholesky of V for a block (F L F factors F V F), one kernel
-    # call for a pair; the symmetry checks are the input's and, for a
-    # reordered or partial marginal, reduce's
+    # call for a pair; the one symmetry check is the input's, since reduce
+    # does not check a validated state's marginal again
     cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 6))
     calls = dict.fromkeys(counts, 0)
 

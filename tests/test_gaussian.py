@@ -619,3 +619,91 @@ def test_two_mode_verdict_matches_williamson(seed, s):
     except PhysicalityError:
         accepted = False
     assert accepted == (nu_min >= edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 3, 4, 5, 6, 7, 8]),
+    s=st.one_of(st.floats(0.9, 1.1), st.floats(1.0 - 1e-8, 1.0 + 1e-8)),
+)
+def test_certified_verdict_matches_williamson(seed, n, s):
+    # one-mode and N >= 3 states are accepted by a complex Cholesky of
+    # V + i(1 - tol) Omega, and a failed factorization leaves the verdict to
+    # the Williamson spectrum; scaling nu_min to s puts states on each side
+    # of the edge, some of them within 1e-8 of it
+    V, nus = _random_williamson_form(np.random.default_rng(seed), n)
+    V = V * (s / nus.min())
+    nu_min = symplectic_eigenvalues(V)[0]
+    edge = 1.0 - BONA_FIDE_TOL
+    assume(abs(nu_min - edge) > 1e-10 * np.linalg.norm(V, 2))
+    try:
+        GaussianState(V)
+        accepted = True
+    except PhysicalityError:
+        accepted = False
+    assert accepted == (nu_min >= edge)
+
+
+def _count_williamson(monkeypatch):
+    calls = []
+    original = gaussian._williamson
+
+    def counted(cov, part=None):
+        calls.append(cov.shape[0] // 2)
+        return original(cov, part)
+
+    monkeypatch.setattr(gaussian, "_williamson", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("failing", [False, True], ids=["certificate", "failing-certificate"])
+def test_spectrum_decides_where_the_certificate_fails(monkeypatch, n, failing):
+    # a certified TMSV(5) cluster makes no eigensolve; with the shift scaled
+    # to i 3 Omega the certificate fails on every state with nu_min < 3, so
+    # the cluster (nu_min 1) reaches the spectrum and is accepted by it. A
+    # state that is not bona fide fails the certificate either way and is
+    # refused by the spectrum, with its message
+    if failing:
+        shift = gaussian._certificate_shift
+        monkeypatch.setattr(gaussian, "_certificate_shift", lambda d: 3.0 / (1.0 - BONA_FIDE_TOL) * shift(d))
+    calls = _count_williamson(monkeypatch)
+    nf = tmsv(5.0)
+    GaussianState(cluster_closed_form(nf.x, nf.y, nf.z, n).assemble() if n > 1 else 2.0 * np.eye(2))
+    assert calls == ([n] if failing else [])
+    for build, message in zip(_NOT_BONA_FIDE.values(), ["not bona fide: min symplectic eigenvalue", "positive-definite"]):
+        calls.clear()
+        with pytest.raises(PhysicalityError, match=message):
+            GaussianState(build(n))
+        assert calls == [n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entries_above_half_the_largest_double_stay_finite(n):
+    # 0.5 * (V + V^T) would overflow to inf; a state holds only finite
+    # entries, so its marginals need no second check
+    cov = np.diag([1.7e308] * (2 * n))
+    state = GaussianState(cov, check=False)
+    np.testing.assert_array_equal(state.cov, cov)
+    np.testing.assert_array_equal(reduce(state, [0]).cov, cov[:2, :2])
+    if n != 2:  # the two-mode kernel's determinant products overflow
+        GaussianState(cov)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+def test_reduce_returns_the_checked_marginal_bit_for_bit(seed, n):
+    # reduce skips the symmetry check on a state's submatrix: the check
+    # would return it unchanged, since 0.5 * (a + a) == a
+    rng = np.random.default_rng(seed)
+    V, _ = _random_williamson_form(rng, n)
+    state = GaussianState(V, rng.normal(size=2 * n))
+    modes = [int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
+    checked = GaussianState(state.cov[np.ix_(idx, idx)], state.mean[idx], check=False)
+    marginal = reduce(state, modes)
+    assert marginal.n_modes == len(modes)
+    np.testing.assert_array_equal(marginal.cov, checked.cov)
+    np.testing.assert_array_equal(marginal.mean, checked.mean)
+    assert not marginal.cov.flags.writeable and not marginal.mean.flags.writeable

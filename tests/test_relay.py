@@ -396,20 +396,30 @@ def test_cluster_blocks_assemble_matches_block_loop(n):
 
 
 def test_bell_detect_validates_copies_without_williamson(monkeypatch):
-    # two-mode copies are checked by the closed-form kernel; only the 3-mode
-    # output of the relay goes through the Williamson eigensolve
+    # two-mode copies are checked by the closed-form kernel and the 3-mode
+    # output by one complex Cholesky of V + i(1 - tol) Omega: no Williamson
+    # eigensolve at all
     calls = []
     original = gaussian._williamson
 
-    def counted(cov):
+    def counted(cov, part=None):
         calls.append(cov.shape[0] // 2)
-        return original(cov)
+        return original(cov, part)
+
+    certificates = []
+    cholesky = np.linalg.cholesky
+
+    def counted_cholesky(a):
+        certificates.append(np.iscomplexobj(a) and a.shape[-1] // 2)
+        return cholesky(a)
 
     monkeypatch.setattr(gaussian, "_williamson", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     nf = TwoModeNormalForm(3.0, 2.0, 1.9)
     out, _ = bell_detect([nf.state() for _ in range(3)], build_relay(3))
     assert out.n_modes == 3
-    assert calls == [3]
+    assert calls == []
+    assert certificates.count(3) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -246,6 +246,19 @@ def test_frontier_numeric_matches_closed_form_at_large_caps(x_max):
         assert numeric == pytest.approx(frontier_closed_form(d, x_max), abs=1e-9)
 
 
+@pytest.mark.parametrize("x_max, bound", [(10.0, 1e-12), (1e3, 1e-8), (1e4, 1e-6)])
+def test_frontier_drift_over_the_default_grid_stays_below_1e_6_to_1e4(x_max, bound):
+    # the z search's rounding grows with the cap: over the default 31-point
+    # d grid the largest gap to the closed form reads 2.3e-14 at x_max 10,
+    # 1.2e-10 at 1e3 and 1.7e-8 at 1e4 (2.6e-6 at 1e5, past the 1e-6 the
+    # checks use)
+    gap = max(
+        abs(max_swap_logneg_at_asymmetry(float(d), x_max) - frontier_closed_form(float(d), x_max))
+        for d in np.linspace(-1.5, 1.5, 31)
+    )
+    assert gap < bound
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     x_max=st.floats(1.0 + 1e-7, 1e3),
