@@ -12,6 +12,7 @@ other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,15 +80,17 @@ class NetworkPoint:
 
 
 def _e2(pt: NetworkPoint) -> float:
-    num = pt.eta * pt.mu + (1.0 - pt.eta) * pt.omega
+    # ln(num / den) with num = eta mu + (1 - eta) omega, taken as log1p of
+    # num - den = (mu - 1)(eta - (1 - eta) omega) over den: num / den rounds
+    # near 1 as mu -> 1, which would let E2 move the wrong way by one ulp
     den = pt.eta + (1.0 - pt.eta) * pt.mu * pt.omega
-    return float(np.log(num / den))
+    return float(np.log1p((pt.mu - 1.0) * (pt.eta - (1.0 - pt.eta) * pt.omega) / den))
 
 
 def _gle(pt: NetworkPoint) -> float:
     N = pt.n_users
     a = pt.alpha
-    return float(_e2(pt) - 0.5 * np.log(1.0 + a * (N - 2) / (N + 2.0 * a)))
+    return float(_e2(pt) - 0.5 * np.log1p(a * (N - 2) / (N + 2.0 * a)))
 
 
 def _block(pt: NetworkPoint, n_prime: int) -> float:
@@ -95,7 +98,7 @@ def _block(pt: NetworkPoint, n_prime: int) -> float:
     n_prime = _as_size(n_prime, 1, "n_prime")
     if 2 * n_prime > N:
         raise ValueError("2 * n_prime must not exceed n_users")
-    return float(_e2(pt) - 0.5 * np.log(1.0 + pt.alpha * (N - 2 * n_prime) / N))
+    return float(_e2(pt) - 0.5 * np.log1p(pt.alpha * (N - 2 * n_prime) / N))
 
 
 def e2_formula(pt: NetworkPoint) -> float:
@@ -163,6 +166,25 @@ def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
 _GLE_GRID = 64
 _GLE_TOL = 1e-8
 _GLE_MAX_PASSES = 40
+
+
+@functools.cache
+def _coordinate_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices of the k coordinate blocks of the GLE ascent, and each coordinate's reads.
+
+    Coordinate a orders the (pair, measured modes) covariance v as (pair, a,
+    the rest) and reads the rest from the last: ``v[rows, cols]`` is the
+    (k, 2k + 4, 2k + 4) stack of those matrices, and ``reads[a]`` the rest in
+    reading order. Built once per k and read-only.
+    """
+    q, reads = [], []
+    for a in range(k):
+        rest = [b for b in range(k) if b != a]
+        q.append([0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)])
+        reads.append(rest[::-1])
+    q, reads = np.array(q), np.array(reads, dtype=int).reshape(k, k - 1)
+    q.flags.writeable = reads.flags.writeable = False
+    return q[:, :, None], q[:, None, :], reads
 
 
 def _read_last(v: np.ndarray, theta) -> np.ndarray:
@@ -251,15 +273,8 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     seed_vals = pair_logneg(seeds)
     thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
-    # coordinate a orders v as (pair, a, rest) and reads the rest from the
-    # last: blocks[a] is that matrix, reads[a] the rest in reading order
-    blocks, reads = [], []
-    for a in range(k):
-        rest = [b for b in range(k) if b != a]
-        q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
-        blocks.append(v[np.ix_(q, q)])
-        reads.append(rest[::-1])
-    blocks, reads = np.array(blocks), np.array(reads, dtype=int)
+    rows, cols, reads = _coordinate_index(k)
+    blocks = v[rows, cols]
     width = k
     for _ in range(_GLE_MAX_PASSES):
         start = best

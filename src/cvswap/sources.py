@@ -141,14 +141,29 @@ def _grid_max(f, lo, hi):
     and narrows each bracket to its best point +- one spacing, cut back to
     the bracket itself, so no point ever leaves the first [lo, hi]. Returns
     the best points and their values, each of shape S.
+
+    Every level writes its grid into one buffer allocated per call, and
+    ``f`` may overwrite the grid it is given: each bracket's best point is
+    rebuilt from its index. A grid and a rebuilt point are np.linspace's
+    arithmetic bit for bit (j * step + lo, or (j / (P - 1)) * (hi - lo) + lo
+    when any bracket has zero width, and hi as the last point), because the
+    frozen fig2b data file holds the search's values to 12 digits.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    pts = np.empty(np.broadcast_shapes(lo.shape, hi.shape) + (_GRID_POINTS,))
+    j = np.arange(_GRID_POINTS, dtype=float)
+    last = _GRID_POINTS - 1
     for _ in range(_GRID_LEVELS):
-        pts = np.linspace(lo, hi, _GRID_POINTS, axis=-1)
+        width = hi - lo
+        step = width / last
+        unit, scale = (j / last, width) if np.any(step == 0) else (j, step)
+        np.multiply(unit, scale[..., None], out=pts)
+        pts += lo[..., None]
+        pts[..., -1] = hi
         vals = f(pts)
-        k = np.argmax(vals, axis=-1)[..., None]
-        best, val = (np.take_along_axis(arr, k, axis=-1)[..., 0] for arr in (pts, vals))
-        step = (hi - lo) / (_GRID_POINTS - 1)
+        k = np.argmax(vals, axis=-1)
+        val = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
+        best = np.where(k == last, hi, unit[k] * scale + lo)
         lo, hi = np.maximum(best - step, lo), np.minimum(best + step, hi)
     return best, val
 
@@ -161,12 +176,22 @@ def _best_over_z(d: float, xs: np.ndarray) -> np.ndarray:
     """Largest swapped output max(0, -ln(y - z^2/x)) over z in [0, z_max(x)] at each x of ``xs``.
 
     y = x - 2d. One :func:`_grid_max` call searches every x's z interval at
-    once; an x with z_max = 0 reads 0.
+    once, and scores each level's grid in place, so a level holds one
+    (len(xs), _GRID_POINTS) array; an x with z_max = 0 reads 0.
     """
     ys = xs - 2.0 * d
     zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
     x, y = xs[:, None], ys[:, None]
-    _, val = _grid_max(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm)
+
+    def score(z):
+        """-ln(y - z^2/x), written over z."""
+        z *= z
+        z /= x
+        np.subtract(y, z, out=z)
+        np.log(z, out=z)
+        return np.negative(z, out=z)
+
+    _, val = _grid_max(score, np.zeros(len(xs)), zm)
     return np.maximum(val, 0.0)
 
 

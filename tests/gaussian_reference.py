@@ -35,8 +35,15 @@ package's (2, d, d) Williamson stack [L, F L F] is checked against.
 a pass scored its coordinates in batches: one coordinate at a time, each
 with its own 64-angle scan and refinement, from the package's own
 ``_read_last``, ``_two_mode_spectra`` and ``_grid_max``; the package must
-match it bit for bit.
+match it bit for bit. ``grid_max_linspace`` is ``_grid_max`` as it was
+before a call reused one buffer for every level: each level's grid from
+``np.linspace`` and its best point and value by ``take_along_axis``, so
+its ``f`` must leave the grid intact. ``frontier_linspace`` is
+``max_swap_logneg_at_asymmetry`` on it, scoring each grid out of place.
+The package must match both bit for bit, and raise what they raise.
 """
+
+import math
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from cvswap.gaussian import (
     rotation,
     symplectic_eigenvalues,
 )
-from cvswap.sources import _grid_max
+from cvswap.sources import _FRONTIER_GRID, _GRID_LEVELS, _GRID_POINTS, _feasible_x_range, _grid_max
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -289,3 +296,31 @@ def gle_sequential(cluster_cov, i: int = 0, j: int = 1) -> float:
         if best - start < _GLE_TOL:
             break
     return max(0.0, float(best))
+
+
+def grid_max_linspace(f, lo, hi):
+    """Nested-grid maximum of f over every bracket [lo, hi]; the package's ``_grid_max`` contract."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for _ in range(_GRID_LEVELS):
+        pts = np.linspace(lo, hi, _GRID_POINTS, axis=-1)
+        vals = f(pts)
+        k = np.argmax(vals, axis=-1)[..., None]
+        best, val = (np.take_along_axis(arr, k, axis=-1)[..., 0] for arr in (pts, vals))
+        step = (hi - lo) / (_GRID_POINTS - 1)
+        lo, hi = np.maximum(best - step, lo), np.minimum(best + step, hi)
+    return best, val
+
+
+def frontier_linspace(d: float, x_max: float) -> float:
+    """The two-user swap frontier at asymmetry d by :func:`grid_max_linspace`, as the package searches it."""
+    lo, hi = _feasible_x_range(d, x_max)
+    xs = np.linspace(lo, hi, _FRONTIER_GRID)
+    ys = xs - 2.0 * d
+    zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
+    x, y = xs[:, None], ys[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        _, val = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm)
+        best = float(np.max(np.maximum(val, 0.0)))
+    if not math.isfinite(best):
+        raise FloatingPointError(f"frontier search at d = {d!r}, x_max = {x_max!r} gave {best}")
+    return best

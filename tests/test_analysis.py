@@ -403,6 +403,20 @@ def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
     assert gle_numeric(cm, i, j) == gle_sequential(cm, i, j)
 
 
+def test_gle_coordinate_index_is_built_once_per_k_and_read_only():
+    # coordinate 1 of k = 3 orders the measured modes (1, 0, 2) after the
+    # pair and reads 2 then 0; the cached index cannot be written through
+    rows, cols, reads = analysis._coordinate_index(3)
+    assert analysis._coordinate_index(3)[0] is rows
+    assert rows.shape == (3, 10, 1) and cols.shape == (3, 1, 10)
+    assert rows[1, :, 0].tolist() == cols[1, 0].tolist() == [0, 1, 2, 3, 6, 7, 4, 5, 8, 9]
+    assert reads.tolist() == [[2, 1], [2, 0], [1, 0]]
+    assert analysis._coordinate_index(1)[2].shape == (1, 0)
+    for arr in (rows, cols, reads):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+
+
 # The closed-form clusters are best read in P (angle pi/2), and rotating a
 # measured mode by phi moves its best angle to pi/2 - phi. The first set puts
 # those optima at +-0.01 and +-0.03, across the 0/pi wrap of the period.
@@ -582,9 +596,12 @@ _OMEGA = st.floats(1.0, 1e3)
     etas=st.tuples(_ETA, _ETA).map(sorted),
     omegas=st.tuples(_OMEGA, _OMEGA).map(sorted),
 )
+@example(mu=1.0000000000000002, n=2, etas=[0.28643905225609295] * 2, omegas=[1.0, 15.0])
 def test_formulas_grow_with_eta_and_fall_with_omega(mu, n, etas, omegas):
     # less loss or less channel noise never lowers E2, the GLE, the pairwise
-    # or the even-split block value, unclamped, to within 1e-12 relative
+    # or the even-split block value, unclamped, to within 1e-12 relative;
+    # the example is one ulp of mu above 1, where ln(num / den) read E2 a
+    # rounding unit higher at omega 15 than at omega 1
     def ordered(low, high):
         for a, b in zip(_unclamped_formulas(mu, *low, n), _unclamped_formulas(mu, *high, n)):
             assert a <= b + 1e-12 * max(abs(a), abs(b))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +14,14 @@ from cvswap.sources import (
     _FRONTIER_GRID,
     TwoModeNormalForm,
     _best_over_z,
+    _grid_max,
     frontier_closed_form,
     max_swap_logneg_at_asymmetry,
     sample_normal_form,
     thermal_loss_on_a,
     tmsv,
 )
-from gaussian_reference import thermal_loss_map
+from gaussian_reference import frontier_linspace, grid_max_linspace, thermal_loss_map
 
 
 def test_normal_form_validation_and_derived_quantities():
@@ -310,3 +312,80 @@ def test_frontier_curve_monotone_away_from_symmetry():
     assert np.all(np.diff(curve) < 0.0)
     with pytest.raises(ValueError):
         frontier_closed_form(-5.0, 10.0)
+
+
+def _same_arrays(got, want):
+    return len(got) == len(want) and all(
+        g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want)
+    )
+
+
+_LO = np.random.default_rng(24).uniform(-3.0, 3.0, 400)
+_HI = _LO + np.random.default_rng(25).exponential(1.0, 400)
+_BRACKETS = {
+    # (lo, hi): the frontier's first x has z_max = 0, a zero-width bracket,
+    # which sends np.linspace down its (j / (P - 1)) * width branch for all
+    # brackets; j * step + lo and (j / (P - 1)) * width + lo differ in the
+    # last bit for some, and so does the last grid point hi from lo + 96 steps
+    "zero-width member": (_LO, np.where(np.arange(400) == 7, _LO, _HI)),
+    "(w,)-shaped": (_LO, _HI),
+    "(w, 2)-shaped, hi broadcast": (_LO.reshape(200, 2), np.array(3.5)),
+    "0-d, as gle_sequential passes them": (np.array(0.4), np.array(0.4 + np.pi / 64)),
+    "scalars": (-0.1, 0.2),
+}
+_SCORES = {
+    # (f, the same f written over its grid)
+    "peaked": (lambda t: np.sin(5.0 * t) - 0.05 * t * t, lambda t: np.sin(np.multiply(t, 5.0, out=t), out=t)),
+    "rising": (np.arctan, lambda t: np.arctan(t, out=t)),
+}
+
+
+@pytest.mark.parametrize("overwrites", [False, True], ids=["f keeps its grid", "f overwrites its grid"])
+@pytest.mark.parametrize("score", list(_SCORES))
+@pytest.mark.parametrize("bracket", list(_BRACKETS), ids=list(_BRACKETS))
+def test_grid_max_matches_the_linspace_reference_bit_for_bit(bracket, score, overwrites):
+    # every level's grid is np.linspace's bit for bit, and the buffered
+    # search rebuilds each best point from its index with the same
+    # arithmetic, so points and values agree bit for bit with the linspace /
+    # take_along_axis search, also when f writes over the grid; a rising f
+    # puts the best point on hi
+    lo, hi = _BRACKETS[bracket]
+    keeps, overwrites_grid = _SCORES[score]
+    f = overwrites_grid if overwrites else keeps
+    grids, reference_grids = [], []
+
+    def seen(t):
+        grids.append(t.copy())
+        return f(t)
+
+    def reference(t):
+        reference_grids.append(t.copy())
+        return f(t.copy())
+
+    assert _same_arrays(_grid_max(seen, lo, hi), grid_max_linspace(reference, lo, hi))
+    assert _same_arrays(grids, reference_grids)
+
+
+def test_frontier_matches_the_linspace_reference_on_the_fig2b_grid():
+    # fig2b's default d grid at its default cap and above: the in-place z
+    # scoring and the buffered grid give the out-of-place search's values
+    for x_max in (10.0, 50.0, 1e3, 1e4, 1e5):
+        for d in np.linspace(-1.5, 1.5, 31):
+            got = max_swap_logneg_at_asymmetry(float(d), x_max)
+            assert got.hex() == frontier_linspace(float(d), x_max).hex(), (d, x_max)
+
+
+@pytest.mark.parametrize("x_max", [1.0 + 1e-12, 1e8, 1e150, 1e300, 1.7e308])
+def test_frontier_at_extreme_caps_matches_the_linspace_reference(x_max):
+    # a value where both give one, and the same exception type where the
+    # reference raises: FloatingPointError for a non-finite search,
+    # ValueError for an empty x range
+    for d in [*np.linspace(-4.5, 4.5, 19), (x_max - 1.0) / 2.0, -(x_max - 1.0) / 2.0, math.inf]:
+        outcomes = []
+        for search in (max_swap_logneg_at_asymmetry, frontier_linspace):
+            try:
+                with np.errstate(over="ignore"):
+                    outcomes.append(search(float(d), x_max).hex())
+            except (FloatingPointError, ValueError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (d, x_max)
