@@ -161,11 +161,11 @@ def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
     return log_negativity(marginal, range(len(group_a)))
 
 
-#: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops when a full pass
-#: gains less than _GLE_TOL, or after _GLE_MAX_PASSES passes.
+#: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops after a sweep
+#: whose best gain is below _GLE_TOL, or after _GLE_MAX_SWEEPS sweeps.
 _GLE_GRID = 64
-_GLE_TOL = 1e-8
-_GLE_MAX_PASSES = 40
+_GLE_TOL = 1e-10
+_GLE_MAX_SWEEPS = 60
 
 
 @functools.cache
@@ -220,26 +220,21 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     log-negativity when positive) and clamps only the returned value at 0.
     The ascent starts from the best common angle on a grid: every measured
     mode is read at the 64 grid angles as one stack, and one kernel call
-    scores the (64, 4, 4) stack of pairs. It then optimizes one angle at a
-    time (Gauss-Seidel: each coordinate is scored at the angles the earlier
-    ones of its pass have just set) until a full pass improves the
-    objective by less than 1e-8. Each coordinate m orders the modes as
-    (pair, m, the rest) and reads the rest at their current angles, which
-    leaves the 6x6 covariance of the pair and m; each angle of m is then
-    one more read of that matrix. A pass scores its coordinates in batches:
-    a batch of the next w coordinates builds their w blocks with k - 1
-    stacked reads (k = N - 2 measured modes), scans the 64 grid angles of
-    all of them as one (w, 64) stack, then refines within one grid step of
-    each best angle by the nested grids of :func:`cvswap.sources._grid_max`,
-    one (w, 97) stack per level. The objective has period pi, so a bracket
-    may reach past 0 or pi. The first coordinate of the batch that gains is
-    moved; those after it were scored at a stale angle and start the next
-    batch. w starts at k, drops to 1 after a move and doubles after a batch
-    that moves nothing, so a first pass that only confirms the seed costs 3
-    stacked kernel calls at any N, and a coordinate that moves costs 3 as in
-    a one-coordinate pass, with the same values bit for bit. A stack passes the
-    bona-fide check only if its smallest nu_- does (a NaN fails), so one
-    unphysical angle raises PhysicalityError.
+    scores the (64, 4, 4) stack of pairs. It then moves one angle per sweep.
+    Each coordinate m orders the modes as (pair, m, the rest) and reads the
+    rest at their current angles, which leaves the 6x6 covariance of the
+    pair and m; each angle of m is then one more read of that matrix. A
+    sweep builds the k blocks of all k = N - 2 coordinates with k - 1
+    stacked reads, scans the 64 grid angles of all of them as one (k, 64)
+    stack, then refines within one grid step of each best angle by the
+    nested grids of :func:`cvswap.sources._grid_max`, one (k, 97) stack per
+    level. The objective has period pi, so a bracket may reach past 0 or pi.
+    Only the coordinate with the largest gain moves (the first on a tie), and
+    the ascent stops after a sweep whose best gain is below 1e-10. A sweep
+    costs 3 stacked kernel calls at any N, so a cluster whose common-angle
+    seed is already best, as an unrotated one is, takes 4 with the seeds. A
+    stack passes the bona-fide check only if its smallest nu_- does (a NaN
+    fails), so one unphysical angle raises PhysicalityError.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
@@ -275,31 +270,19 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     best = float(np.max(seed_vals))
     rows, cols, reads = _coordinate_index(k)
     blocks = v[rows, cols]
-    width = k
-    for _ in range(_GLE_MAX_PASSES):
-        start = best
-        a = 0
-        while a < k:
-            batch = slice(a, min(a + width, k))
-            W = blocks[batch]
-            for angles in thetas[reads[batch]].T:
-                W = _read_last(W, angles)
-            W = W[:, None]
-            centres = grid[np.argmax(pair_logneg(_read_last(W, grid)), axis=-1)]
-            tops, vals = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centres - step, centres + step)
-            # the first gain is taken; the coordinates after it were scored
-            # at a stale angle and start the next batch
-            gains = vals > best
-            if gains.any():
-                m = int(gains.argmax())
-                best = float(vals[m])
-                thetas[a + m] = tops[m]
-                a += m + 1
-                width = 1
-            else:
-                a = batch.stop
-                width *= 2
-        if best - start < _GLE_TOL:
+    for _ in range(_GLE_MAX_SWEEPS):
+        W = blocks
+        for angles in thetas[reads].T:
+            W = _read_last(W, angles)
+        W = W[:, None]
+        centres = grid[np.argmax(pair_logneg(_read_last(W, grid)), axis=-1)]
+        tops, vals = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centres - step, centres + step)
+        m = int(np.argmax(vals))
+        gain = float(vals[m]) - best
+        if gain > 0:
+            best = float(vals[m])
+            thetas[m] = tops[m]
+        if gain < _GLE_TOL:
             break
     return max(0.0, float(best))
 

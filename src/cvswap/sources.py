@@ -230,7 +230,7 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     infinite raises FloatingPointError instead of a numpy warning.
     """
     lo, hi = _feasible_x_range(d, x_max)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         best = float(np.max(_best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID))))
     if not math.isfinite(best):
         raise FloatingPointError(f"frontier search at d = {d!r}, x_max = {x_max!r} gave {best}")

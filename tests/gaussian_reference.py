@@ -31,14 +31,14 @@ reference the pairwise and block oracles are checked against.
 ``log_negativity`` read it from the Cholesky factor of V: F V F with F the
 diagonal sign matrix built and multiplied, the independent reference the
 package's (2, d, d) Williamson stack [L, F L F] is checked against.
-``gle_sequential`` is the GLE oracle's coordinate ascent as it was before
-a pass scored its coordinates in batches: one coordinate at a time, each
-with its own 64-angle scan and refinement, from the package's own
-``_read_last``, ``_two_mode_spectra`` and ``_grid_max``; the package must
-match it bit for bit. ``grid_max_linspace`` is ``_grid_max`` as it was
-before a call reused one buffer for every level: each level's grid from
-``np.linspace`` and its best point and value by ``take_along_axis``, so
-its ``f`` must leave the grid intact. ``frontier_linspace`` is
+``gle_sequential`` is the GLE oracle's coordinate ascent with every
+sweep scored one coordinate at a time: each coordinate's block gathered
+by ``np.ix_``, read and scanned on its own, from the package's own
+``_read_last``, ``_two_mode_spectra`` and ``_grid_max``; the package's
+stacked sweep must match it bit for bit. ``grid_max_linspace`` is
+``_grid_max`` as it was before a call reused one buffer for every level:
+each level's grid from ``np.linspace`` and its best point and value by
+``take_along_axis``, so its ``f`` must leave the grid intact. ``frontier_linspace`` is
 ``max_swap_logneg_at_asymmetry`` on it, scoring each grid out of place.
 The package must match both bit for bit, and raise what they raise.
 """
@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from cvswap.analysis import _GLE_GRID, _GLE_MAX_PASSES, _GLE_TOL, _read_last
+from cvswap.analysis import _GLE_GRID, _GLE_TOL, _read_last
 from cvswap.gaussian import (
     GaussianState,
     _require_symmetric,
@@ -253,14 +253,15 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     return GaussianState(cov, scale * state.mean)
 
 
-def gle_sequential(cluster_cov, i: int = 0, j: int = 1) -> float:
+def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
     """The GLE of the (i, j) pair by coordinate ascent, one coordinate per scan.
 
     The same seeds, grid, tolerance and acceptance rule as
-    ``cvswap.analysis.gle_numeric``; each coordinate reads the others at
-    their current angles, scans its own 64 angles and refines its own
-    bracket before the next coordinate is scored. The input is symmetrized
-    as ``GaussianState`` stores it.
+    ``cvswap.analysis.gle_numeric``, with at most ``max_sweeps`` sweeps:
+    each sweep reads every coordinate's block at the current angles, scans
+    its 64 angles and refines its own bracket, then moves the coordinate
+    with the largest gain, the first on a tie. The input is symmetrized as
+    ``GaussianState`` stores it.
     """
     cov = GaussianState(cluster_cov).cov
     n = cov.shape[0] // 2
@@ -280,8 +281,8 @@ def gle_sequential(cluster_cov, i: int = 0, j: int = 1) -> float:
     seed_vals = pair_logneg(seeds)
     thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
-    for _ in range(_GLE_MAX_PASSES):
-        start = best
+    for _ in range(max_sweeps):
+        scored = []
         for a in range(k):
             rest = [b for b in range(k) if b != a]
             q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
@@ -289,11 +290,13 @@ def gle_sequential(cluster_cov, i: int = 0, j: int = 1) -> float:
             for b in reversed(rest):
                 W = _read_last(W, thetas[b])
             centre = grid[int(np.argmax(pair_logneg(_read_last(W, grid))))]
-            theta_a, val = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centre - step, centre + step)
-            if val > best:
-                best = float(val)
-                thetas[a] = theta_a
-        if best - start < _GLE_TOL:
+            scored.append(_grid_max(lambda t: pair_logneg(_read_last(W, t)), centre - step, centre + step))
+        a = max(range(k), key=lambda c: scored[c][1])
+        gain = float(scored[a][1]) - best
+        if gain > 0:
+            best = float(scored[a][1])
+            thetas[a] = scored[a][0]
+        if gain < _GLE_TOL:
             break
     return max(0.0, float(best))
 
@@ -316,9 +319,9 @@ def frontier_linspace(d: float, x_max: float) -> float:
     lo, hi = _feasible_x_range(d, x_max)
     xs = np.linspace(lo, hi, _FRONTIER_GRID)
     ys = xs - 2.0 * d
-    zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
     x, y = xs[:, None], ys[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
         _, val = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm)
         best = float(np.max(np.maximum(val, 0.0)))
     if not math.isfinite(best):

@@ -300,7 +300,7 @@ def test_gle_numeric_rejects_unphysical_input():
 
 
 # the shape of the stack of pairs each scan reads at N = 4: the seeds' last
-# read turns a (64, 6, 6) stack into pairs, and the first batch holds both
+# read turns a (64, 6, 6) stack into pairs, and a sweep scores both
 # coordinates, so its 64-angle scan reads a (2, 64) stack and each level of
 # its refinement a (2, 97) one
 _SCANNED_PAIRS = {
@@ -328,22 +328,40 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
         gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 4)))
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n):
-    # the seeds are best here, so the first batch holds every coordinate and
-    # moves none: the seeds, its (N - 2, 64)-angle scan and each of the two
+@pytest.mark.parametrize(
+    "n, rotated",
+    [(n, rotated) for rotated in (False, True) for n in range(3, 9)],
+    ids=[f"{prefix}{n}" for prefix in ("", "rotated-") for n in range(3, 9)],
+)
+def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n, rotated):
+    # the seeds, each sweep's (N - 2, 64)-angle scan and each of the two
     # levels of its nested-grid refinement are one stacked call each, and no
-    # angle is scored on its own
-    calls = {"scalar": 0, "stacked": 0}
-    kernel = analysis._two_mode_spectra
+    # angle is scored on its own; the seeds are best on an unrotated cluster,
+    # so its one sweep moves nothing, while rotating the measured modes by
+    # fixed off-grid angles makes the ascent move
+    calls = {"scalar": 0, "stacked": 0, "sweeps": 0}
+    kernel, grid_max = analysis._two_mode_spectra, analysis._grid_max
 
     def counted(cov):
         calls["stacked" if np.ndim(cov) > 2 else "scalar"] += 1
         return kernel(cov)
 
+    def sweep(*args):
+        calls["sweeps"] += 1
+        return grid_max(*args)
+
     monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
-    gle_numeric(network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n)))
-    assert calls == {"scalar": 0, "stacked": 4}
+    monkeypatch.setattr(analysis, "_grid_max", sweep)
+    cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n))
+    if rotated:
+        R = np.eye(2 * n)
+        for m in range(2, n):
+            R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(0.37 * m)
+        cm = R @ cm @ R.T
+    gle_numeric(cm)
+    sweeps = calls["sweeps"]
+    assert sweeps > 1 if rotated else sweeps == 1
+    assert calls == {"scalar": 0, "stacked": 1 + 3 * sweeps, "sweeps": sweeps}
 
 
 @pytest.mark.parametrize(
@@ -386,11 +404,12 @@ def test_pair_and_block_oracles_read_their_marginal_once(monkeypatch, oracle, gr
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), rotated=st.booleans())
 def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
-    # Batching a pass's coordinates must not change the ascent: each batch
-    # keeps only its first gain, so every accepted move is the one the
-    # one-coordinate-at-a-time pass of gle_sequential makes, bit for bit.
-    # Rotating the measured modes moves nearly every coordinate in every
-    # pass; without rotations the seed is already best and nothing moves.
+    # Scoring a sweep's coordinates as one stack must not change the ascent:
+    # every sweep moves the coordinate that the one-coordinate-at-a-time
+    # sweep of gle_sequential moves, to the same angle, bit for bit. Rotating
+    # the measured modes moves an angle in nearly every sweep; without
+    # rotations the seed is already best and nothing moves. Both sides stop
+    # after 3 sweeps, so every sweep checked still reads new angles.
     rng = np.random.default_rng(seed)
     pt = NetworkPoint(rng.uniform(1.0, 30.0), rng.uniform(0.5, 1.0), rng.uniform(1.0, 1.5), n)
     cm = network_cluster_cm(pt)
@@ -400,7 +419,9 @@ def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
             R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0.0, np.pi))
         cm = R @ cm @ R.T
     i, j = (int(m) for m in rng.choice(n, 2, replace=False))
-    assert gle_numeric(cm, i, j) == gle_sequential(cm, i, j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_GLE_MAX_SWEEPS", 3)
+        assert gle_numeric(cm, i, j) == gle_sequential(cm, i, j, 3)
 
 
 def test_gle_coordinate_index_is_built_once_per_k_and_read_only():
@@ -457,7 +478,7 @@ def test_gle_numeric_matches_formula_with_rotated_measured_modes(seed, n):
     for m in range(2, n):
         R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0.0, np.pi))
     cm = network_cluster_cm(pt)
-    assert gle_numeric(R @ cm @ R.T) == pytest.approx(gle_formula(pt), abs=1e-6)
+    assert gle_numeric(R @ cm @ R.T) == pytest.approx(gle_formula(pt), abs=1e-9)
 
 
 def _read_all(v, thetas):

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +105,19 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
         (["fig2a", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
         (["fig2b", "--x-max", "1e150"], "FloatingPointError"),
         (["network-sweep", "--mu", "1e30"], "PhysicalityError"),
+        (["fig2b", "--x-max", "1e200"], "FloatingPointError"),
     ],
 )
 def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path):
     # finite configurations whose variances overflow when squared, or leave
     # the frontier search only rounding noise, are numerical failures: no
-    # traceback, and no data file holding NaN
+    # traceback, no numpy warning printed on the way and no data file
+    # holding NaN
     out = tmp_path / "o.csv"
-    assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert f"numerical failure: {raised}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
