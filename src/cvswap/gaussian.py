@@ -34,6 +34,13 @@ BONA_FIDE_TOL = 1e-9
 #: Above this, 0.5 * (a + b) overflows in a + b.
 _HALF_MAX = 0.5 * np.finfo(float).max
 
+#: Up to this trace (a stack: this largest entry) no two-mode kernel product
+#: can overflow. Past it the kernel scales V by 4^-j, j the least that keeps
+#: its largest diagonal entry below 2^500 and its diagonal's product (a bound
+#: on det V) below 2^1000, and nu back by 4^j: nu is homogeneous of degree 1,
+#: and a power-of-four scale commutes with every rounding in the kernel.
+_SCALE_ABOVE = 2.0**250
+
 
 class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty principle."""
@@ -175,46 +182,33 @@ def _require_bona_fide(nu_min, what: str = "state") -> None:
 
 
 class GaussianState:
-    """A Gaussian state: mean vector + covariance matrix + mode count.
+    """A Gaussian state up to displacement: covariance matrix + mode count.
 
-    The constructor validates symmetry, finiteness and (by default)
-    physicality: every symplectic eigenvalue must be >= 1 - 1e-9 (a matrix
-    that is not positive definite fails). Each covariance is checked for
-    symmetry once. Two-mode states are checked
-    through the closed-form two-mode spectrum (no eigensolve); states of one
-    mode or of three or more by one complex Cholesky of V + i(1 - 1e-9) Omega,
-    which exists exactly when nu_min >= 1 - 1e-9, with no eigensolve; where
-    that factorization fails, the Williamson spectrum of
-    :func:`symplectic_eigenvalues` decides and names the refusal. A given
-    mean must be finite. Marginals taken by :func:`reduce` are not checked
-    again.
+    The constructor validates symmetry, finiteness and (unless the
+    keyword-only ``check`` is False) physicality: every symplectic
+    eigenvalue must be >= 1 - 1e-9 (a matrix that is not positive definite
+    fails). Each covariance is checked for symmetry once. Two-mode states
+    are checked through the closed-form two-mode spectrum (no eigensolve);
+    states of one mode or of three or more by one complex Cholesky of
+    V + i(1 - 1e-9) Omega, which exists exactly when nu_min >= 1 - 1e-9,
+    with no eigensolve; where that factorization fails, the Williamson
+    spectrum of :func:`symplectic_eigenvalues` decides and names the
+    refusal. Marginals taken by :func:`reduce` are not checked again.
 
-    Instances are value-like: ``cov`` and ``mean`` are the state's own
-    read-only arrays (``mean`` is copied, so the caller's array stays
-    writeable), an in-place write raises ValueError, and all operations
-    return new states. One state can therefore be shared, for instance as
-    all N copies handed to :func:`cvswap.relay.bell_detect`.
+    Instances are value-like: ``cov`` is the state's own read-only array,
+    an in-place write raises ValueError, and all operations return new
+    states. One state can therefore be shared, for instance as all N copies
+    handed to :func:`cvswap.relay.bell_detect`.
     """
 
-    __slots__ = ("n_modes", "mean", "cov")
+    __slots__ = ("n_modes", "cov")
 
-    def __init__(self, cov, mean=None, check: bool = True):
+    def __init__(self, cov, *, check: bool = True):
         cov = _require_symmetric(cov)
-        n = cov.shape[0] // 2
-        if mean is None:
-            mean = np.zeros(2 * n)
-        else:
-            mean = np.array(mean, dtype=float).reshape(-1)
-            if not np.isfinite(mean).all():
-                raise ValueError("mean vector has non-finite entries")
-        if mean.shape[0] != 2 * n:
-            raise ValueError("mean vector length does not match covariance size")
         if check:
             _require_bona_fide_cov(cov)
         cov.flags.writeable = False
-        mean.flags.writeable = False
-        self.n_modes = n
-        self.mean = mean
+        self.n_modes = cov.shape[0] // 2
         self.cov = cov
 
     def __repr__(self):
@@ -291,14 +285,24 @@ def _two_mode_spectra(cov):
 
     Only the upper triangle is read; a matrix that is not positive definite
     (any matrix, for a stack) raises PhysicalityError, as
-    :func:`symplectic_eigenvalues` does. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
+    :func:`symplectic_eigenvalues` does; one whose products could overflow
+    is rescaled (see _SCALE_ABOVE). Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 2:
         rows, pivot, sqrt, hypot = cov.tolist(), _pivot, math.sqrt, math.hypot
+        rescale = rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3] > _SCALE_ABOVE
     else:  # entry (r, s) of every matrix at once, as an array of shape cov.shape[:-2]
         rows = cov.transpose(-2, -1, *range(cov.ndim - 2))
         pivot, sqrt, hypot = _stack_pivot, np.sqrt, _stack_hypot
+        rescale = cov.max(initial=0.0) > _SCALE_ABOVE
+    if rescale:  # each diagonal entry is below 2^e
+        _, e = np.frexp(cov.diagonal(axis1=-2, axis2=-1))
+        shift = 2 * np.maximum(np.maximum((e.max(axis=-1) - 499) // 2, (e.sum(axis=-1) - 993) // 8), 0)
+        if shift.any():  # else no product overflows, and the matrix is read as it is
+            spectra = _two_mode_spectra(np.ldexp(cov, -shift[..., None, None]))
+            ldexp = math.ldexp if cov.ndim == 2 else np.ldexp
+            return tuple(tuple(ldexp(nu, shift.tolist()) for nu in pair) for pair in spectra)
     (x1x1, x1p1, x1x2, x1p2), (_, p1p1, p1x2, p1p2), (_, _, x2x2, x2p2), (_, _, _, p2p2) = rows
 
     # Cholesky of the (X1, X2, P1, P2) matrix [[V_X, K], [K^T, V_P]]
@@ -349,10 +353,10 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     if keep == list(range(state.n_modes)):
         return state
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)
-    cov, mean = state.cov[np.ix_(idx, idx)], state.mean[idx]
-    cov.flags.writeable = mean.flags.writeable = False
+    cov = state.cov[np.ix_(idx, idx)]
+    cov.flags.writeable = False
     marginal = object.__new__(GaussianState)
-    marginal.n_modes, marginal.mean, marginal.cov = len(keep), mean, cov
+    marginal.n_modes, marginal.cov = len(keep), cov
     return marginal
 
 

@@ -223,7 +223,7 @@ def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianSta
     if not local_preprocessing:
         return single
     _, _, _, _, S = _standard_form(single.cov)
-    return GaussianState(S @ single.cov @ S.T, S @ single.mean)
+    return GaussianState(S @ single.cov @ S.T)
 
 
 def _swap_blocks(copy: GaussianState, n_users: int):

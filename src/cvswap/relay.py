@@ -7,8 +7,8 @@ quadrature vectors; :func:`relay_orthogonal` writes that matrix row by row,
 and the tests check it against the cascade built splitter by splitter.
 Port 1 is homodyned in P, ports 2..N in X. That measurement depends on N
 alone, so :func:`build_relay` builds one plan per N. Broadcasting the
-outcomes lets each user cancel the conditional displacement locally, so the
-state left on the kept modes is a covariance-only object.
+readouts lets each user cancel the conditional displacement locally, so the
+state left on the kept modes is fixed by its covariance alone.
 
 ``bell_detect`` conditions the kept modes on all N readouts at once, in one
 Schur complement built from the copies' 2 x 2 blocks, with no register of
@@ -32,7 +32,6 @@ __all__ = [
     "build_relay",
     "relay_orthogonal",
     "bell_detect",
-    "displacement_correction",
     "cluster_closed_form",
     "sum_p_variance",
     "diff_x_variance",
@@ -110,7 +109,7 @@ _MIN_READOUT_VARIANCE = 1e-12
 _DEGENERATE = "measured quadrature variance is numerically degenerate"
 
 
-def bell_detect(copies, plan: RelayPlan, outcomes=None):
+def bell_detect(copies, plan: RelayPlan):
     """Run the multipartite Bell detection on N two-mode copies.
 
     Each copy is a state on modes (A, B) with A the mode sent to the relay;
@@ -121,28 +120,18 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None):
     per N). The readouts then have covariance
     M = W blockdiag(a_k) W^T and cross covariance C = blockdiag(c_k)^T W^T
     with the kept modes (B1..BN), whose own covariance is V_B = blockdiag(b_k).
-    One Schur complement conditions on all readouts jointly:
+    One Schur complement conditions on all readouts jointly,
+    cov -> V_B - C M^-1 C^T, evaluated through the Cholesky factor
+    M = L L^T and one solve G = L^-1 C^T as V_B - G^T G. No 4N-dimensional
+    register is formed, and no readout value enters: the users undo the
+    conditional displacement locally. The squared pivots of L are the
+    readouts' conditional variances, measured one after another in port
+    order (their product is det M); one below _MIN_READOUT_VARIANCE, or an
+    M that is not positive definite, raises ValueError. Only the returned
+    state is validated.
 
-        cov -> V_B - C M^-1 C^T
-        mean -> mean_B + C M^-1 (gamma - mean_q)
-
-    evaluated through the Cholesky factor M = L L^T and one solve for
-    G, r = L^-1 [C^T | gamma - mean_q], as V_B - G^T G and mean_B + G^T r.
-    The pivots of L are the conditional variances of the readouts measured
-    one after another in port order; one below _MIN_READOUT_VARIANCE, or an
-    M that is not positive definite, raises ValueError. No 4N-dimensional
-    register is formed.
-
-    ``outcomes`` is None for all zeros, a vector with one entry per port in
-    readout order, or a :class:`numpy.random.Generator` that draws the readouts
-    from their exact joint Gaussian law, gamma = mean_q + L @
-    outcomes.standard_normal(N): the same draw as measuring one by one in port
-    order with ``outcomes.normal``.
-
-    Only the returned state is validated.
-
-    Returns ``(state, gamma)``: the conditional N-mode state on (B1..BN) with
-    its conditional mean, and the outcome vector that was used.
+    Returns ``(state, readout_variances)``: the conditional N-mode state on
+    (B1..BN), and those N variances in port order.
     """
     copies = list(copies)
     N = plan.n_users
@@ -153,47 +142,24 @@ def bell_detect(copies, plan: RelayPlan, outcomes=None):
             raise ValueError("each copy must have exactly two modes (A, B)")
 
     covs = np.array([c.cov for c in copies])
-    means = np.array([c.mean for c in copies])
     wt = plan.readout
     # rows (a_k; c_k^T) of each copy times W_k^T, its (2, N) slice: the
     # readouts' covariance with A_k (to be summed over k into M) and with B_k
     # (C's rows)
     y = covs[:, :, :2] @ wt.reshape(N, 2, N)
-    mean_q = wt.T @ means[:, :2].reshape(-1)
     try:
         L = np.linalg.cholesky(wt.T @ y[:, :2].reshape(2 * N, N))
-        degenerate = np.min(np.diagonal(L)) ** 2 < _MIN_READOUT_VARIANCE
     except np.linalg.LinAlgError:
-        degenerate = True
-    if degenerate:
+        raise ValueError(_DEGENERATE) from None
+    variances = np.diagonal(L) ** 2
+    if variances.min() < _MIN_READOUT_VARIANCE:
         raise ValueError(_DEGENERATE)
 
-    if outcomes is None:
-        gamma = np.zeros(N)
-    elif isinstance(outcomes, np.random.Generator):
-        gamma = mean_q + L @ outcomes.standard_normal(N)
-    else:
-        try:
-            gamma = np.asarray(outcomes, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"outcomes must be None, a vector or a numpy Generator, got {outcomes!r}"
-            ) from None
-        if gamma.shape[0] != N:
-            raise ValueError("outcome vector has wrong length")
-
     # numpy has no triangular solver; N is small, so a general solve on L is cheap
-    W = np.linalg.solve(L, np.column_stack([y[:, 2:].reshape(2 * N, N).T, gamma - mean_q]))
-    G, r = W[:, :-1], W[:, -1]
+    G = np.linalg.solve(L, y[:, 2:].reshape(2 * N, N).T)
     v_b = np.zeros((N, 2, N, 2))
     v_b[np.arange(N), :, np.arange(N), :] = covs[:, 2:, 2:]
-    cov = v_b.reshape(2 * N, 2 * N) - G.T @ G
-    return GaussianState(cov, means[:, 2:].reshape(-1) + G.T @ r), gamma
-
-
-def displacement_correction(state: GaussianState) -> GaussianState:
-    """The users' local displacements: zero the conditional mean, keep the cov."""
-    return GaussianState(state.cov, np.zeros(2 * state.n_modes), check=False)
+    return GaussianState(v_b.reshape(2 * N, 2 * N) - G.T @ G), variances
 
 
 @dataclass(frozen=True)

@@ -78,13 +78,13 @@ def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def apply_symplectic(state: GaussianState, S: np.ndarray) -> GaussianState:
-    """Map mean -> S mean and cov -> S cov S^T after verifying S is symplectic."""
+    """Map cov -> S cov S^T after verifying S is symplectic."""
     S = np.asarray(S, dtype=float)
     if not is_symplectic(S):
         raise ValueError("matrix is not symplectic")
     if S.shape[0] != 2 * state.n_modes:
         raise ValueError("symplectic size does not match state")
-    return GaussianState(S @ state.cov @ S.T, S @ state.mean)
+    return GaussianState(S @ state.cov @ S.T)
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -171,28 +171,26 @@ def standard_form_per_block(cov):
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Direct sum of means and covariances (a first, then b)."""
+    """Direct sum of covariances (a first, then b)."""
     na, nb = 2 * a.n_modes, 2 * b.n_modes
     cov = np.zeros((na + nb, na + nb))
     cov[:na, :na] = a.cov
     cov[na:, na:] = b.cov
-    return GaussianState(cov, np.concatenate([a.mean, b.mean]), check=False)
+    return GaussianState(cov, check=False)
 
 
-def read_quadrature(state: GaussianState, mode, quad, outcome=0.0) -> GaussianState:
-    """Homodyne ``quad`` ("X" or "P") of ``mode`` with readout ``outcome``, then drop that mode.
+def read_quadrature(state: GaussianState, mode, quad) -> GaussianState:
+    """Homodyne ``quad`` ("X" or "P") of ``mode``, then drop that mode.
 
     With q the measured quadrature, c = V[:, q] and m = V[q, q]:
-    V -> V - c c^T / m and mean -> mean + c (outcome - mean_q) / m. The
-    other modes keep their order; the result is validated.
+    V -> V - c c^T / m, whatever the readout. The other modes keep their
+    order; the result is validated.
     """
     q = 2 * mode + (quad == "P")
     c = state.cov[:, q]
-    m = c[q]
-    cov = state.cov - np.outer(c, c) / m
-    mean = state.mean + c * (outcome - state.mean[q]) / m
+    cov = state.cov - np.outer(c, c) / c[q]
     keep = [k for k in range(2 * state.n_modes) if k // 2 != mode]
-    return GaussianState(cov[np.ix_(keep, keep)], mean[keep])
+    return GaussianState(cov[np.ix_(keep, keep)])
 
 
 def embed_orthogonal(U: np.ndarray, modes, n_modes_total: int) -> np.ndarray:
@@ -250,7 +248,7 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     add = np.zeros(2 * state.n_modes)
     add[2 * mode : 2 * mode + 2] = (1.0 - eta) * omega
     cov = scale[:, None] * state.cov * scale[None, :] + np.diag(add)
-    return GaussianState(cov, scale * state.mean)
+    return GaussianState(cov)
 
 
 def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:

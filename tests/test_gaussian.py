@@ -54,7 +54,6 @@ def test_rotation_is_symplectic():
 def test_vacuum_is_identity_cm():
     st = vacuum(3)
     np.testing.assert_array_equal(st.cov, np.eye(6))
-    np.testing.assert_array_equal(st.mean, np.zeros(6))
     np.testing.assert_allclose(symplectic_eigenvalues(st.cov), np.ones(3))
 
 
@@ -108,15 +107,6 @@ def test_non_finite_entries_raise_value_error(n_modes, bad, where):
             call(cov)
         # LinAlgError subclasses ValueError; the refusal must come before any solver
         assert not isinstance(info.value, np.linalg.LinAlgError)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("check", [True, False])
-def test_non_finite_mean_raises_value_error(bad, check):
-    with pytest.raises(ValueError, match="mean vector has non-finite entries"):
-        GaussianState(np.eye(2), [0.0, bad], check=check)
-    # no mean given: a zero mean, with nothing to check
-    assert not GaussianState(np.eye(2), check=check).mean.any()
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
@@ -204,12 +194,11 @@ def test_mode_indices_are_read_one_way(read, bad):
     np.testing.assert_array_equal(read(1.0), read(1))
 
 
-def test_apply_symplectic_transforms_cov_and_mean():
-    st = GaussianState(np.eye(2), [1.5, -0.5])
+def test_apply_symplectic_transforms_cov():
+    st = GaussianState(np.eye(2))
     S = rotation(np.pi / 2)
     out = apply_symplectic(st, S)
     np.testing.assert_allclose(out.cov, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(out.mean, S @ st.mean)
     with pytest.raises(ValueError):
         apply_symplectic(st, np.diag([2.0, 1.0]))
 
@@ -234,7 +223,7 @@ def test_reduce_refuses_an_empty_mode_list_by_name():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reduce_to_every_mode_in_order_returns_the_state(n):
     rng = np.random.default_rng(n)
-    s = GaussianState(np.diag(rng.uniform(1.0, 3.0, 2 * n)), rng.normal(size=2 * n))
+    s = GaussianState(np.diag(rng.uniform(1.0, 3.0, 2 * n)))
     assert reduce(s, range(n)) is s
     assert reduce(s, np.arange(n)) is s
     with pytest.raises(ValueError):
@@ -247,7 +236,6 @@ def test_reduce_to_every_mode_in_order_returns_the_state(n):
     swapped = reduce(s, order)
     assert swapped is not s
     np.testing.assert_array_equal(swapped.cov, s.cov[np.ix_(idx, idx)])
-    np.testing.assert_array_equal(swapped.mean, s.mean[idx])
     part = reduce(s, range(n - 1))
     assert part is not s
     np.testing.assert_array_equal(part.cov, s.cov[: 2 * n - 2, : 2 * n - 2])
@@ -366,20 +354,26 @@ def test_a_state_that_is_not_bona_fide_is_refused_with_or_without_check(n, build
 
 
 def test_state_arrays_are_read_only_copies():
-    cov, mean = tmsv(2.0).cov(), np.arange(4.0)
-    st = GaussianState(cov, mean)
+    cov = tmsv(2.0).cov()
+    st = GaussianState(cov)
     with pytest.raises(ValueError):
         st.cov[0, 0] = 0.0
     with pytest.raises(ValueError):
         st.cov += 1.0
     with pytest.raises(ValueError):
-        st.mean[0] = 1.0
-    with pytest.raises(ValueError):
-        vacuum(2).mean.fill(1.0)
-    # the caller's arrays stay writeable and apart from the state
-    mean[0], cov[0, 0] = 9.0, 9.0
-    np.testing.assert_array_equal(st.mean, np.arange(4.0))
+        vacuum(2).cov.fill(1.0)
+    # the caller's array stays writeable and apart from the state
+    cov[0, 0] = 9.0
     np.testing.assert_array_equal(st.cov, tmsv(2.0).cov())
+
+
+def test_a_state_holds_no_mean_and_takes_check_by_keyword_only():
+    # a stale positional mean raises instead of being read as ``check``
+    assert GaussianState.__slots__ == ("n_modes", "cov")
+    with pytest.raises(TypeError):
+        GaussianState(np.eye(2), [0.0, 0.0])
+    with pytest.raises(TypeError):
+        GaussianState(0.5 * np.eye(2), False)
 
 
 def _random_local_symplectic(rng):
@@ -687,8 +681,35 @@ def test_entries_above_half_the_largest_double_stay_finite(n):
     state = GaussianState(cov, check=False)
     np.testing.assert_array_equal(state.cov, cov)
     np.testing.assert_array_equal(reduce(state, [0]).cov, cov[:2, :2])
-    if n != 2:  # the two-mode kernel's determinant products overflow
-        GaussianState(cov)
+    GaussianState(cov)
+
+
+def test_two_mode_state_past_1e154_reads_as_its_six_mode_embedding():
+    # det V grows as max|V|^4, so the kernel scales such a pair by a power of
+    # four and its nu back: the pair is accepted, as inside six modes, and its
+    # spectra and log-negativity match the Williamson route of that embedding
+    a, c = 1e160, 5e159
+    z = c * np.diag([1.0, -1.0])
+    V = np.block([[a * np.eye(2), z], [z, a * np.eye(2)]])
+    pair = GaussianState(V)
+    six = tensor(pair, vacuum(4))
+    assert log_negativity(pair, [0]) == 0.0
+    assert log_negativity(six, [0]) == pytest.approx(0.0, abs=1e-12)  # its vacuum modes' nu~ round below 1
+    (nu_minus, nu_plus), (pt_minus, pt_plus) = _two_mode_spectra(pair.cov)
+    nus, pt_nus = _williamson(six.cov, [0])
+    np.testing.assert_allclose([nu_minus, nu_plus], nus[-2:], rtol=1e-12)
+    np.testing.assert_allclose([pt_minus, pt_plus], pt_nus[-2:], rtol=1e-12)
+    # in a stack with an ordinary state and a state past half the largest
+    # double, each matrix reads as on its own, with no overflow warning
+    covs = np.stack([V, tmsv(3.0).cov(), np.diag([1.7e308] * 4)])
+    stacked = _two_mode_spectra(covs)
+    for k, cov in enumerate(covs):
+        np.testing.assert_allclose(
+            [nu[k] for pair_nus in stacked for nu in pair_nus],
+            [nu for pair_nus in _two_mode_spectra(cov) for nu in pair_nus],
+            rtol=1e-12,
+        )
+    assert (stacked[0][0] >= 1.0 - BONA_FIDE_TOL).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -698,12 +719,11 @@ def test_reduce_returns_the_checked_marginal_bit_for_bit(seed, n):
     # would return it unchanged, since 0.5 * (a + a) == a
     rng = np.random.default_rng(seed)
     V, _ = _random_williamson_form(rng, n)
-    state = GaussianState(V, rng.normal(size=2 * n))
+    state = GaussianState(V)
     modes = [int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
-    checked = GaussianState(state.cov[np.ix_(idx, idx)], state.mean[idx], check=False)
+    checked = GaussianState(state.cov[np.ix_(idx, idx)], check=False)
     marginal = reduce(state, modes)
     assert marginal.n_modes == len(modes)
     np.testing.assert_array_equal(marginal.cov, checked.cov)
-    np.testing.assert_array_equal(marginal.mean, checked.mean)
-    assert not marginal.cov.flags.writeable and not marginal.mean.flags.writeable
+    assert not marginal.cov.flags.writeable

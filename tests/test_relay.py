@@ -143,16 +143,6 @@ def test_homodyne_condition_on_tmsv():
     np.testing.assert_allclose(out_p.cov, np.diag([mu, 1.0 / mu]), atol=1e-12)
 
 
-def test_homodyne_outcome_moves_mean_not_cov():
-    st = tmsv(3.0).state()
-    a = read_quadrature(st, 0, "X", 0.0)
-    b = read_quadrature(st, 0, "X", 3.7)
-    np.testing.assert_array_equal(a.cov, b.cov)
-    # correlated quadrature shifts proportionally to the outcome
-    assert b.mean[0] != 0.0
-    np.testing.assert_allclose(b.mean, a.mean + 3.7 / 3.0 * np.array([np.sqrt(8.0), 0.0]))
-
-
 @pytest.mark.parametrize("x_var", [1e-13, 0.0])
 def test_bell_detect_rejects_degenerate_readout(x_var):
     # the X readout of port 1, (X_A2 - X_A1) / sqrt(2), has variance x_var:
@@ -170,53 +160,14 @@ def test_homodyne_order_independence():
     ab = read_quadrature(read_quadrature(st, 0, "X"), 1, "P")
     ba = read_quadrature(read_quadrature(st, 2, "P"), 0, "X")
     np.testing.assert_allclose(ab.cov, ba.cov, atol=1e-12)
-    np.testing.assert_allclose(ab.mean, ba.mean, atol=1e-12)
 
 
 def test_bell_detect_matches_closed_form_spot():
     nf = tmsv(5.0 / 3.0)
-    out, gamma = bell_detect([nf.state(), nf.state()], build_relay(2))
+    out, variances = bell_detect([nf.state(), nf.state()], build_relay(2))
     expected = cluster_closed_form(nf.x, nf.y, nf.z, 2).assemble()
     np.testing.assert_allclose(out.cov, expected, atol=1e-12)
-    assert gamma.shape == (2,)
-    np.testing.assert_array_equal(out.mean, np.zeros(4))
-
-
-def test_bell_detect_sampled_outcomes_reproducible():
-    nf = tmsv(2.0)
-    copies = [nf.state(), nf.state(), nf.state()]
-    out1, g1 = bell_detect(copies, build_relay(3), outcomes=np.random.default_rng(5))
-    out2, g2 = bell_detect(copies, build_relay(3), outcomes=np.random.default_rng(5))
-    np.testing.assert_array_equal(g1, g2)
-    np.testing.assert_array_equal(out1.mean, out2.mean)
-    # covariance of the kept modes never depends on the outcomes
-    out0, _ = bell_detect(copies, build_relay(3))
-    np.testing.assert_allclose(out1.cov, out0.cov, atol=1e-12)
-    assert np.any(out1.mean != 0.0)
-
-
-def test_bell_detect_explicit_outcomes_length_check():
-    nf = tmsv(2.0)
-    with pytest.raises(ValueError):
-        bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=[1.0])
-
-
-@pytest.mark.parametrize(
-    "outcomes", ["sample", np.random.RandomState(5), ["a", "b"]], ids=["sample", "RandomState", "strings"]
-)
-def test_bell_detect_refuses_outcomes_that_are_neither_numbers_nor_a_generator(outcomes):
-    # sampled readouts come from a numpy Generator passed as the outcomes
-    nf = tmsv(2.0)
-    with pytest.raises(ValueError, match="outcomes must be None, a vector or a numpy Generator"):
-        bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=outcomes)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_bell_detect_refuses_non_finite_outcomes(bad):
-    # a non-finite readout would leave a non-finite conditional mean
-    nf = tmsv(2.0)
-    with pytest.raises(ValueError, match="mean vector has non-finite entries"):
-        bell_detect([nf.state(), nf.state()], build_relay(2), outcomes=[bad, 0.0])
+    assert variances.shape == (2,)
 
 
 def test_cluster_closed_form_known_blocks():
@@ -276,15 +227,14 @@ def test_swap_never_creates_entanglement():
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
     x_max=st.floats(2.0, 50.0),
-    sampled=st.booleans(),
 )
-def test_bell_detect_of_identical_copies_is_bona_fide_and_gains_no_pair_entanglement(seed, n, x_max, sampled):
-    # N copies of one sampled state, zero or sampled readouts: the output is a
-    # state, and no pair of it is more entangled than one copy
+def test_bell_detect_of_identical_copies_is_bona_fide_and_gains_no_pair_entanglement(seed, n, x_max):
+    # N copies of one sampled state: the output is a state, and no pair of
+    # it is more entangled than one copy
     rng = np.random.default_rng(seed)
     nf = sample_normal_form(rng, x_max)
     e_in = nf.log_negativity()
-    out, _ = bell_detect([nf.state()] * n, build_relay(n), rng if sampled else None)
+    out, _ = bell_detect([nf.state()] * n, build_relay(n))
     assert williamson_eigvals(out.cov)[0] >= 1.0 - BONA_FIDE_TOL
     for i, j in itertools.combinations(range(n), 2):
         assert log_negativity(reduce(out, [i, j]), [0]) <= e_in + 1e-12
@@ -313,7 +263,7 @@ def _random_state(rng, n_modes):
         R = np.eye(2 * n_modes)
         R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0, np.pi))
         S = R @ S
-    return GaussianState(S @ state.cov @ S.T, rng.normal(size=2 * n_modes))
+    return GaussianState(S @ state.cov @ S.T)
 
 
 def _register(copies):
@@ -326,11 +276,11 @@ def _register(copies):
 
 
 def _condition_in_order(state, order):
-    """Chain single homodynes over (mode, quadrature, outcome) in the given order."""
+    """Chain single homodynes over (mode, quadrature) in the given order."""
     removed = []
-    for mode, quad, outcome in order:
+    for mode, quad in order:
         position = mode - sum(r < mode for r in removed)
-        state = read_quadrature(state, position, quad, outcome)
+        state = read_quadrature(state, position, quad)
         removed.append(mode)
     return state
 
@@ -342,47 +292,30 @@ def test_joint_conditioning_equals_sequential_in_every_order(seed, n):
     # register, chained in every order of the plan's homodynes
     rng = np.random.default_rng(seed)
     copies = [_random_state(rng, 2) for _ in range(n)]
-    outcomes = rng.normal(size=n)
-    joint, gamma = bell_detect(copies, build_relay(n), outcomes)
-    np.testing.assert_array_equal(gamma, outcomes)
+    joint, _ = bell_detect(copies, build_relay(n))
     register = _register(copies)
     tol = 1e-12 * max(1.0, max(np.linalg.norm(c.cov, 2) for c in copies))
-    readouts = [(2 * port, quad, g) for (port, quad), g in zip(_relay_measurements(n), outcomes)]
+    readouts = [(2 * port, quad) for port, quad in _relay_measurements(n)]
     for order in itertools.permutations(readouts):
         chained = _condition_in_order(register, order)
         np.testing.assert_allclose(joint.cov, chained.cov, rtol=0, atol=tol)
-        np.testing.assert_allclose(joint.mean, chained.mean, rtol=0, atol=tol)
 
 
-def _bell_detect_sequential(copies, rng=None, outcomes=None):
-    """Reference on the full register: one homodyne at a time.
+def _bell_detect_sequential(copies):
+    """Reference on the full register: one homodyne at a time, in readout order.
 
-    Each readout is drawn from its marginal with ``rng``, or else taken from
-    ``outcomes`` (all zeros if None), in readout order.
+    Returns the conditional state and each readout's variance just before
+    it is read.
     """
     state = _register(copies)
-    N = len(copies)
-    if outcomes is None:
-        outcomes = np.zeros(N)
-    gamma, removed = [], []
-    for j, (port, quad) in enumerate(_relay_measurements(N)):
+    variances, removed = [], []
+    for port, quad in _relay_measurements(len(copies)):
         mode = 2 * port - sum(r < 2 * port for r in removed)
         q = 2 * mode + (quad == "P")
-        gamma.append(outcomes[j] if rng is None else rng.normal(state.mean[q], np.sqrt(state.cov[q, q])))
-        state = read_quadrature(state, mode, quad, gamma[-1])
+        variances.append(state.cov[q, q])
+        state = read_quadrature(state, mode, quad)
         removed.append(2 * port)
-    return state, np.array(gamma)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_sampled_outcomes_match_sequential_draw(n):
-    rng = np.random.default_rng(41 + n)
-    copies = [_random_state(rng, 2) for _ in range(n)]
-    joint, g_joint = bell_detect(copies, build_relay(n), outcomes=np.random.default_rng(n))
-    seq, g_seq = _bell_detect_sequential(copies, np.random.default_rng(n))
-    np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(joint.cov, seq.cov, rtol=0, atol=1e-12)
+    return state, np.array(variances)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -423,24 +356,39 @@ def test_bell_detect_validates_copies_without_williamson(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 6),
-    outcomes=st.sampled_from(["zero", "given", "sample"]),
-)
-def test_block_bell_detect_matches_register_reference(seed, n, outcomes):
-    # random rotated copies with nonzero means
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+def test_block_bell_detect_matches_register_reference(seed, n):
+    # random rotated copies; the readout variances are each readout's
+    # variance on the register just before it is read
     rng = np.random.default_rng(seed)
     copies = [_random_state(rng, 2) for _ in range(n)]
-    plan = build_relay(n)
-    if outcomes == "sample":
-        joint, g_joint = bell_detect(copies, plan, np.random.default_rng(seed))
-        seq, g_seq = _bell_detect_sequential(copies, rng=np.random.default_rng(seed))
-    else:
-        given_outcomes = rng.normal(size=n) if outcomes == "given" else None
-        joint, g_joint = bell_detect(copies, plan, given_outcomes)
-        seq, g_seq = _bell_detect_sequential(copies, outcomes=given_outcomes)
+    joint, variances = bell_detect(copies, build_relay(n))
+    seq, seq_variances = _bell_detect_sequential(copies)
     tol = 1e-12 * max(1.0, max(np.linalg.norm(c.cov, 2) for c in copies))
-    np.testing.assert_allclose(g_joint, g_seq, rtol=0, atol=tol)
-    np.testing.assert_allclose(joint.mean, seq.mean, rtol=0, atol=tol)
+    np.testing.assert_allclose(variances, seq_variances, rtol=0, atol=tol)
     np.testing.assert_allclose(joint.cov, seq.cov, rtol=0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+def test_readout_variances_multiply_to_det_m(seed, n):
+    # the squared pivots of M = L L^T, in port order: their product is det M,
+    # with M = W blockdiag(a_k) W^T built here from the plan's readout matrix
+    rng = np.random.default_rng(seed)
+    copies = [_random_state(rng, 2) for _ in range(n)]
+    _, variances = bell_detect(copies, build_relay(n))
+    wt = build_relay(n).readout
+    a = np.zeros((2 * n, 2 * n))
+    for k, c in enumerate(copies):
+        a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = c.cov[:2, :2]
+    det_m = np.linalg.det(wt.T @ a @ wt)
+    assert variances.shape == (n,) and (variances > 0).all()
+    assert np.prod(variances) == pytest.approx(det_m, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_readout_variances_of_identical_normal_form_copies_are_x(n):
+    # a_k = x I and W W^T = I, so M = x I and every pivot is sqrt(x)
+    nf = sample_normal_form(np.random.default_rng(n), 10.0)
+    _, variances = bell_detect([nf.state()] * n, build_relay(n))
+    np.testing.assert_allclose(variances, nf.x, rtol=4 * np.finfo(float).eps, atol=0)
