@@ -366,6 +366,7 @@ def two_mode_standard_form(cov: np.ndarray):
     Returns ``(a, b, c_plus, c_minus, S)`` where S = S_1 (+) S_2 is symplectic
     and S cov S^T = [[a I, C], [C^T, b I]] with C = diag(c_plus, c_minus),
     c_plus >= |c_minus| and sign(c_minus) = sign(det of the input cross block).
+    A local block that is not positive definite raises PhysicalityError.
     """
     cov = _require_symmetric(cov)
     if cov.shape[0] != 4:
@@ -375,31 +376,24 @@ def two_mode_standard_form(cov: np.ndarray):
 
 def _standard_form(cov: np.ndarray):
     """:func:`two_mode_standard_form` of a covariance already checked: symmetric, 4x4 and finite."""
-    # whiten both diagonal blocks as one (2, 2, 2) stack: with s = sqrt(det)
-    # and block = L L^T, sqrt(s) L^-1 has det 1 (hence is symplectic) and
-    # takes the block to s I
-    diag = np.stack([cov[:2, :2], cov[2:, 2:]])
-    s = np.sqrt(np.linalg.det(diag))
-    SA, SB = np.sqrt(s)[:, None, None] * np.linalg.inv(np.linalg.cholesky(diag))
-    a, b = s
-    C1 = SA @ cov[:2, 2:] @ SB.T
-    U, sig, Wt = np.linalg.svd(C1)
-    # force proper rotations so the diagonal blocks stay a*I, b*I
-    du, dw = np.linalg.det(np.stack([U, Wt]))
-    U[:, 1] *= np.sign(du) if du != 0 else 1.0
-    Wt[1, :] *= np.sign(dw) if dw != 0 else 1.0
-    RA, RB = U.T, Wt
-    Cd = RA @ C1 @ RB.T
-    c_plus, c_minus = float(Cd[0, 0]), float(Cd[1, 1])
-    if abs(c_minus) > abs(c_plus):  # keep the dominant correlation on X
-        J = rotation(np.pi / 2.0)
-        RA, RB = J @ RA, J @ RB
-        Cd = RA @ C1 @ RB.T
-        c_plus, c_minus = float(Cd[0, 0]), float(Cd[1, 1])
-    if c_plus < 0:  # overall sign freedom: rotate one side by pi
-        RA = rotation(np.pi) @ RA
-        c_plus, c_minus = -c_plus, -c_minus
+    # whiten both diagonal blocks as one (2, 2, 2) stack: with block = L L^T
+    # and s = L00 L11 = sqrt(det), sqrt(s) L^-1 has det 1 (hence is
+    # symplectic) and takes the block to s I
+    try:
+        L = np.linalg.cholesky(np.stack([cov[:2, :2], cov[2:, 2:]]))
+    except np.linalg.LinAlgError:
+        raise PhysicalityError("covariance matrix must be positive-definite") from None
+    s = L[:, 0, 0] * L[:, 1, 1]
+    SA, SB = np.sqrt(s)[:, None, None] * np.linalg.inv(L)
+    (p, q), (r, t) = (SA @ cov[:2, 2:] @ SB.T).tolist()
+    # C1 = [[p, q], [r, t]] is (|u| / 2) R(phi) plus (|w| / 2) R(psi) diag(1, -1),
+    # a rotation plus a reflection; R(-(phi + psi) / 2) C1 R((phi - psi) / 2)^T
+    # takes both to diag(c_plus, c_minus), and |u|^2 - |w|^2 = 4 det C1 gives
+    # c_minus the sign of det C with no branch
+    u, w = math.hypot(p + t, r - q), math.hypot(p - t, q + r)
+    phi, psi = math.atan2(r - q, p + t), math.atan2(q + r, p - t)
     S = np.zeros((4, 4))
-    S[:2, :2] = RA @ SA
-    S[2:, 2:] = RB @ SB
-    return float(a), float(b), c_plus, c_minus, S
+    S[:2, :2] = rotation(-0.5 * (phi + psi)) @ SA
+    S[2:, 2:] = rotation(0.5 * (phi - psi)) @ SB
+    a, b = s.tolist()
+    return a, b, 0.5 * (u + w), 0.5 * (u - w), S

@@ -8,9 +8,12 @@ tests check against it. ``omega_product_eigvals`` is the package's route
 as it was before Omega stopped being built: the same Cholesky and
 ``eigvalsh``, with L^T Omega L formed by multiplying by ``symplectic_form``;
 the package must match it bit for bit. ``standard_form_per_block`` is
-``two_mode_standard_form`` as it was before its two diagonal blocks were
-whitened as one stack: one ``det``, ``cholesky`` and ``inv`` call per block
-and one ``det`` per rotation; the package must match it bit for bit too.
+the SVD twin of ``two_mode_standard_form``'s closed-form rotations: one
+``det``, ``cholesky`` and ``inv`` call per block, an ``svd`` of the whitened
+cross block with its determinant-sign repairs and the two branches that put
+the larger correlation on X with a positive sign. The package must match
+its (a, b, c_plus, c_minus) and S V S^T to 1e-12 ||V||, not bit for bit; S
+itself is not unique when c_plus = |c_minus|.
 ``tensor`` builds direct sums for test setup, and ``embed_orthogonal``
 promotes a passive mode mixer to a symplectic on a whole register: the
 register route that the relay's block-wise ``bell_detect`` is checked

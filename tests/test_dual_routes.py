@@ -5,7 +5,8 @@ that derives the same quantity another way. The test runs each side while
 every function of the other side raises if called, in every module that
 holds it, and then holds the two results within the tolerance an existing
 test already uses for that pair. So a twin that starts calling its partner
-fails here, even where the values would still agree. A completeness scan
+fails here, even where the values would still agree. Each row's first
+comment line says what its twin checks on its own. A completeness scan
 checks that every public ``*_formula``, ``*_closed_form`` and ``*_bound``
 has a row.
 """
@@ -114,6 +115,12 @@ def _lyapunov_tolerance(A, V):
     return max(1e-12, np.finfo(float).eps * np.linalg.cond(K)) * np.linalg.norm(V, 2)
 
 
+def _standard_form_values(route, V):
+    """(a, b, c_plus, c_minus) and S V S^T: S itself is not unique when c_plus = |c_minus|."""
+    *values, S = route(V)
+    return np.concatenate([values, np.ravel(S @ V @ S.T)])
+
+
 def _certified(cov):
     """The constructor's certificate alone: does V + i(1 - tol) Omega factor?"""
     try:
@@ -148,6 +155,7 @@ _CM = analysis.network_cluster_cm  # the oracles' input: the closed-form cluster
 
 ROWS = [
     Row(
+        # the twin conditions N real copies through the relay and validates the output as bona fide
         "cluster_closed_form <-> bell_detect",
         lambda: [
             relay.cluster_closed_form(nf.x, nf.y, nf.z, n).assemble() for nf in _NORMAL_FORMS for n in _SIZES
@@ -160,6 +168,7 @@ ROWS = [
         1e-10,  # test_relay::test_pipeline_agrees_with_closed_form_on_random_states
     ),
     Row(
+        # the twin checks the rows are what a chain of splitters of transmissivity 1 - 1/k builds
         "relay_orthogonal <-> relay_from_cascade",
         lambda: [relay.relay_orthogonal(n) for n in range(2, 9)],
         (relay.relay_orthogonal,),
@@ -168,6 +177,7 @@ ROWS = [
         1e-12,  # test_relay::test_cascade_reproduces_orthogonal_rows
     ),
     Row(
+        # the oracle reads the pair marginal's partially transposed spectrum and checks it is bona fide
         "e2_formula <-> pairwise_logneg_numeric at N = 2",
         lambda: [analysis.e2_formula(pt) for pt in _PAIR_POINTS],
         _FORMULA_PARTS,
@@ -176,6 +186,7 @@ ROWS = [
         1e-9,  # acceptance criterion 2
     ),
     Row(
+        # the oracle checks that every pair marginal of the relay cluster has the formula's spectrum
         "pairwise_logneg_formula <-> pairwise_logneg_numeric",
         lambda: [analysis.pairwise_logneg_formula(pt) for pt in _POINTS],
         _FORMULA_PARTS,
@@ -184,6 +195,7 @@ ROWS = [
         1e-9,  # acceptance criterion 2
     ),
     Row(
+        # the oracle checks the k-vs-k marginal by a Williamson eigensolve, not the 2x2 reduction
         "block_logneg_formula <-> block_logneg_numeric",
         lambda: [analysis.block_logneg_formula(pt, k) for pt in _POINTS for k in range(1, pt.n_users // 2 + 1)],
         _FORMULA_PARTS,
@@ -196,6 +208,7 @@ ROWS = [
         1e-9,  # acceptance criterion 2
     ),
     Row(
+        # the oracle checks the half-vs-half split of the whole cluster, with no mode traced out
         "full_house_logneg <-> block_logneg_numeric at N' = N/2",
         lambda: [analysis.full_house_logneg(pt) for pt in _POINTS if pt.n_users % 2 == 0],
         _FORMULA_PARTS,
@@ -208,6 +221,7 @@ ROWS = [
         1e-9,  # acceptance criterion 2
     ),
     Row(
+        # the ascent checks that no other choice of readout angles beats the formula's common angle
         "gle_formula <-> gle_numeric",
         lambda: [analysis.gle_formula(pt) for pt in _POINTS[:4]],
         _FORMULA_PARTS,
@@ -216,6 +230,7 @@ ROWS = [
         1e-6,  # acceptance criterion 2
     ),
     Row(
+        # the z search checks that the best z lies on the physical boundary
         "frontier_closed_form <-> max_swap_logneg_at_asymmetry",
         lambda: [sources.frontier_closed_form(d, 10.0) for d in (-1.5, -0.5, 0.0, 0.5, 2.0)],
         (sources.frontier_closed_form,),
@@ -224,6 +239,7 @@ ROWS = [
         1e-6,  # test_sources and perfbench's frontier check
     ),
     Row(
+        # the twin checks the formula is the log-negativity of the relay's actual two-user output
         "swap_logneg_two <-> bell_detect and log_negativity at N = 2",
         lambda: [analysis.swap_logneg_two(nf.x, nf.y, nf.z) for nf in _NORMAL_FORMS],
         (analysis.swap_logneg_two,),
@@ -235,6 +251,7 @@ ROWS = [
         1e-9,  # acceptance criterion 2, formula vs matrix oracle
     ),
     Row(
+        # the twin checks the bound is attained by pure symmetric inputs, the TMSVs
         "tmsv_swap_bound <-> swap_logneg_two on TMSVs",
         lambda: [analysis.tmsv_swap_bound(tmsv(mu).log_negativity()) for mu in (1.0, 1.5, 3.0, 20.0)],
         (analysis.tmsv_swap_bound,),
@@ -243,6 +260,7 @@ ROWS = [
         1e-9,  # test_sources::test_symmetric_states_attain_tmsv_curve_only_at_purity
     ),
     Row(
+        # the twin checks the wedge split of the kernel against a Hermitian eigensolve of L^T Omega L
         "_two_mode_spectra <-> _williamson",
         lambda: [np.ravel(gaussian._two_mode_spectra(V)) for V in _PAIRS],
         (gaussian._two_mode_spectra,),
@@ -252,6 +270,17 @@ ROWS = [
         np.repeat([1e-12 * np.linalg.norm(V, 2) for V in _PAIRS], 4),
     ),
     Row(
+        # the SVD twin checks that the closed-form angles diagonalize C and that c_minus keeps det C's sign
+        "two_mode_standard_form <-> standard_form_per_block",
+        lambda: [_standard_form_values(gaussian.two_mode_standard_form, V) for V in _PAIRS],
+        (gaussian._standard_form, gaussian.two_mode_standard_form),
+        lambda: [_standard_form_values(gaussian_reference.standard_form_per_block, V) for V in _PAIRS],
+        (gaussian_reference.standard_form_per_block,),
+        # test_gaussian::test_two_mode_standard_form_matches_the_svd_twin: 1e-12 ||V||
+        np.repeat([1e-12 * np.linalg.norm(V, 2) for V in _PAIRS], 20),
+    ),
+    Row(
+        # the twin checks the Kronecker ordering of the 16x16 system by a Schur-form solve
         "_kron_lyapunov <-> scipy's Bartels-Stewart",
         lambda: [optomech._kron_lyapunov(A, D) for A, D in _DRIFTS],
         (optomech._kron_lyapunov, optomech._solve_lyapunov),
@@ -263,6 +292,7 @@ ROWS = [
         ),
     ),
     Row(
+        # the spectrum checks the sign and scale of the shift: it accepts exactly nu_min >= 1 - tol
         "the constructor's complex-Cholesky certificate <-> the Williamson verdict",
         lambda: [_certified(V) for V in _VERDICT_STATES],
         (gaussian._certificate_shift, gaussian._require_bona_fide_cov),
@@ -273,7 +303,8 @@ ROWS = [
         0.0,  # test_gaussian::test_certified_verdict_matches_williamson: the same verdict
     ),
     Row(
-        # N / mu and 2 / mu are the variances of cluster_closed_form's TMSV cluster
+        # N / mu and 2 / mu are the variances of cluster_closed_form's TMSV cluster;
+        # the twin reads them off the relay's actual output, the GHZ limit the paper names
         "N / mu and 2 / mu <-> sum_p_variance and diff_x_variance of bell_detect",
         lambda: [v for mu in (2.0, 10.0) for n in _SIZES for v in (n / mu, 2.0 / mu)],
         (relay.cluster_closed_form,),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -421,14 +423,66 @@ def test_two_mode_standard_form_recovers_normal_form():
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
-def test_two_mode_standard_form_matches_the_per_block_route_bit_for_bit(seed, scale):
-    # stacked whitening and one det for both rotations change no bit
+def test_two_mode_standard_form_matches_the_svd_twin(seed, scale):
+    # S itself is not compared: it is not unique when c_plus = |c_minus|,
+    # as on every normal form
     V, _, _ = _random_two_mode(np.random.default_rng(seed))
     for cov in (V, scale * V):
+        tol = 1e-12 * np.linalg.norm(cov, 2)
         got = two_mode_standard_form(cov)
         want = standard_form_per_block(cov)
-        np.testing.assert_array_equal(got[4], want[4])
-        assert got[:4] == want[:4]
+        np.testing.assert_allclose(got[:4], want[:4], rtol=0, atol=tol)
+        np.testing.assert_allclose(got[4] @ cov @ got[4].T, want[4] @ cov @ want[4].T, rtol=0, atol=tol)
+
+
+# cross blocks with det C > 0, < 0, = 0 and C = 0, beside local blocks 3 I and 2 I
+_CROSS_BLOCKS = [np.diag([1.2, 0.8]), np.diag([1.2, -0.8]), np.diag([1.2, 0.0]), np.zeros((2, 2))]
+
+
+@pytest.mark.parametrize("C", _CROSS_BLOCKS, ids=["det>0", "det<0", "det=0", "C=0"])
+def test_two_mode_standard_form_is_symplectic_diagonal_and_signed(C):
+    rng = np.random.default_rng(17)
+    V0 = np.block([[3.0 * np.eye(2), C], [C.T, 2.0 * np.eye(2)]])
+    det_c = np.linalg.det(C)  # local symplectics keep det C, up to rounding
+    for k in range(40):
+        S_loc = np.eye(4) if k == 0 else _local_symplectic(rng)
+        cov = S_loc @ V0 @ S_loc.T
+        cov = 0.5 * (cov + cov.T)
+        tol = 1e-12 * np.linalg.norm(cov, 2)
+        a, b, c_plus, c_minus, S = two_mode_standard_form(cov)
+        assert is_symplectic(S, tol=1e-10)
+        np.testing.assert_allclose(
+            S @ cov @ S.T,
+            [[a, 0, c_plus, 0], [0, a, 0, c_minus], [c_plus, 0, b, 0], [0, c_minus, 0, b]],
+            rtol=0,
+            atol=tol,
+        )
+        assert c_plus >= abs(c_minus)
+        if det_c != 0.0:
+            assert np.sign(c_minus) == np.sign(det_c)
+        elif k == 0 or not C.any():  # unrotated, or C = 0 at every k: exactly zero
+            assert c_minus == 0.0
+        else:
+            assert abs(c_minus) <= tol
+        if not C.any():
+            assert c_plus == 0.0
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        np.block([[np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]),
+        -np.eye(4),
+        np.diag([1.0, 1.0, 0.0, 1.0]),
+    ],
+    ids=["indefinite", "minus-identity", "singular"],
+)
+def test_two_mode_standard_form_refuses_a_local_block_that_is_not_positive_definite(cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhysicalityError, match="positive-definite") as info:
+            two_mode_standard_form(cov)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_two_mode_standard_form_preserves_entanglement():
