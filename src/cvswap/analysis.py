@@ -27,7 +27,7 @@ from .gaussian import (
     reduce as reduce_state,
 )
 from .relay import _DEGENERATE, _MIN_READOUT_VARIANCE, _as_size, cluster_closed_form
-from .sources import TwoModeNormalForm, _grid_max, thermal_loss_on_a, tmsv
+from .sources import TwoModeNormalForm, thermal_loss_on_a, tmsv
 
 __all__ = [
     "NetworkPoint",
@@ -161,11 +161,27 @@ def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:
     return log_negativity(marginal, range(len(group_a)))
 
 
-#: The GLE ascent scans _GLE_GRID angles on [0, pi) and stops after a sweep
-#: whose best gain is below _GLE_TOL, or after _GLE_MAX_SWEEPS sweeps.
+#: The GLE ascent seeds from _GLE_GRID common angles on [0, pi) and stops
+#: after a sweep whose best gain is below _GLE_TOL, or after _GLE_MAX_SWEEPS sweeps.
 _GLE_GRID = 64
-_GLE_TOL = 1e-10
+_GLE_TOL = 1e-12
 _GLE_MAX_SWEEPS = 60
+
+# An exact line search (:func:`_stationary_angles`) reads a function
+# c0 + c1 cos phi + c2 sin phi of phi = 2 theta at phi = 0, pi/2, pi, that is
+# at theta = _LINE_READS; (f0, f1, f2) @ _LINE_VALUE and @ _LINE_SLOPE are
+# its value and phi-derivative at the 7 angles _LINE_PHI, and 7 values of a
+# trig polynomial g of degree 3 there, @ _LINE_DFT, are the coefficients of
+# z^0 .. z^6 in z^3 g, z = e^{i phi}.
+_LINE_READS = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi])
+_LINE_PHI = 2.0 * np.pi * np.arange(7) / 7
+_LINE_VALUE, _LINE_SLOPE = np.array([[0.5, 0.5, -0.5], [0.0, 0.0, 1.0], [0.5, -0.5, -0.5]]) @ [
+    [np.ones(7), np.cos(_LINE_PHI), np.sin(_LINE_PHI)],
+    [np.zeros(7), -np.sin(_LINE_PHI), np.cos(_LINE_PHI)],
+]
+_LINE_DFT = np.exp(-1j * np.outer(_LINE_PHI, np.arange(-3, 4))) / 7
+#: A coefficient of z^3 g below this share of its largest one counts as 0.
+_LINE_RTOL = 1e-12
 
 
 @functools.cache
@@ -207,6 +223,77 @@ def _read_last(v: np.ndarray, theta) -> np.ndarray:
     return v[..., :-2, :-2] - g[..., :, None] * g[..., None, :]
 
 
+def _pair_logneg(covs):
+    """Unclamped -ln nu~_- of a pair covariance or of each in a (..., 4, 4) stack.
+
+    A stack passes the bona-fide check only if its smallest nu_- does (a NaN
+    fails), so one unphysical pair raises PhysicalityError.
+    """
+    if covs.ndim > 3:  # the kernel's entry-wise reads cost less on a flat stack
+        return _pair_logneg(covs.reshape(-1, 4, 4)).reshape(covs.shape[:-2])
+    (nu_min, _), (pt_minus, _) = _two_mode_spectra(covs)
+    _require_bona_fide(float(np.min(nu_min)), "conditioned pair")
+    return -np.log(pt_minus)
+
+
+def _stationary_angles(W: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The (k, 6) candidate angles of exact line searches on a (k, 6, 6) stack of (pair, mode) blocks.
+
+    Reading the mode along u = (cos theta, -sin theta) leaves the pair with
+    the partial-transpose invariant Delta~ = det A + det B - 2 det C = p / M
+    and det V' = q / M, where M = u^T V_mm u and, by the matrix determinant
+    lemma, p, q and M are each c0 + c1 cos phi + c2 sin phi in phi = 2 theta;
+    p and q are read at three angles by one stacked read. x = nu~_-^2 solves
+    x^2 - Delta~ x + det V' = 0, so it is stationary where
+    x Delta~' = (det V')'. With P = p' M - p M' and Q = q' M - q M', both
+    again of degree 1, that is g = P^2 q - p P Q + Q^2 M = 0, a trig
+    polynomial of degree 3, whose z-coefficients come from its values at 7
+    angles. A line whose z^6 coefficient vanishes against the largest has
+    lower degree and is solved as such (its coefficients move up, adding
+    roots at 0), and one with no coefficient above z^3 keeps its angle in
+    ``thetas``. The roots are the eigenvalues of one (k, 6, 6) companion
+    stack, and each root z gives theta = arg(z) / 2: every stationary angle
+    is a candidate, so the best score among them is the line's maximum.
+    g grows as |W|^13, so each block is first scaled, exactly, by the power
+    of two that puts its largest diagonal entry in [1/2, 1): the angles do
+    not depend on a scale, and a block and its multiples by powers of two
+    give the same candidates bit for bit.
+    """
+    _, e = np.frexp(W.diagonal(axis1=1, axis2=2).max(axis=1))
+    W = np.ldexp(W, -e[:, None, None])
+    pairs = _read_last(W[:, None], _LINE_READS)
+    a, b, c, d = (pairs[..., r, :] for r in range(4))
+    tilde = a[..., 0] * b[..., 1] - a[..., 1] ** 2 + c[..., 2] * d[..., 3] - c[..., 3] ** 2
+    tilde -= 2.0 * (a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2])
+    vxx, vxp, vpp = W[:, 4, 4], W[:, 4, 5], W[:, 5, 5]
+    m = np.stack([vxx, 0.5 * (vxx + vpp) - vxp, vpp], axis=-1)
+    f = np.stack([m * tilde, m * np.linalg.det(pairs), m], axis=1)
+    (p, q, M), (dp, dq, dM) = np.swapaxes(f @ _LINE_VALUE, 0, 1), np.swapaxes(f @ _LINE_SLOPE, 0, 1)
+    P, Q = dp * M - p * dM, dq * M - q * dM
+    # one (1, 7) product per line, so a line's coefficients do not depend on the stack it sits in
+    coef = ((P * P * q - p * P * Q + Q * Q * M)[:, None] @ _LINE_DFT)[:, 0]
+    mag = np.abs(coef)
+    big = mag > _LINE_RTOL * mag.max(axis=1, keepdims=True)
+    flat = ~big[:, 4:].any(axis=1)
+    if not big[:, 6].all():  # move each line's leading coefficient up to z^6
+        shift = np.where(flat, 0, np.argmax(big[:, ::-1], axis=1))[:, None]
+        j = np.arange(7)
+        coef = np.where(j >= 2 * shift, np.take_along_axis(coef, np.maximum(j - shift, 0), axis=1), 0.0)
+        coef[flat] = j == 6
+    companion = np.zeros(coef.shape[:1] + (6, 6), dtype=complex)
+    companion[:, 0] = -coef[:, 5::-1] / coef[:, 6:]
+    companion[:, 1:, :-1] = np.eye(5)
+    return np.where(flat[:, None], thetas[:, None], 0.5 * np.angle(np.linalg.eigvals(companion)))
+
+
+def _line_search(W: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best angle and value of each line of a (k, 6, 6) stack, by one kernel call on its candidates."""
+    candidates = _stationary_angles(W, thetas)
+    vals = _pair_logneg(_read_last(W[:, None], candidates))
+    best = np.argmax(vals, axis=1)[:, None]
+    return tuple(np.take_along_axis(arr, best, axis=1)[:, 0] for arr in (candidates, vals))
+
+
 def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     """Localizable entanglement by optimized homodynes on the other modes.
 
@@ -223,18 +310,16 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     scores the (64, 4, 4) stack of pairs. It then moves one angle per sweep.
     Each coordinate m orders the modes as (pair, m, the rest) and reads the
     rest at their current angles, which leaves the 6x6 covariance of the
-    pair and m; each angle of m is then one more read of that matrix. A
-    sweep builds the k blocks of all k = N - 2 coordinates with k - 1
-    stacked reads, scans the 64 grid angles of all of them as one (k, 64)
-    stack, then refines within one grid step of each best angle by the
-    nested grids of :func:`cvswap.sources._grid_max`, one (k, 97) stack per
-    level. The objective has period pi, so a bracket may reach past 0 or pi.
-    Only the coordinate with the largest gain moves (the first on a tie), and
-    the ascent stops after a sweep whose best gain is below 1e-10. A sweep
-    costs 3 stacked kernel calls at any N, so a cluster whose common-angle
-    seed is already best, as an unrotated one is, takes 4 with the seeds. A
-    stack passes the bona-fide check only if its smallest nu_- does (a NaN
-    fails), so one unphysical angle raises PhysicalityError.
+    pair and m. A sweep builds the k blocks of all k = N - 2 coordinates
+    with k - 1 stacked reads and searches each line exactly
+    (:func:`_stationary_angles`): the objective's stationary angles on a
+    line are the roots of a trig polynomial of degree 3, at most 6, and one
+    kernel call scores the (k, 6) candidates. Only the coordinate with the
+    largest gain moves (the first on a tie), and the ascent stops after a
+    sweep whose best gain is below 1e-12. A sweep costs 1 stacked kernel
+    call at any N, so a cluster whose common-angle seed is already best, as
+    an unrotated one is, takes 2 with the seeds. One unphysical angle in a
+    scored stack raises PhysicalityError.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
@@ -244,28 +329,18 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     others = [m for m in range(n) if m not in (i, j)]
     order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
     v = state.cov[np.ix_(order, order)]
-
-    def pair_logneg(covs):
-        """Unclamped -ln nu~_- of a pair covariance or of each in a (..., 4, 4) stack."""
-        if covs.ndim > 3:  # the kernel's entry-wise reads cost less on a flat stack
-            return pair_logneg(covs.reshape(-1, 4, 4)).reshape(covs.shape[:-2])
-        (nu_min, _), (pt_minus, _) = _two_mode_spectra(covs)
-        _require_bona_fide(float(np.min(nu_min)), "conditioned pair")
-        return -np.log(pt_minus)
-
     if not others:
-        return max(0.0, float(pair_logneg(v)))
+        return max(0.0, float(_pair_logneg(v)))
 
     # The unclamped objective has no separable plateau, so coordinate moves
     # climb out of angles where the pair is separable; seeding with the best
     # common angle rather than a fixed corner starts near the global optimum.
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
-    step = np.pi / _GLE_GRID
     k = len(others)
     seeds = v
     for _ in range(k):
         seeds = _read_last(seeds, grid)
-    seed_vals = pair_logneg(seeds)
+    seed_vals = _pair_logneg(seeds)
     thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
     rows, cols, reads = _coordinate_index(k)
@@ -274,9 +349,7 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
         W = blocks
         for angles in thetas[reads].T:
             W = _read_last(W, angles)
-        W = W[:, None]
-        centres = grid[np.argmax(pair_logneg(_read_last(W, grid)), axis=-1)]
-        tops, vals = _grid_max(lambda t: pair_logneg(_read_last(W, t)), centres - step, centres + step)
+        tops, vals = _line_search(W, thetas)
         m = int(np.argmax(vals))
         gain = float(vals[m]) - best
         if gain > 0:

@@ -366,7 +366,8 @@ def two_mode_standard_form(cov: np.ndarray):
     Returns ``(a, b, c_plus, c_minus, S)`` where S = S_1 (+) S_2 is symplectic
     and S cov S^T = [[a I, C], [C^T, b I]] with C = diag(c_plus, c_minus),
     c_plus >= |c_minus| and sign(c_minus) = sign(det of the input cross block).
-    A local block that is not positive definite raises PhysicalityError.
+    A matrix that is not positive definite raises PhysicalityError: a local
+    block by its Cholesky, the whole by a b > c_plus^2 in standard form.
     """
     cov = _require_symmetric(cov)
     if cov.shape[0] != 4:
@@ -396,4 +397,9 @@ def _standard_form(cov: np.ndarray):
     S[:2, :2] = rotation(-0.5 * (phi + psi)) @ SA
     S[2:, 2:] = rotation(0.5 * (phi - psi)) @ SB
     a, b = s.tolist()
-    return a, b, 0.5 * (u + w), 0.5 * (u - w), S
+    c_plus = 0.5 * (u + w)
+    # S is invertible, so V is positive definite iff its standard form is:
+    # both 2x2 minors a b - c_plus^2 and a b - c_minus^2 positive, c_plus >= |c_minus|
+    if not a * b > c_plus * c_plus:
+        raise PhysicalityError("covariance matrix must be positive-definite")
+    return a, b, c_plus, 0.5 * (u - w), S

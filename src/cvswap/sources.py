@@ -126,73 +126,36 @@ def sample_normal_form(
     raise RuntimeError("rejection sampling budget exhausted")
 
 
-#: Each level of :func:`_grid_max` scores _GRID_POINTS points per bracket, and
-#: it runs _GRID_LEVELS levels; one level shrinks a bracket (_GRID_POINTS - 1) / 2 times.
-_GRID_POINTS = 97
-_GRID_LEVELS = 2
-
-
-def _grid_max(f, lo, hi):
-    """Maximize f over every bracket [lo, hi] at once by nested grids.
-
-    ``lo`` and ``hi`` are scalars or arrays of one shape S, and ``f`` maps
-    points of shape S + (P,) to values of that shape. Each level scores
-    _GRID_POINTS evenly spaced points across every bracket, ends included,
-    and narrows each bracket to its best point +- one spacing, cut back to
-    the bracket itself, so no point ever leaves the first [lo, hi]. Returns
-    the best points and their values, each of shape S.
-
-    Every level writes its grid into one buffer allocated per call, and
-    ``f`` may overwrite the grid it is given: each bracket's best point is
-    rebuilt from its index. A grid and a rebuilt point are np.linspace's
-    arithmetic bit for bit (j * step + lo, or (j / (P - 1)) * (hi - lo) + lo
-    when any bracket has zero width, and hi as the last point), because the
-    frozen fig2b data file holds the search's values to 12 digits.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    pts = np.empty(np.broadcast_shapes(lo.shape, hi.shape) + (_GRID_POINTS,))
-    j = np.arange(_GRID_POINTS, dtype=float)
-    last = _GRID_POINTS - 1
-    for _ in range(_GRID_LEVELS):
-        width = hi - lo
-        step = width / last
-        unit, scale = (j / last, width) if np.any(step == 0) else (j, step)
-        np.multiply(unit, scale[..., None], out=pts)
-        pts += lo[..., None]
-        pts[..., -1] = hi
-        vals = f(pts)
-        k = np.argmax(vals, axis=-1)
-        val = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-        best = np.where(k == last, hi, unit[k] * scale + lo)
-        lo, hi = np.maximum(best - step, lo), np.minimum(best + step, hi)
-    return best, val
-
-
-#: The frontier search scans _FRONTIER_GRID values of x.
+#: The frontier search scans _FRONTIER_GRID values of x, and _GRID_POINTS
+#: values of z at each.
 _FRONTIER_GRID = 200
+_GRID_POINTS = 97
 
 
 def _best_over_z(d: float, xs: np.ndarray) -> np.ndarray:
     """Largest swapped output max(0, -ln(y - z^2/x)) over z in [0, z_max(x)] at each x of ``xs``.
 
-    y = x - 2d. One :func:`_grid_max` call searches every x's z interval at
-    once, and scores each level's grid in place, so a level holds one
-    (len(xs), _GRID_POINTS) array; an x with z_max = 0 reads 0.
+    y = x - 2d. One (len(xs), _GRID_POINTS) grid spans every x's z interval,
+    ends included, and is scored in place; an x with z_max = 0 reads 0. The
+    grid is np.linspace's arithmetic bit for bit (j * step, or
+    (j / (P - 1)) * z_max when any z_max is 0, and z_max as the last point),
+    because the frozen fig2b data file holds the search's values to 12 digits.
     """
     ys = xs - 2.0 * d
     zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
-    x, y = xs[:, None], ys[:, None]
-
-    def score(z):
-        """-ln(y - z^2/x), written over z."""
-        z *= z
-        z /= x
-        np.subtract(y, z, out=z)
-        np.log(z, out=z)
-        return np.negative(z, out=z)
-
-    _, val = _grid_max(score, np.zeros(len(xs)), zm)
-    return np.maximum(val, 0.0)
+    j = np.arange(_GRID_POINTS, dtype=float)
+    last = _GRID_POINTS - 1
+    step = zm / last
+    unit, scale = (j / last, zm) if np.any(step == 0) else (j, step)
+    z = np.multiply(unit, scale[:, None])
+    z[:, -1] = zm
+    # -ln(y - z^2/x), written over z
+    z *= z
+    z /= xs[:, None]
+    np.subtract(ys[:, None], z, out=z)
+    np.log(z, out=z)
+    np.negative(z, out=z)
+    return np.maximum(z.max(axis=1), 0.0)
 
 
 def _feasible_x_range(d: float, x_max: float) -> tuple[float, float]:
@@ -214,13 +177,14 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     """Largest two-user swapped log-negativity at fixed asymmetry d.
 
     Maximizes the swapped output -ln(y - z^2/x) over x (with y = x - 2d) and
-    z within the physical region, both variances capped at x_max: a
-    nested-grid search over z at each of _FRONTIER_GRID grid values of x,
-    all at once (:func:`_best_over_z`), and the largest grid value. A
-    refinement over x could gain no more than the z search's own error: on
-    the physical boundary z^2 = xy - 1 - |x - y| the output is
-    ln(x / (1 + 2|d|)), which increases in x, so the best grid point is the
-    last one, x at its cap.
+    z within the physical region, both variances capped at x_max: one
+    grid of z at each of _FRONTIER_GRID grid values of x, all at once
+    (:func:`_best_over_z`), and the largest grid value. A refinement could
+    gain no more than the search's own rounding: at fixed x the output
+    increases in z^2, so its best z is the interval's upper end, z_max,
+    which the grid holds; on that physical boundary z^2 = xy - 1 - |x - y|
+    the output is ln(x / (1 + 2|d|)), which increases in x, so the best
+    grid point is the last one, x at its cap.
     This search never reads :func:`frontier_closed_form`, which the tests
     check it against. Near the boundary y - z^2/x cancels, so the search
     drifts from the closed form as x_max grows: over fig2b's default 31-point

@@ -35,30 +35,33 @@ reference the pairwise and block oracles are checked against.
 diagonal sign matrix built and multiplied, the independent reference the
 package's (2, d, d) Williamson stack [L, F L F] is checked against.
 ``gle_sequential`` is the GLE oracle's coordinate ascent with every
-sweep scored one coordinate at a time: each coordinate's block gathered
-by ``np.ix_``, read and scanned on its own, from the package's own
-``_read_last``, ``_two_mode_spectra`` and ``_grid_max``; the package's
-stacked sweep must match it bit for bit. ``grid_max_linspace`` is
-``_grid_max`` as it was before a call reused one buffer for every level:
-each level's grid from ``np.linspace`` and its best point and value by
-``take_along_axis``, so its ``f`` must leave the grid intact. ``frontier_linspace`` is
-``max_swap_logneg_at_asymmetry`` on it, scoring each grid out of place.
-The package must match both bit for bit, and raise what they raise.
+sweep searched one coordinate at a time: each coordinate's block gathered
+by ``np.ix_``, read and searched on its own by the package's own
+``_read_last`` and ``_line_search``; the package's stacked sweep must
+match it bit for bit. ``grid_line_search`` is the GLE oracle's line search
+as it was before it became exact: a 64-angle scan of each line, then two
+levels of 97-point nested grids within one scan step of its best angle
+(``grid_max_linspace``), the twin the exact search is checked against.
+``grid_max_linspace`` is a nested-grid search: each level's grid from
+``np.linspace`` and its best point and value by ``take_along_axis``, so
+its ``f`` must leave the grid intact. ``frontier_linspace`` is
+``max_swap_logneg_at_asymmetry`` on one level of it, scoring the grid out
+of place; the package's in-place frontier must match it bit for bit, and
+raise what it raises.
 """
 
 import math
 
 import numpy as np
 
-from cvswap.analysis import _GLE_GRID, _GLE_TOL, _read_last
+from cvswap.analysis import _GLE_GRID, _GLE_TOL, _line_search, _pair_logneg, _read_last
 from cvswap.gaussian import (
     GaussianState,
     _require_symmetric,
-    _two_mode_spectra,
     rotation,
     symplectic_eigenvalues,
 )
-from cvswap.sources import _FRONTIER_GRID, _GRID_LEVELS, _GRID_POINTS, _feasible_x_range, _grid_max
+from cvswap.sources import _FRONTIER_GRID, _GRID_POINTS, _feasible_x_range
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -255,13 +258,13 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
 
 
 def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
-    """The GLE of the (i, j) pair by coordinate ascent, one coordinate per scan.
+    """The GLE of the (i, j) pair by coordinate ascent, one coordinate per line search.
 
-    The same seeds, grid, tolerance and acceptance rule as
+    The same seeds, tolerance and acceptance rule as
     ``cvswap.analysis.gle_numeric``, with at most ``max_sweeps`` sweeps:
-    each sweep reads every coordinate's block at the current angles, scans
-    its 64 angles and refines its own bracket, then moves the coordinate
-    with the largest gain, the first on a tie. The input is symmetrized as
+    each sweep reads every coordinate's block at the current angles and
+    searches its line on its own, then moves the coordinate with the
+    largest gain, the first on a tie. The input is symmetrized as
     ``GaussianState`` stores it.
     """
     cov = GaussianState(cluster_cov).cov
@@ -270,16 +273,12 @@ def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
     order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
     v = cov[np.ix_(order, order)]
 
-    def pair_logneg(covs):
-        return -np.log(_two_mode_spectra(covs)[1][0])
-
     grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
-    step = np.pi / _GLE_GRID
     k = len(others)
     seeds = v
     for _ in range(k):
         seeds = _read_last(seeds, grid)
-    seed_vals = pair_logneg(seeds)
+    seed_vals = _pair_logneg(seeds)
     thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
     for _ in range(max_sweeps):
@@ -290,8 +289,8 @@ def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
             W = v[np.ix_(q, q)]
             for b in reversed(rest):
                 W = _read_last(W, thetas[b])
-            centre = grid[int(np.argmax(pair_logneg(_read_last(W, grid))))]
-            scored.append(_grid_max(lambda t: pair_logneg(_read_last(W, t)), centre - step, centre + step))
+            top, val = _line_search(W[None], thetas[a : a + 1])
+            scored.append((top[0], val[0]))
         a = max(range(k), key=lambda c: scored[c][1])
         gain = float(scored[a][1]) - best
         if gain > 0:
@@ -302,10 +301,36 @@ def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
     return max(0.0, float(best))
 
 
-def grid_max_linspace(f, lo, hi):
-    """Nested-grid maximum of f over every bracket [lo, hi]; the package's ``_grid_max`` contract."""
+#: The grid line search scans _LINE_GRID angles, then refines by _LINE_LEVELS nested-grid levels.
+_LINE_GRID = 64
+_LINE_LEVELS = 2
+
+
+def grid_line_search(W):
+    """Best angle and value of each line of a (k, 6, 6) stack of (pair, mode) blocks, by grids.
+
+    Scans _LINE_GRID angles on [0, pi) as one (k, 64) stack, then refines
+    within one scan step of each best angle by ``grid_max_linspace``, one
+    (k, 97) stack per level; the objective has period pi, so a bracket may
+    reach past 0 or pi. The best found lies within the grids' resolution of
+    the line's maximum, never above it.
+    """
+    grid = np.linspace(0.0, np.pi, _LINE_GRID, endpoint=False)
+    step = np.pi / _LINE_GRID
+    W = W[:, None]
+    centres = grid[np.argmax(_pair_logneg(_read_last(W, grid)), axis=-1)]
+    return grid_max_linspace(lambda t: _pair_logneg(_read_last(W, t)), centres - step, centres + step, _LINE_LEVELS)
+
+
+def grid_max_linspace(f, lo, hi, levels: int):
+    """Nested-grid maximum of f over every bracket [lo, hi]: ``levels`` levels of _GRID_POINTS points.
+
+    Each level scores np.linspace's grid across every bracket, ends
+    included, and narrows each bracket to its best point +- one spacing, cut
+    back to the bracket itself. Returns the best points and their values.
+    """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    for _ in range(_GRID_LEVELS):
+    for _ in range(levels):
         pts = np.linspace(lo, hi, _GRID_POINTS, axis=-1)
         vals = f(pts)
         k = np.argmax(vals, axis=-1)[..., None]
@@ -316,14 +341,14 @@ def grid_max_linspace(f, lo, hi):
 
 
 def frontier_linspace(d: float, x_max: float) -> float:
-    """The two-user swap frontier at asymmetry d by :func:`grid_max_linspace`, as the package searches it."""
+    """The two-user swap frontier at asymmetry d by one level of :func:`grid_max_linspace`, as the package searches it."""
     lo, hi = _feasible_x_range(d, x_max)
     xs = np.linspace(lo, hi, _FRONTIER_GRID)
     ys = xs - 2.0 * d
     x, y = xs[:, None], ys[:, None]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
-        _, val = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm)
+        _, val = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm, 1)
         best = float(np.max(np.maximum(val, 0.0)))
     if not math.isfinite(best):
         raise FloatingPointError(f"frontier search at d = {d!r}, x_max = {x_max!r} gave {best}")

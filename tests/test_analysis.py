@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,10 +22,11 @@ from cvswap.analysis import (
 )
 from cvswap.gaussian import GaussianState, PhysicalityError, rotation
 from cvswap.relay import bell_detect, build_relay, cluster_closed_form
-from cvswap.sources import _GRID_POINTS, sample_normal_form, tmsv
+from cvswap.sources import sample_normal_form, tmsv
 from gaussian_reference import (
     embed_orthogonal,
     gle_sequential,
+    grid_line_search,
     is_symplectic,
     read_quadrature,
     tensor,
@@ -261,6 +264,34 @@ def test_gle_numeric_keeps_the_requested_pair():
     assert gle_numeric(cm, 2, 1) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("sigma2", [0.5, 2.0])
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_gle_numeric_reads_a_mode_coupled_through_one_quadrature(sigma2, phi):
+    # A TMSV on modes (0, 1) and a vacuum mode 2 share classical noise of
+    # variance sigma2 on X0 and X2, and mode 2 takes as much on P2, so its
+    # block stays (1 + sigma2) I; mode 2 is then turned by phi. Only its
+    # quadrature at phi carries the noise, so reading it is best and leaves
+    # sigma2 / (1 + sigma2) of it on X0. An isotropic measured block makes
+    # the line's polynomial lose its top degree: the z^6 coefficient is
+    # rounding noise, and the line is solved at the lower degree with no
+    # warning, also off the seed grid.
+    cov = tensor(tmsv(3.0).state(), vacuum(1)).cov
+    e = np.zeros(6)
+    e[[0, 4]] = 1.0
+    cov = cov + sigma2 * np.outer(e, e)
+    cov[5, 5] += sigma2
+    R = np.eye(6)
+    R[4:, 4:] = rotation(phi)
+    cov = R @ cov @ R.T
+    kept = tmsv(3.0).cov()
+    kept[0, 0] += sigma2 / (1.0 + sigma2)
+    expected = max(0.0, unclamped_logneg(kept, [0], [1]))
+    assert expected > 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gle_numeric(cov) == pytest.approx(expected, abs=1e-12)
+
+
 def test_gle_numeric_rejects_bad_pair():
     cm = network_cluster_cm(NetworkPoint(3.0, 0.8, 1.2, 5))
     with pytest.raises(ValueError, match="duplicate mode indices"):
@@ -299,14 +330,33 @@ def test_gle_numeric_rejects_unphysical_input():
             gle_numeric(cm)
 
 
-# the shape of the stack of pairs each scan reads at N = 4: the seeds' last
-# read turns a (64, 6, 6) stack into pairs, and a sweep scores both
-# coordinates, so its 64-angle scan reads a (2, 64) stack and each level of
-# its refinement a (2, 97) one
+def test_gle_numeric_searches_huge_variances_as_it_searches_their_scale():
+    # A cluster scaled by 2^120 is bona fide and separable. The line search
+    # scales each block by a power of two before it forms g, which grows as
+    # |W|^13 and would overflow past about 1e23, so it finds the same
+    # candidate angles bit for bit, with no overflow warning.
+    n, scale = 5, 2.0**120
+    cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n))
+    R = np.eye(2 * n)
+    for m in range(2, n):
+        R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(0.37 * m)
+    cm = R @ cm @ R.T
+    blocks = cm[np.ix_(range(6), range(6))][None]
+    thetas = np.array([0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gle_numeric(scale * cm) == 0.0
+        np.testing.assert_array_equal(
+            analysis._stationary_angles(scale * blocks, thetas), analysis._stationary_angles(blocks, thetas)
+        )
+
+
+# the shape of the stack of pairs each scored read leaves at N = 4: the
+# seeds' last read turns a (64, 6, 6) stack into pairs, and a sweep scores
+# the 6 candidate angles of both coordinates as one (2, 6) stack
 _SCANNED_PAIRS = {
     "seeds": (64, 4, 4),
-    "coordinate scan": (2, 64, 4, 4),
-    "refinement level": (2, _GRID_POINTS, 4, 4),
+    "candidates": (2, 6, 4, 4),
 }
 
 
@@ -320,7 +370,7 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
         pairs = real(v, theta)
         if pairs.shape == _SCANNED_PAIRS[route]:
             pairs = pairs.copy()
-            pairs.reshape(-1, 4, 4)[17] = 0.5 * np.eye(4)
+            pairs.reshape(-1, 4, 4)[5] = 0.5 * np.eye(4)
         return pairs
 
     monkeypatch.setattr(analysis, "_read_last", one_bad_angle)
@@ -333,14 +383,14 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
     [(n, rotated) for rotated in (False, True) for n in range(3, 9)],
     ids=[f"{prefix}{n}" for prefix in ("", "rotated-") for n in range(3, 9)],
 )
-def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n, rotated):
-    # the seeds, each sweep's (N - 2, 64)-angle scan and each of the two
-    # levels of its nested-grid refinement are one stacked call each, and no
-    # angle is scored on its own; the seeds are best on an unrotated cluster,
-    # so its one sweep moves nothing, while rotating the measured modes by
-    # fixed off-grid angles makes the ascent move
+def test_gle_numeric_scores_the_seeds_and_each_sweep_in_one_kernel_call(monkeypatch, n, rotated):
+    # the seeds and each sweep's (N - 2, 6) candidate angles are one stacked
+    # call each, and no angle is scored on its own; the seeds are best on an
+    # unrotated cluster, so its one sweep moves nothing and the ascent makes
+    # 2 calls, while rotating the measured modes by fixed off-grid angles
+    # makes it move
     calls = {"scalar": 0, "stacked": 0, "sweeps": 0}
-    kernel, grid_max = analysis._two_mode_spectra, analysis._grid_max
+    kernel, line_search = analysis._two_mode_spectra, analysis._line_search
 
     def counted(cov):
         calls["stacked" if np.ndim(cov) > 2 else "scalar"] += 1
@@ -348,10 +398,10 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n, ro
 
     def sweep(*args):
         calls["sweeps"] += 1
-        return grid_max(*args)
+        return line_search(*args)
 
     monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
-    monkeypatch.setattr(analysis, "_grid_max", sweep)
+    monkeypatch.setattr(analysis, "_line_search", sweep)
     cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n))
     if rotated:
         R = np.eye(2 * n)
@@ -361,7 +411,7 @@ def test_gle_numeric_scans_each_angle_grid_in_one_kernel_call(monkeypatch, n, ro
     gle_numeric(cm)
     sweeps = calls["sweeps"]
     assert sweeps > 1 if rotated else sweeps == 1
-    assert calls == {"scalar": 0, "stacked": 1 + 3 * sweeps, "sweeps": sweeps}
+    assert calls == {"scalar": 0, "stacked": 1 + sweeps, "sweeps": sweeps}
 
 
 @pytest.mark.parametrize(
@@ -404,7 +454,7 @@ def test_pair_and_block_oracles_read_their_marginal_once(monkeypatch, oracle, gr
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), rotated=st.booleans())
 def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
-    # Scoring a sweep's coordinates as one stack must not change the ascent:
+    # Searching a sweep's coordinates as one stack must not change the ascent:
     # every sweep moves the coordinate that the one-coordinate-at-a-time
     # sweep of gle_sequential moves, to the same angle, bit for bit. Rotating
     # the measured modes moves an angle in nearly every sweep; without
@@ -422,6 +472,26 @@ def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_GLE_MAX_SWEEPS", 3)
         assert gle_numeric(cm, i, j) == gle_sequential(cm, i, j, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_exact_line_search_scores_at_least_the_grid_search(seed, k):
+    # On random bona-fide (pair, mode) blocks S diag(nu) S^T, the best of the
+    # exact candidates is at least the grid twin's best (a 64-angle scan and
+    # two 97-point levels) to rounding: every stationary angle of a line is
+    # a candidate, so its maximum is among them.
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(k):
+        S = _random_symplectic(rng, 3)
+        V = S @ np.diag(np.repeat(rng.uniform(1.0, 1.5, 3), 2)) @ S.T
+        blocks.append(GaussianState(V).cov)
+    W = np.array(blocks)
+    _, exact = analysis._line_search(W, rng.uniform(0.0, np.pi, k))
+    _, grid = grid_line_search(W)
+    assert exact.shape == grid.shape == (k,)
+    assert (exact >= grid - 1e-13).all(), exact - grid
 
 
 def test_gle_coordinate_index_is_built_once_per_k_and_read_only():
@@ -450,8 +520,8 @@ _OFF_GRID_ROTATIONS = {
 @pytest.mark.parametrize("rotations", sorted(_OFF_GRID_ROTATIONS))
 @pytest.mark.parametrize("n", range(3, 7))
 def test_gle_numeric_is_invariant_under_rotations_of_the_measured_modes(n, rotations):
-    # the rotated optima lie off the 64-angle grid, so only the refinement
-    # reaches them; the value must not move
+    # the rotated optima lie off the 64-angle seed grid, so only the line
+    # searches reach them; the value must not move
     for pt in (NetworkPoint(5.0, 0.9, 1.1, n), NetworkPoint(3.0, 0.8, 1.2, n)):
         cm = network_cluster_cm(pt)
         R = np.eye(2 * n)
@@ -459,7 +529,7 @@ def test_gle_numeric_is_invariant_under_rotations_of_the_measured_modes(n, rotat
             R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(phi)
         value = gle_numeric(cm)
         assert value > 0.1
-        assert gle_numeric(R @ cm @ R.T) == pytest.approx(value, abs=1e-9)
+        assert gle_numeric(R @ cm @ R.T) == pytest.approx(value, abs=1e-11)
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,7 +548,7 @@ def test_gle_numeric_matches_formula_with_rotated_measured_modes(seed, n):
     for m in range(2, n):
         R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(rng.uniform(0.0, np.pi))
     cm = network_cluster_cm(pt)
-    assert gle_numeric(R @ cm @ R.T) == pytest.approx(gle_formula(pt), abs=1e-9)
+    assert gle_numeric(R @ cm @ R.T) == pytest.approx(gle_formula(pt), abs=1e-11)
 
 
 def _read_all(v, thetas):

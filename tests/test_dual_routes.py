@@ -109,6 +109,24 @@ def _drifts():
 _DRIFTS = _drifts()
 
 
+def _lines():
+    """A (6, 6, 6) stack of bona-fide (pair, mode) blocks S diag(nu) S^T, each mode rotated and squeezed."""
+    rng = np.random.default_rng(9)
+    blocks = []
+    for _ in range(6):
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        O = np.zeros((6, 6))  # a passive symplectic from the unitary Q = X + iY
+        O[0::2, 0::2], O[0::2, 1::2], O[1::2, 0::2], O[1::2, 1::2] = Q.real, -Q.imag, Q.imag, Q.real
+        squeeze = np.repeat(np.exp(rng.uniform(-1.0, 1.0, 3)), 2) ** np.tile([1.0, -1.0], 3)
+        S = O @ np.diag(squeeze)
+        V = S @ np.diag(np.repeat(rng.uniform(1.0, 1.5, 3), 2)) @ S.T
+        blocks.append(0.5 * (V + V.T))
+    return np.array(blocks)
+
+
+_LINES = _lines()
+
+
 def _lyapunov_tolerance(A, V):
     """test_optomech's _solver_tolerance: max(1e-12, eps cond(K)) ||V||."""
     K = np.kron(A, np.eye(4)) + np.kron(np.eye(4), A)
@@ -230,12 +248,23 @@ ROWS = [
         1e-6,  # acceptance criterion 2
     ),
     Row(
+        # the twin checks that no angle of a 64-angle scan refined by two 97-point levels beats the candidates
+        "exact line search <-> grid line search",
+        lambda: [analysis._line_search(_LINES, np.linspace(0.1, 2.6, len(_LINES)))[1]],
+        (analysis._line_search, analysis._stationary_angles),
+        lambda: [gaussian_reference.grid_line_search(_LINES)[1]],
+        (gaussian_reference.grid_line_search, gaussian_reference.grid_max_linspace),
+        # the grids' resolution (the gap reads 3.5e-11 at most on these lines);
+        # test_analysis::test_exact_line_search_scores_at_least_the_grid_search holds the other side to 1e-13
+        1e-9,
+    ),
+    Row(
         # the z search checks that the best z lies on the physical boundary
         "frontier_closed_form <-> max_swap_logneg_at_asymmetry",
         lambda: [sources.frontier_closed_form(d, 10.0) for d in (-1.5, -0.5, 0.0, 0.5, 2.0)],
         (sources.frontier_closed_form,),
         lambda: [sources.max_swap_logneg_at_asymmetry(d, 10.0) for d in (-1.5, -0.5, 0.0, 0.5, 2.0)],
-        (sources.max_swap_logneg_at_asymmetry, sources._best_over_z, sources._grid_max),
+        (sources.max_swap_logneg_at_asymmetry, sources._best_over_z),
         1e-6,  # test_sources and perfbench's frontier check
     ),
     Row(

@@ -1,6 +1,9 @@
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -61,3 +64,31 @@ def test_every_public_name_is_reached_outside_its_definition():
                     if token.type not in (tokenize.NL, tokenize.COMMENT):
                         previous = token.string
     assert [name for name in cvswap.__all__ if name not in reached] == []
+
+
+_FIRST_ORACLE_CALLS = """
+import sys
+import cvswap
+from cvswap import analysis, sources
+before = set(sys.modules)
+cm = analysis.network_cluster_cm(analysis.NetworkPoint(5.0, 0.9, 1.1, 4))
+analysis.pairwise_logneg_numeric(cm)
+analysis.block_logneg_numeric(cm, [0, 1], [2, 3])
+analysis.gle_numeric(cm)
+sources.max_swap_logneg_at_asymmetry(0.5, 10.0)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_first_oracle_calls_import_no_module():
+    # A module that an oracle imports on its first call is paid again by
+    # every fresh interpreter, as the benchmark's set-up time counts it
+    # (numpy.fft alone pulls in four). So after `import cvswap`, one call
+    # each of the pair, block and GLE oracles and of the frontier search
+    # adds nothing to sys.modules.
+    env = {**os.environ, "PYTHONPATH": str(Path(cvswap.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _FIRST_ORACLE_CALLS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

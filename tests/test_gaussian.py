@@ -485,6 +485,20 @@ def test_two_mode_standard_form_refuses_a_local_block_that_is_not_positive_defin
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.parametrize("c", [2.0, 1.0], ids=["indefinite", "singular"])
+def test_two_mode_standard_form_refuses_a_matrix_that_only_its_blocks_leave_positive(c):
+    # [[I, c I], [c I, I]]: both local blocks are I, positive definite, but
+    # the whole is indefinite (c = 2) or singular (c = 1), so it is no
+    # covariance; both routes refuse it, with no numpy warning
+    cov = np.block([[np.eye(2), c * np.eye(2)], [c * np.eye(2), np.eye(2)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhysicalityError, match="positive-definite"):
+            two_mode_standard_form(cov)
+        with pytest.raises(PhysicalityError):
+            GaussianState(cov)
+
+
 def test_two_mode_standard_form_preserves_entanglement():
     rng = np.random.default_rng(11)
     nf = TwoModeNormalForm(3.0, 2.0, 1.9)

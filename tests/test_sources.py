@@ -14,7 +14,6 @@ from cvswap.sources import (
     _FRONTIER_GRID,
     TwoModeNormalForm,
     _best_over_z,
-    _grid_max,
     frontier_closed_form,
     max_swap_logneg_at_asymmetry,
     sample_normal_form,
@@ -314,56 +313,30 @@ def test_frontier_curve_monotone_away_from_symmetry():
         frontier_closed_form(-5.0, 10.0)
 
 
-def _same_arrays(got, want):
-    return len(got) == len(want) and all(
-        g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want)
-    )
-
-
-_LO = np.random.default_rng(24).uniform(-3.0, 3.0, 400)
-_HI = _LO + np.random.default_rng(25).exponential(1.0, 400)
-_BRACKETS = {
-    # (lo, hi): the frontier's first x has z_max = 0, a zero-width bracket,
-    # which sends np.linspace down its (j / (P - 1)) * width branch for all
-    # brackets; j * step + lo and (j / (P - 1)) * width + lo differ in the
-    # last bit for some, and so does the last grid point hi from lo + 96 steps
-    "zero-width member": (_LO, np.where(np.arange(400) == 7, _LO, _HI)),
-    "(w,)-shaped": (_LO, _HI),
-    "(w, 2)-shaped, hi broadcast": (_LO.reshape(200, 2), np.array(3.5)),
-    "0-d, as gle_sequential passes them": (np.array(0.4), np.array(0.4 + np.pi / 64)),
-    "scalars": (-0.1, 0.2),
-}
-_SCORES = {
-    # (f, the same f written over its grid)
-    "peaked": (lambda t: np.sin(5.0 * t) - 0.05 * t * t, lambda t: np.sin(np.multiply(t, 5.0, out=t), out=t)),
-    "rising": (np.arctan, lambda t: np.arctan(t, out=t)),
+_XS = {
+    # (d, xs): the frontier's first x has z_max = 0, a zero-width interval,
+    # which sends np.linspace down its (j / (P - 1)) * width branch for every
+    # x; j * step and (j / (P - 1)) * width differ in the last bit for some,
+    # and so does the last grid point z_max from 96 steps
+    "zero-width member": (0.3, np.linspace(1.6, 10.0, _FRONTIER_GRID)),
+    "positive widths": (-0.7, np.random.default_rng(24).uniform(1.5, 50.0, 400)),
+    "one x": (0.0, np.array([3.0])),
 }
 
 
-@pytest.mark.parametrize("overwrites", [False, True], ids=["f keeps its grid", "f overwrites its grid"])
-@pytest.mark.parametrize("score", list(_SCORES))
-@pytest.mark.parametrize("bracket", list(_BRACKETS), ids=list(_BRACKETS))
-def test_grid_max_matches_the_linspace_reference_bit_for_bit(bracket, score, overwrites):
-    # every level's grid is np.linspace's bit for bit, and the buffered
-    # search rebuilds each best point from its index with the same
-    # arithmetic, so points and values agree bit for bit with the linspace /
-    # take_along_axis search, also when f writes over the grid; a rising f
-    # puts the best point on hi
-    lo, hi = _BRACKETS[bracket]
-    keeps, overwrites_grid = _SCORES[score]
-    f = overwrites_grid if overwrites else keeps
-    grids, reference_grids = [], []
-
-    def seen(t):
-        grids.append(t.copy())
-        return f(t)
-
-    def reference(t):
-        reference_grids.append(t.copy())
-        return f(t.copy())
-
-    assert _same_arrays(_grid_max(seen, lo, hi), grid_max_linspace(reference, lo, hi))
-    assert _same_arrays(grids, reference_grids)
+@pytest.mark.parametrize("case", list(_XS))
+def test_best_over_z_matches_the_linspace_reference_bit_for_bit(case):
+    # one level of np.linspace's grid over every x's z interval, scored out
+    # of place, gives the in-place search's values bit for bit
+    d, xs = _XS[case]
+    ys = xs - 2.0 * d
+    zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
+    x, y = xs[:, None], ys[:, None]
+    with np.errstate(divide="ignore"):
+        _, want = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm, 1)
+        got = _best_over_z(d, xs)
+    assert (zm == 0).any() == (case == "zero-width member")
+    assert got.shape == want.shape and np.array_equal(got, np.maximum(want, 0.0))
 
 
 def test_frontier_matches_the_linspace_reference_on_the_fig2b_grid():
