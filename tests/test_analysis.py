@@ -351,6 +351,49 @@ def test_gle_numeric_searches_huge_variances_as_it_searches_their_scale():
         )
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.37, 1.2, 2.9])
+def test_exact_line_search_follows_a_rotated_measured_mode(phi):
+    # At N = 3 one line search is the whole GLE. Turning the measured mode by
+    # phi moves its best reading from pi/2 to pi/2 - phi (mod pi), off the
+    # seed grid, and leaves the value: the search reaches it from any start
+    # angle, to rounding of the formula. The optimum is a double root of g,
+    # so the angle itself is good to about sqrt(eps).
+    for pt in (NetworkPoint(5.0, 0.9, 1.1, 3), NetworkPoint(3.0, 0.8, 1.2, 3)):
+        R = np.eye(6)
+        R[4:, 4:] = rotation(phi)
+        W = (R @ network_cluster_cm(pt) @ R.T)[None]
+        for start in (0.1, 1.0, 2.5):
+            top, val = analysis._line_search(W, np.array([start]))
+            assert val[0] == pytest.approx(gle_formula(pt), abs=1e-13)
+            offset = (top[0] - (0.5 * np.pi - phi)) % np.pi
+            assert min(offset, np.pi - offset) < 1e-7, (top, phi)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_flat_line_keeps_its_angle_and_leaves_its_stack_alone(position):
+    # Three vacuum modes: every reading leaves the pair at the vacuum, and
+    # g's coefficients come out exactly 0, so that line's candidates are its
+    # current angle, with no warning. The other lines of the stack, rotated
+    # N = 3 clusters, get the candidates they get on their own, bit for bit,
+    # though the flat line sends the stack down the lower-degree branch.
+    flat = vacuum(3).cov
+    lines = []
+    for phi in (0.37, 1.2):
+        R = np.eye(6)
+        R[4:, 4:] = rotation(phi)
+        lines.append(R @ network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 3)) @ R.T)
+    lines.insert(position, flat)
+    W, thetas = np.array(lines), np.array([0.4, 1.3, 2.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        candidates = analysis._stationary_angles(W, thetas)
+        alone = [analysis._stationary_angles(W[a : a + 1], thetas[a : a + 1])[0] for a in range(3)]
+    assert candidates.shape == (3, 6)
+    assert (candidates[position] == thetas[position]).all()
+    for a in range(3):
+        np.testing.assert_array_equal(candidates[a], alone[a])
+
+
 # the shape of the stack of pairs each scored read leaves at N = 4: the
 # seeds' last read turns a (64, 6, 6) stack into pairs, and a sweep scores
 # the 6 candidate angles of both coordinates as one (2, 6) stack

@@ -319,7 +319,12 @@ _XS = {
     # x; j * step and (j / (P - 1)) * width differ in the last bit for some,
     # and so does the last grid point z_max from 96 steps
     "zero-width member": (0.3, np.linspace(1.6, 10.0, _FRONTIER_GRID)),
+    "zero-width member, d < 0": (-0.4, np.linspace(1.0, 9.2, _FRONTIER_GRID)),
     "positive widths": (-0.7, np.random.default_rng(24).uniform(1.5, 50.0, 400)),
+    # near the cap, y - z^2/x cancels to a few digits, so a last-bit change
+    # in any grid point would show in the value
+    "positive widths near fig2b's largest cap": (0.5, np.random.default_rng(26).uniform(1e3, 1e5, 400)),
+    "symmetric": (0.0, np.random.default_rng(27).uniform(1.01, 10.0, 400)),
     "one x": (0.0, np.array([3.0])),
 }
 
@@ -335,7 +340,7 @@ def test_best_over_z_matches_the_linspace_reference_bit_for_bit(case):
     with np.errstate(divide="ignore"):
         _, want = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm, 1)
         got = _best_over_z(d, xs)
-    assert (zm == 0).any() == (case == "zero-width member")
+    assert (zm == 0).any() == case.startswith("zero-width member")
     assert got.shape == want.shape and np.array_equal(got, np.maximum(want, 0.0))
 
 
