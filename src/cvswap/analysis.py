@@ -167,21 +167,9 @@ _GLE_GRID = 64
 _GLE_TOL = 1e-12
 _GLE_MAX_SWEEPS = 60
 
-# An exact line search (:func:`_stationary_angles`) reads a function
-# c0 + c1 cos phi + c2 sin phi of phi = 2 theta at phi = 0, pi/2, pi, that is
-# at theta = _LINE_READS; (f0, f1, f2) @ _LINE_VALUE and @ _LINE_SLOPE are
-# its value and phi-derivative at the 7 angles _LINE_PHI, and 7 values of a
-# trig polynomial g of degree 3 there, @ _LINE_DFT, are the coefficients of
-# z^0 .. z^6 in z^3 g, z = e^{i phi}.
+#: An exact line search (:func:`_stationary_angles`) reads each block's mode
+#: at theta = _LINE_READS, that is at phi = 2 theta = 0, pi/2 and pi.
 _LINE_READS = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi])
-_LINE_PHI = 2.0 * np.pi * np.arange(7) / 7
-_LINE_VALUE, _LINE_SLOPE = np.array([[0.5, 0.5, -0.5], [0.0, 0.0, 1.0], [0.5, -0.5, -0.5]]) @ [
-    [np.ones(7), np.cos(_LINE_PHI), np.sin(_LINE_PHI)],
-    [np.zeros(7), -np.sin(_LINE_PHI), np.cos(_LINE_PHI)],
-]
-_LINE_DFT = np.exp(-1j * np.outer(_LINE_PHI, np.arange(-3, 4))) / 7
-#: A coefficient of z^3 g below this share of its largest one counts as 0.
-_LINE_RTOL = 1e-12
 
 
 @functools.cache
@@ -236,28 +224,32 @@ def _pair_logneg(covs):
     return -np.log(pt_minus)
 
 
-def _stationary_angles(W: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The (k, 6) candidate angles of exact line searches on a (k, 6, 6) stack of (pair, mode) blocks.
+def _minkowski(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u0 v0 - u1 v1 - u2 v2 over the last axis, elementwise across the stack."""
+    return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+
+
+def _stationary_angles(W: np.ndarray) -> np.ndarray:
+    """The (k, 4) candidate angles of exact line searches on a (k, 6, 6) stack of (pair, mode) blocks.
 
     Reading the mode along u = (cos theta, -sin theta) leaves the pair with
     the partial-transpose invariant Delta~ = det A + det B - 2 det C = p / M
     and det V' = q / M, where M = u^T V_mm u and, by the matrix determinant
-    lemma, p, q and M are each c0 + c1 cos phi + c2 sin phi in phi = 2 theta;
-    p and q are read at three angles by one stacked read. x = nu~_-^2 solves
-    x^2 - Delta~ x + det V' = 0, so it is stationary where
-    x Delta~' = (det V')'. With P = p' M - p M' and Q = q' M - q M', both
-    again of degree 1, that is g = P^2 q - p P Q + Q^2 M = 0, a trig
-    polynomial of degree 3, whose z-coefficients come from its values at 7
-    angles. A line whose z^6 coefficient vanishes against the largest has
-    lower degree and is solved as such (its coefficients move up, adding
-    roots at 0), and one with no coefficient above z^3 keeps its angle in
-    ``thetas``. The roots are the eigenvalues of one (k, 6, 6) companion
-    stack, and each root z gives theta = arg(z) / 2: every stationary angle
-    is a candidate, so the best score among them is the line's maximum.
-    g grows as |W|^13, so each block is first scaled, exactly, by the power
-    of two that puts its largest diagonal entry in [1/2, 1): the angles do
-    not depend on a scale, and a block and its multiples by powers of two
-    give the same candidates bit for bit.
+    lemma, M, p and q are each c0 + c1 cos phi + c2 sin phi in phi = 2 theta;
+    one stacked read at phi = 0, pi/2 and pi gives their coefficients.
+    x = nu~_-^2 solves F = M x^2 - p x + q = 0, and at fixed x,
+    F = A + B cos phi + C sin phi vanishes at some phi iff A^2 <= B^2 + C^2.
+    So the least x on a line, and every other extreme x, is a real root of
+    the quartic h = A^2 - B^2 - C^2, whose x^4 coefficient is det V_mm > 0,
+    and it is reached at cos phi = -B/A, sin phi = -C/A. The roots are the
+    eigenvalues of one real (k, 4, 4) companion stack; a complex root's real
+    part only adds a candidate, which is scored as the others are, so the
+    best score among the four is the line's maximum. h grows as |W|^10, so
+    each block is first scaled, exactly, by the power of two that puts its
+    largest diagonal entry in [1/2, 1): the angles do not depend on a scale,
+    and a block and its multiples by powers of two give the same candidates
+    bit for bit. Every step is elementwise or one LAPACK call per matrix, so
+    a line's candidates do not depend on the stack it sits in.
     """
     _, e = np.frexp(W.diagonal(axis1=1, axis2=2).max(axis=1))
     W = np.ldexp(W, -e[:, None, None])
@@ -267,28 +259,21 @@ def _stationary_angles(W: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     tilde -= 2.0 * (a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2])
     vxx, vxp, vpp = W[:, 4, 4], W[:, 4, 5], W[:, 5, 5]
     m = np.stack([vxx, 0.5 * (vxx + vpp) - vxp, vpp], axis=-1)
-    f = np.stack([m * tilde, m * np.linalg.det(pairs), m], axis=1)
-    (p, q, M), (dp, dq, dM) = np.swapaxes(f @ _LINE_VALUE, 0, 1), np.swapaxes(f @ _LINE_SLOPE, 0, 1)
-    P, Q = dp * M - p * dM, dq * M - q * dM
-    # one (1, 7) product per line, so a line's coefficients do not depend on the stack it sits in
-    coef = ((P * P * q - p * P * Q + Q * Q * M)[:, None] @ _LINE_DFT)[:, 0]
-    mag = np.abs(coef)
-    big = mag > _LINE_RTOL * mag.max(axis=1, keepdims=True)
-    flat = ~big[:, 4:].any(axis=1)
-    if not big[:, 6].all():  # move each line's leading coefficient up to z^6
-        shift = np.where(flat, 0, np.argmax(big[:, ::-1], axis=1))[:, None]
-        j = np.arange(7)
-        coef = np.where(j >= 2 * shift, np.take_along_axis(coef, np.maximum(j - shift, 0), axis=1), 0.0)
-        coef[flat] = j == 6
-    companion = np.zeros(coef.shape[:1] + (6, 6), dtype=complex)
-    companion[:, 0] = -coef[:, 5::-1] / coef[:, 6:]
-    companion[:, 1:, :-1] = np.eye(5)
-    return np.where(flat[:, None], thetas[:, None], 0.5 * np.angle(np.linalg.eigvals(companion)))
+    f = np.stack([m, m * tilde, m * np.linalg.det(pairs)])  # M, p, q at phi = 0, pi/2, pi
+    mid = 0.5 * (f[..., 0] + f[..., 2])
+    M, p, q = np.stack([mid, 0.5 * (f[..., 0] - f[..., 2]), f[..., 1] - mid], axis=-1)
+    h = [-2.0 * _minkowski(M, p), _minkowski(p, p) + 2.0 * _minkowski(M, q), -2.0 * _minkowski(p, q), _minkowski(q, q)]
+    companion = np.zeros((len(W), 4, 4))
+    companion[:, 0] = -np.stack(h, axis=-1) / _minkowski(M, M)[:, None]  # h's x^3 .. x^0 over its x^4 coefficient
+    companion[:, 1:, :-1] = np.eye(3)
+    x = np.linalg.eigvals(companion).real[..., None]
+    A, B, C = np.moveaxis(M[:, None] * (x * x) - p[:, None] * x + q[:, None], -1, 0)
+    return 0.5 * np.arctan2(-C * A, -B * A)
 
 
-def _line_search(W: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _line_search(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best angle and value of each line of a (k, 6, 6) stack, by one kernel call on its candidates."""
-    candidates = _stationary_angles(W, thetas)
+    candidates = _stationary_angles(W)
     vals = _pair_logneg(_read_last(W[:, None], candidates))
     best = np.argmax(vals, axis=1)[:, None]
     return tuple(np.take_along_axis(arr, best, axis=1)[:, 0] for arr in (candidates, vals))
@@ -312,14 +297,19 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     rest at their current angles, which leaves the 6x6 covariance of the
     pair and m. A sweep builds the k blocks of all k = N - 2 coordinates
     with k - 1 stacked reads and searches each line exactly
-    (:func:`_stationary_angles`): the objective's stationary angles on a
-    line are the roots of a trig polynomial of degree 3, at most 6, and one
-    kernel call scores the (k, 6) candidates. Only the coordinate with the
-    largest gain moves (the first on a tie), and the ascent stops after a
-    sweep whose best gain is below 1e-12. A sweep costs 1 stacked kernel
-    call at any N, so a cluster whose common-angle seed is already best, as
-    an unrotated one is, takes 2 with the seeds. One unphysical angle in a
-    scored stack raises PhysicalityError.
+    (:func:`_stationary_angles`): a line's best reading is among the 4
+    roots of a quartic, and one kernel call scores the (k, 4) candidates.
+    Only the coordinate with the largest gain moves (the first on a tie),
+    and the ascent stops after a sweep whose best gain is below 1e-12. A
+    sweep costs 1 stacked kernel call at any N, so a cluster whose
+    common-angle seed is already best, as an unrotated one is, takes 2 with
+    the seeds. One unphysical angle in a scored stack raises
+    PhysicalityError.
+    The conditioned pair is formed from entries of order mu that cancel, so
+    the value drifts from :func:`gle_formula` as the cluster is squeezed
+    harder, with no error or warning: at N = 4 (eta 0.9, omega 1.1) the gap
+    is 6.6e-12 at mu = 1e6, 6.5e-8 at 1e8 and 9.7e-6 at 1e10, and at 1e15
+    the value is rounding noise, about 0.46 below the formula.
     """
     state = GaussianState(cluster_cov)
     n = state.n_modes
@@ -349,7 +339,7 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
         W = blocks
         for angles in thetas[reads].T:
             W = _read_last(W, angles)
-        tops, vals = _line_search(W, thetas)
+        tops, vals = _line_search(W)
         m = int(np.argmax(vals))
         gain = float(vals[m]) - best
         if gain > 0:

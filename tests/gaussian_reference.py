@@ -289,7 +289,7 @@ def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
             W = v[np.ix_(q, q)]
             for b in reversed(rest):
                 W = _read_last(W, thetas[b])
-            top, val = _line_search(W[None], thetas[a : a + 1])
+            top, val = _line_search(W[None])
             scored.append((top[0], val[0]))
         a = max(range(k), key=lambda c: scored[c][1])
         gain = float(scored[a][1]) - best

@@ -271,10 +271,9 @@ def test_gle_numeric_reads_a_mode_coupled_through_one_quadrature(sigma2, phi):
     # variance sigma2 on X0 and X2, and mode 2 takes as much on P2, so its
     # block stays (1 + sigma2) I; mode 2 is then turned by phi. Only its
     # quadrature at phi carries the noise, so reading it is best and leaves
-    # sigma2 / (1 + sigma2) of it on X0. An isotropic measured block makes
-    # the line's polynomial lose its top degree: the z^6 coefficient is
-    # rounding noise, and the line is solved at the lower degree with no
-    # warning, also off the seed grid.
+    # sigma2 / (1 + sigma2) of it on X0. An isotropic measured block reads
+    # the same variance at every angle, and the line search finds the
+    # reading with no warning, also off the seed grid.
     cov = tensor(tmsv(3.0).state(), vacuum(1)).cov
     e = np.zeros(6)
     e[[0, 4]] = 1.0
@@ -332,9 +331,9 @@ def test_gle_numeric_rejects_unphysical_input():
 
 def test_gle_numeric_searches_huge_variances_as_it_searches_their_scale():
     # A cluster scaled by 2^120 is bona fide and separable. The line search
-    # scales each block by a power of two before it forms g, which grows as
-    # |W|^13 and would overflow past about 1e23, so it finds the same
-    # candidate angles bit for bit, with no overflow warning.
+    # scales each block by a power of two before it forms its quartic, whose
+    # coefficients grow as |W|^10, so it finds the same candidate angles bit
+    # for bit, with no overflow warning.
     n, scale = 5, 2.0**120
     cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n))
     R = np.eye(2 * n)
@@ -342,64 +341,79 @@ def test_gle_numeric_searches_huge_variances_as_it_searches_their_scale():
         R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(0.37 * m)
     cm = R @ cm @ R.T
     blocks = cm[np.ix_(range(6), range(6))][None]
-    thetas = np.array([0.4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert gle_numeric(scale * cm) == 0.0
-        np.testing.assert_array_equal(
-            analysis._stationary_angles(scale * blocks, thetas), analysis._stationary_angles(blocks, thetas)
-        )
+        np.testing.assert_array_equal(analysis._stationary_angles(scale * blocks), analysis._stationary_angles(blocks))
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.37, 1.2, 2.9])
 def test_exact_line_search_follows_a_rotated_measured_mode(phi):
     # At N = 3 one line search is the whole GLE. Turning the measured mode by
     # phi moves its best reading from pi/2 to pi/2 - phi (mod pi), off the
-    # seed grid, and leaves the value: the search reaches it from any start
-    # angle, to rounding of the formula. The optimum is a double root of g,
-    # so the angle itself is good to about sqrt(eps).
+    # seed grid, and leaves the value: the search finds it to rounding of
+    # the formula, and the angle too, a simple root of the line's quartic.
     for pt in (NetworkPoint(5.0, 0.9, 1.1, 3), NetworkPoint(3.0, 0.8, 1.2, 3)):
         R = np.eye(6)
         R[4:, 4:] = rotation(phi)
-        W = (R @ network_cluster_cm(pt) @ R.T)[None]
-        for start in (0.1, 1.0, 2.5):
-            top, val = analysis._line_search(W, np.array([start]))
-            assert val[0] == pytest.approx(gle_formula(pt), abs=1e-13)
-            offset = (top[0] - (0.5 * np.pi - phi)) % np.pi
-            assert min(offset, np.pi - offset) < 1e-7, (top, phi)
+        top, val = analysis._line_search((R @ network_cluster_cm(pt) @ R.T)[None])
+        assert val[0] == pytest.approx(gle_formula(pt), abs=1e-13)
+        offset = (top[0] - (0.5 * np.pi - phi)) % np.pi
+        assert min(offset, np.pi - offset) < 1e-12, (top, phi)
 
 
-@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
-def test_flat_line_keeps_its_angle_and_leaves_its_stack_alone(position):
-    # Three vacuum modes: every reading leaves the pair at the vacuum, and
-    # g's coefficients come out exactly 0, so that line's candidates are its
-    # current angle, with no warning. The other lines of the stack, rotated
-    # N = 3 clusters, get the candidates they get on their own, bit for bit,
-    # though the flat line sends the stack down the lower-degree branch.
-    flat = vacuum(3).cov
-    lines = []
-    for phi in (0.37, 1.2):
-        R = np.eye(6)
-        R[4:, 4:] = rotation(phi)
-        lines.append(R @ network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 3)) @ R.T)
-    lines.insert(position, flat)
-    W, thetas = np.array(lines), np.array([0.4, 1.3, 2.2])
+def _random_block(rng, n_modes=3):
+    """A bona-fide covariance S diag(nu) S^T on n_modes modes, thermal nu in [1, 1.5]."""
+    S = _random_symplectic(rng, n_modes)
+    return GaussianState(S @ np.diag(np.repeat(rng.uniform(1.0, 1.5, n_modes), 2)) @ S.T).cov
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), data=st.data())
+def test_every_line_gets_its_stand_alone_candidates_next_to_a_vacuum_line(seed, k, data):
+    # A vacuum line reads the vacuum pair at every angle, so its quartic has
+    # a fourfold root and no angle term (B = C = 0). Sitting in a stack
+    # of k random bona-fide lines, at any position, it changes no line's
+    # candidates: each line gets the angles it gets on its own, bit for bit,
+    # with no warning.
+    rng = np.random.default_rng(seed)
+    lines = [_random_block(rng) for _ in range(k)]
+    lines.insert(data.draw(st.integers(0, k)), vacuum(3).cov)
+    W = np.array(lines)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        candidates = analysis._stationary_angles(W, thetas)
-        alone = [analysis._stationary_angles(W[a : a + 1], thetas[a : a + 1])[0] for a in range(3)]
-    assert candidates.shape == (3, 6)
-    assert (candidates[position] == thetas[position]).all()
-    for a in range(3):
-        np.testing.assert_array_equal(candidates[a], alone[a])
+        candidates = analysis._stationary_angles(W)
+        alone = [analysis._stationary_angles(W[a : a + 1])[0] for a in range(k + 1)]
+    assert candidates.shape == (k + 1, 4)
+    np.testing.assert_array_equal(candidates, np.array(alone))
+
+
+def test_gle_numeric_reads_the_pair_alone_beside_an_uncorrelated_vacuum_mode():
+    # N = 3 with the measured mode in the vacuum and uncorrelated with the
+    # pair: every reading leaves the pair as it is, so the GLE is the pair's
+    # own log-negativity, with no warning
+    pair = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 2))
+    cm = tensor(GaussianState(pair), vacuum(1)).cov
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = gle_numeric(cm)
+    assert value > 0.5
+    assert value == pytest.approx(pairwise_logneg_numeric(pair), abs=1e-15)
+
+
+def test_gle_numeric_holds_the_formula_at_mu_1e6():
+    # the conditioned pair cancels entries of order mu; gle_numeric's
+    # docstring records the drift, 6.6e-12 here and 9.7e-6 at mu = 1e10
+    pt = NetworkPoint(1e6, 0.9, 1.1, 4)
+    assert gle_numeric(network_cluster_cm(pt)) == pytest.approx(gle_formula(pt), abs=1e-11)
 
 
 # the shape of the stack of pairs each scored read leaves at N = 4: the
 # seeds' last read turns a (64, 6, 6) stack into pairs, and a sweep scores
-# the 6 candidate angles of both coordinates as one (2, 6) stack
+# the 4 candidate angles of both coordinates as one (2, 4) stack
 _SCANNED_PAIRS = {
     "seeds": (64, 4, 4),
-    "candidates": (2, 6, 4, 4),
+    "candidates": (2, 4, 4, 4),
 }
 
 
@@ -427,7 +441,7 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
     ids=[f"{prefix}{n}" for prefix in ("", "rotated-") for n in range(3, 9)],
 )
 def test_gle_numeric_scores_the_seeds_and_each_sweep_in_one_kernel_call(monkeypatch, n, rotated):
-    # the seeds and each sweep's (N - 2, 6) candidate angles are one stacked
+    # the seeds and each sweep's (N - 2, 4) candidate angles are one stacked
     # call each, and no angle is scored on its own; the seeds are best on an
     # unrotated cluster, so its one sweep moves nothing and the ascent makes
     # 2 calls, while rotating the measured modes by fixed off-grid angles
@@ -525,13 +539,8 @@ def test_exact_line_search_scores_at_least_the_grid_search(seed, k):
     # two 97-point levels) to rounding: every stationary angle of a line is
     # a candidate, so its maximum is among them.
     rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(k):
-        S = _random_symplectic(rng, 3)
-        V = S @ np.diag(np.repeat(rng.uniform(1.0, 1.5, 3), 2)) @ S.T
-        blocks.append(GaussianState(V).cov)
-    W = np.array(blocks)
-    _, exact = analysis._line_search(W, rng.uniform(0.0, np.pi, k))
+    W = np.array([_random_block(rng) for _ in range(k)])
+    _, exact = analysis._line_search(W)
     _, grid = grid_line_search(W)
     assert exact.shape == grid.shape == (k,)
     assert (exact >= grid - 1e-13).all(), exact - grid

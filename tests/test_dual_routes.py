@@ -250,7 +250,7 @@ ROWS = [
     Row(
         # the twin checks that no angle of a 64-angle scan refined by two 97-point levels beats the candidates
         "exact line search <-> grid line search",
-        lambda: [analysis._line_search(_LINES, np.linspace(0.1, 2.6, len(_LINES)))[1]],
+        lambda: [analysis._line_search(_LINES)[1]],
         (analysis._line_search, analysis._stationary_angles),
         lambda: [gaussian_reference.grid_line_search(_LINES)[1]],
         (gaussian_reference.grid_line_search, gaussian_reference.grid_max_linspace),

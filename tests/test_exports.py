@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -49,21 +50,55 @@ def test_no_public_callable_takes_a_clamped_flag():
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_every_public_name_is_reached_outside_its_definition():
-    # a public name is code only if something calls or reads it: the library,
-    # a demo or the benchmark harness, not the tests alone. A NAME token
-    # counts unless it is the name a def or class line defines.
+def _read_names(folders, bound=frozenset()):
+    """NAME tokens of every .py file under the folders, but for the names def or class lines define.
+
+    A token at a (path, row, column) in ``bound`` is skipped too.
+    """
     reached = set()
-    for folder in ("src", "demos", "perfbench"):
+    for folder in folders:
         for path in sorted((_ROOT / folder).rglob("*.py")):
             with path.open("rb") as f:
                 previous = None
                 for token in tokenize.tokenize(f.readline):
                     if token.type == tokenize.NAME and previous not in ("def", "class"):
-                        reached.add(token.string)
+                        if (path, *token.start) not in bound:
+                            reached.add(token.string)
                     if token.type not in (tokenize.NL, tokenize.COMMENT):
                         previous = token.string
+    return reached
+
+
+def test_every_public_name_is_reached_outside_its_definition():
+    # a public name is code only if something calls or reads it: the library,
+    # a demo or the benchmark harness, not the tests alone. A NAME token
+    # counts unless it is the name a def or class line defines.
+    reached = _read_names(("src", "demos", "perfbench"))
     assert [name for name in cvswap.__all__ if name not in reached] == []
+
+
+def test_every_private_module_name_is_read_in_the_library():
+    # a private name bound at module level under src/cvswap (a def, a class
+    # or an assignment target; not a dunder, which the interpreter reads) is
+    # code only while the library reads it, so a constant cannot outlive its
+    # last reader. A NAME token counts unless it is where the name is bound.
+    private, bound = set(), set()
+    for path in sorted((_ROOT / "src" / "cvswap").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                found = [n for n in found if isinstance(n.ctx, ast.Store)]
+                bound.update((path, n.lineno, n.col_offset) for n in found)
+                names = [n.id for n in found]
+            else:
+                names = []
+            private.update(name for name in names if name.startswith("_") and not name.startswith("__"))
+    assert len(private) > 50  # the scan sees the library
+    read = _read_names(("src",), frozenset(bound))
+    assert sorted(private - read) == []
 
 
 _FIRST_ORACLE_CALLS = """
