@@ -170,6 +170,8 @@ _GLE_MAX_SWEEPS = 60
 #: An exact line search (:func:`_stationary_angles`) reads each block's mode
 #: at theta = _LINE_READS, that is at phi = 2 theta = 0, pi/2 and pi.
 _LINE_READS = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi])
+#: The part of a (pair, mode) block each row and column belongs to: 0 the pair, 1 the mode.
+_BLOCK_PART = np.array([0, 0, 0, 0, 1, 1])
 
 
 @functools.cache
@@ -246,13 +248,19 @@ def _stationary_angles(W: np.ndarray) -> np.ndarray:
     part only adds a candidate, which is scored as the others are, so the
     best score among the four is the line's maximum. h grows as |W|^10, so
     each block is first scaled, exactly, by the power of two that puts its
-    largest diagonal entry in [1/2, 1): the angles do not depend on a scale,
-    and a block and its multiples by powers of two give the same candidates
-    bit for bit. Every step is elementwise or one LAPACK call per matrix, so
-    a line's candidates do not depend on the stack it sits in.
+    largest diagonal entry in [1/2, 1), and then the rows and columns of
+    whichever of the pair and the mode has the smaller diagonal by the power
+    of two that brings it within a factor 4 of the other's: the conditioned
+    pair only scales, so the angles do not change, and a measured variance
+    far below the pair's does not drop under _MIN_READOUT_VARIANCE. A block
+    and its multiples by powers of two give the same candidates bit for bit.
+    Every step is elementwise or one LAPACK call per matrix, so a line's
+    candidates do not depend on the stack it sits in.
     """
-    _, e = np.frexp(W.diagonal(axis1=1, axis2=2).max(axis=1))
-    W = np.ldexp(W, -e[:, None, None])
+    _, e = np.frexp(np.maximum.reduceat(W.diagonal(axis1=1, axis2=2), [0, 4], axis=1))  # pair, mode
+    top = e.max(axis=1, keepdims=True)
+    lift = ((top - e) // 2)[:, _BLOCK_PART]  # per row and column
+    W = np.ldexp(W, lift[:, :, None] + (lift - top)[:, None, :])
     pairs = _read_last(W[:, None], _LINE_READS)
     a, b, c, d = (pairs[..., r, :] for r in range(4))
     tilde = a[..., 0] * b[..., 1] - a[..., 1] ** 2 + c[..., 2] * d[..., 3] - c[..., 3] ** 2

@@ -175,41 +175,38 @@ def _kron_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K.reshape(16, 16), -D.reshape(16)).reshape(4, 4)
 
 
-def _solve_lyapunov(A: np.ndarray, D: np.ndarray, omega_m: float) -> tuple[np.ndarray, float]:
-    """Normalized solve of A V + V A^T = -D: (V in (q, p, X, P) order, relative residual).
+_CAVITY_FIRST = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])  # (q, p, X, P) -> (X, P, q, p)
 
-    ``(A, D)`` is the pair :func:`drift_diffusion` returns, in rad/s; both are
-    divided by ``omega_m`` before the solve.
+
+def _steady_state(A: np.ndarray, D: np.ndarray, omega_m: float) -> GaussianState:
+    """Steady state of a stable drift pair, reordered to (cavity, mechanics).
+
+    ``(A, D)`` is the pair :func:`drift_diffusion` returns, in rad/s, and A
+    must be stable. Solves A V + V A^T = -D with both divided by
+    ``omega_m`` (the solution is invariant under the common rescaling),
+    symmetrizes V, raises RuntimeError if the relative residual exceeds
+    _RESIDUAL_LIMIT, and validates the reordered state.
     """
     An = A / omega_m
     Dn = D / omega_m
     V = _kron_lyapunov(An, Dn)
     V = 0.5 * (V + V.T)
-    return V, float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
+    residual = np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn))
+    if residual > _RESIDUAL_LIMIT:
+        raise RuntimeError(f"Lyapunov solver residual {residual:.3e} exceeds {_RESIDUAL_LIMIT}")
+    return GaussianState(V[_CAVITY_FIRST])
 
 
 def steady_state_cm(p: OptomechParams) -> GaussianState:
     """Steady-state two-mode covariance, reordered to (cavity, mechanics).
 
-    Solves A V + V A^T = -D with the rates normalized by omega_m (the
-    solution is invariant under the common rescaling), checks the residual
-    against 1e-8 relative, and asserts the result is a bona fide state.
+    An unstable drift raises ValueError; the solve (:func:`_steady_state`)
+    checks its residual against 1e-8 relative and validates the state.
     """
     A, D = drift_diffusion(p)
     if not is_stable(A):
         raise ValueError("drift matrix is not stable; no steady state exists")
-    return _stable_steady_state(A, D, p.omega_m)
-
-
-_CAVITY_FIRST = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])  # (q, p, X, P) -> (X, P, q, p)
-
-
-def _stable_steady_state(A: np.ndarray, D: np.ndarray, omega_m: float) -> GaussianState:
-    """``steady_state_cm`` for a drift pair already known to be stable."""
-    V, residual = _solve_lyapunov(A, D, omega_m)
-    if residual > _RESIDUAL_LIMIT:
-        raise RuntimeError(f"Lyapunov solver residual {residual:.3e} exceeds {_RESIDUAL_LIMIT}")
-    return GaussianState(V[_CAVITY_FIRST])
+    return _steady_state(A, D, p.omega_m)
 
 
 def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianState:
@@ -272,7 +269,7 @@ def detuning_sweep(
             for n in sizes:
                 rows.append((p.delta / p.omega_m, n, float("nan"), float("nan"), 0))
             continue
-        state = _stable_steady_state(A, D, p.omega_m)
+        state = _steady_state(A, D, p.omega_m)
         e_in = log_negativity(state, [0])
         copy = _relay_copy(state, local_preprocessing)
         for n in sizes:

@@ -6,9 +6,10 @@ equivalent to one orthogonal N x N matrix acting identically on the X and P
 quadrature vectors; :func:`relay_orthogonal` writes that matrix row by row,
 and the tests check it against the cascade built splitter by splitter.
 Port 1 is homodyned in P, ports 2..N in X. That measurement depends on N
-alone, so :func:`build_relay` builds one plan per N. Broadcasting the
-readouts lets each user cancel the conditional displacement locally, so the
-state left on the kept modes is fixed by its covariance alone.
+alone, so :func:`build_relay` builds its readout matrix once per N.
+Broadcasting the readouts lets each user cancel the conditional
+displacement locally, so the state left on the kept modes is fixed by its
+covariance alone.
 
 ``bell_detect`` conditions the kept modes on all N readouts at once, in one
 Schur complement built from the copies' 2 x 2 blocks, with no register of
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from .gaussian import GaussianState, _as_index
 
 __all__ = [
-    "RelayPlan",
     "ClusterBlocks",
     "build_relay",
     "relay_orthogonal",
@@ -66,42 +66,26 @@ def relay_orthogonal(n_users: int) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True)
-class RelayPlan:
-    """The relay's one Bell detection on N ports, fixed by N alone.
+@cache
+def build_relay(n_users: int) -> np.ndarray:
+    """The relay's one Bell detection on ``n_users`` ports, built once per N (4.0 reads as 4).
 
     The relay mixes the N sent modes with :func:`relay_orthogonal` and
-    homodynes P on port 0 and X on ports 1..N-1. The plan holds the
-    read-only readout matrix ``readout`` = W^T, a 2N x N matrix whose column
-    j holds readout j's weights on the sent quadratures (X_1, P_1, ..., X_N,
-    P_N), so one plan serves every detection of its N. ``n_users`` must be
-    an integer >= 2; an integral float such as 4.0 is stored as 4.
+    homodynes P on port 0 and X on ports 1..N-1. The read-only 2N x N
+    readout matrix W^T returned here holds, in column j, readout j's weights
+    on the sent quadratures (X_1, P_1, ..., X_N, P_N), so one matrix serves
+    every detection of its N.
     """
-
-    n_users: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_users", _as_size(self.n_users, 2, "n_users"))
-
-    @cached_property
-    def readout(self) -> np.ndarray:
-        """W^T of this N, built on first use."""
-        N = self.n_users
-        U = relay_orthogonal(N)
-        # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped:
-        # readout 0 is P of port 0, readout j >= 1 is X of port j
-        wt = np.zeros((N, 2, N))
-        wt[:, 1, 0] = U[0]
-        wt[:, 0, 1:] = U[1:].T
-        wt = wt.reshape(2 * N, N)
-        wt.flags.writeable = False
-        return wt
-
-
-@cache
-def build_relay(n_users: int) -> RelayPlan:
-    """The relay plan for ``n_users`` ports, built once per N (4.0 reads as 4)."""
-    return RelayPlan(n_users)
+    N = _as_size(n_users, 2, "n_users")
+    U = relay_orthogonal(N)
+    # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped:
+    # readout 0 is P of port 0, readout j >= 1 is X of port j
+    wt = np.zeros((N, 2, N))
+    wt[:, 1, 0] = U[0]
+    wt[:, 0, 1:] = U[1:].T
+    wt = wt.reshape(2 * N, N)
+    wt.flags.writeable = False
+    return wt
 
 
 #: A measured readout whose conditional variance falls below this is degenerate.
@@ -109,15 +93,15 @@ _MIN_READOUT_VARIANCE = 1e-12
 _DEGENERATE = "measured quadrature variance is numerically degenerate"
 
 
-def bell_detect(copies, plan: RelayPlan):
+def bell_detect(copies, plan: np.ndarray):
     """Run the multipartite Bell detection on N two-mode copies.
 
     Each copy is a state on modes (A, B) with A the mode sent to the relay;
     write its covariance as [[a_k, c_k], [c_k^T, b_k]]. The relay mixes the
     A modes by U = :func:`relay_orthogonal`, then reads P of port 0 (readout
     0) and X of port j (readout j, j = 1..N-1): row j of W holds U[j, k] on
-    that quadrature of A_k (the plan holds W^T as ``readout``, built once
-    per N). The readouts then have covariance
+    that quadrature of A_k, and ``plan`` is W^T as :func:`build_relay`
+    returns it; N is read from its shape. The readouts then have covariance
     M = W blockdiag(a_k) W^T and cross covariance C = blockdiag(c_k)^T W^T
     with the kept modes (B1..BN), whose own covariance is V_B = blockdiag(b_k).
     One Schur complement conditions on all readouts jointly,
@@ -134,7 +118,7 @@ def bell_detect(copies, plan: RelayPlan):
     (B1..BN), and those N variances in port order.
     """
     copies = list(copies)
-    N = plan.n_users
+    N = plan.shape[1]
     if len(copies) != N:
         raise ValueError("number of copies does not match the relay plan")
     for c in copies:
@@ -142,13 +126,12 @@ def bell_detect(copies, plan: RelayPlan):
             raise ValueError("each copy must have exactly two modes (A, B)")
 
     covs = np.array([c.cov for c in copies])
-    wt = plan.readout
     # rows (a_k; c_k^T) of each copy times W_k^T, its (2, N) slice: the
     # readouts' covariance with A_k (to be summed over k into M) and with B_k
     # (C's rows)
-    y = covs[:, :, :2] @ wt.reshape(N, 2, N)
+    y = covs[:, :, :2] @ plan.reshape(N, 2, N)
     try:
-        L = np.linalg.cholesky(wt.T @ y[:, :2].reshape(2 * N, N))
+        L = np.linalg.cholesky(plan.T @ y[:, :2].reshape(2 * N, N))
     except np.linalg.LinAlgError:
         raise ValueError(_DEGENERATE) from None
     variances = np.diagonal(L) ** 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _two_mode_spectra
+from .gaussian import BONA_FIDE_TOL, GaussianState, PhysicalityError, _two_mode_spectra
 
 __all__ = [
     "TwoModeNormalForm",
@@ -60,11 +60,6 @@ class TwoModeNormalForm:
     def state(self) -> GaussianState:
         return GaussianState(self.cov())
 
-    def is_bona_fide(self) -> bool:
-        # (xy - z^2)^2 >= x^2 + y^2 - 2 z^2 - 1 to within 1e-9, plus x, y >= 1
-        x, y, z2 = self.x, self.y, self.z * self.z
-        return (x * y - z2) ** 2 + 1e-9 >= x * x + y * y - 2.0 * z2 - 1.0
-
     def log_negativity(self) -> float:
         """Input entanglement across A | B."""
         _, (nu, _) = _two_mode_spectra(self.cov())
@@ -98,14 +93,29 @@ def thermal_loss_on_a(nf: TwoModeNormalForm, eta: float, omega: float) -> TwoMod
 _SAMPLE_ATTEMPTS = 100_000
 
 
+def _keeps(nf: TwoModeNormalForm, require_entangled: bool) -> bool:
+    """The sampler's verdict on a draw, from one two-mode spectrum.
+
+    A form is kept when it is bona fide as :class:`GaussianState` reads it
+    (nu_min >= 1 - BONA_FIDE_TOL) and, if ``require_entangled``, its
+    partially transposed nu~_- is below 1. A form the kernel refuses is not
+    kept.
+    """
+    try:
+        (nu_min, _), (pt_minus, _) = _two_mode_spectra(nf.cov())
+    except PhysicalityError:
+        return False
+    return nu_min >= 1.0 - BONA_FIDE_TOL and (pt_minus < 1.0 or not require_entangled)
+
+
 def sample_normal_form(
     rng: np.random.Generator, x_max: float, require_entangled: bool = True
 ) -> TwoModeNormalForm:
     """Draw a random physical (and by default entangled) normal form.
 
     x and y are log-uniform on [1, x_max]; z is uniform on the physical
-    interval (-z_max, z_max). Draws failing the bona-fide check or (when
-    ``require_entangled``) with zero input log-negativity are rejected.
+    interval (-z_max, z_max). Draws that are not bona fide or (when
+    ``require_entangled``) have zero input log-negativity are rejected.
     """
     if not (x_max > 1.0 and math.isfinite(x_max)):
         raise ValueError("x_max must be finite and > 1")
@@ -116,13 +126,9 @@ def sample_normal_form(
         zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
         if zm == 0.0:
             continue
-        z = float(rng.uniform(-zm, zm))
-        nf = TwoModeNormalForm(x, y, z)
-        if not nf.is_bona_fide():
-            continue
-        if require_entangled and nf.log_negativity() <= 0.0:
-            continue
-        return nf
+        nf = TwoModeNormalForm(x, y, float(rng.uniform(-zm, zm)))
+        if _keeps(nf, require_entangled):
+            return nf
     raise RuntimeError("rejection sampling budget exhausted")
 
 

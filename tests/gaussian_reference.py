@@ -47,7 +47,9 @@ levels of 97-point nested grids within one scan step of its best angle
 its ``f`` must leave the grid intact. ``frontier_linspace`` is
 ``max_swap_logneg_at_asymmetry`` on one level of it, scoring the grid out
 of place; the package's in-place frontier must match it bit for bit, and
-raise what it raises.
+raise what it raises. ``lyapunov_residual`` reads the relative residual of
+the Lyapunov equation off a steady state the package returned, as the
+benchmark's optomech check does, so no private solver step is called.
 """
 
 import math
@@ -61,6 +63,7 @@ from cvswap.gaussian import (
     rotation,
     symplectic_eigenvalues,
 )
+from cvswap.optomech import drift_diffusion
 from cvswap.sources import _FRONTIER_GRID, _GRID_POINTS, _feasible_x_range
 
 
@@ -255,6 +258,19 @@ def thermal_loss_map(state: GaussianState, mode: int, eta: float, omega: float) 
     add[2 * mode : 2 * mode + 2] = (1.0 - eta) * omega
     cov = scale[:, None] * state.cov * scale[None, :] + np.diag(add)
     return GaussianState(cov)
+
+
+def lyapunov_residual(p, state: GaussianState) -> float:
+    """max|A V + V A^T + D| / max|D| of ``state``, the steady state of ``p``, rates over omega_m.
+
+    ``state`` is in (cavity, mechanics) order; V is read back in the
+    solver's (q, p, X, P) order.
+    """
+    A, D = drift_diffusion(p)
+    order = [2, 3, 0, 1]
+    V = state.cov[np.ix_(order, order)]
+    An, Dn = A / p.omega_m, D / p.omega_m
+    return float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
 
 
 def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:

@@ -347,6 +347,24 @@ def test_gle_numeric_searches_huge_variances_as_it_searches_their_scale():
         np.testing.assert_array_equal(analysis._stationary_angles(scale * blocks), analysis._stationary_angles(blocks))
 
 
+@pytest.mark.parametrize("mu", [1e12, 3e12, 1e15])
+def test_gle_numeric_reads_a_measured_mode_far_quieter_than_the_pair(mu):
+    # Users of variance mu beside a measured mode of variance 2, coupled to
+    # each user's X by 0.5: bona fide and separable. Scaled as one block by
+    # its largest entry, the measured variance fell below the degenerate-
+    # readout floor from about mu = 3e12 on; the mode's rows and columns get
+    # their own power of two, so its scale does not reach the candidates.
+    V = np.diag([mu] * 4 + [2.0, 2.0])
+    V[0, 4] = V[4, 0] = V[2, 4] = V[4, 2] = 0.5
+    lift = np.diag([1.0] * 4 + [2.0**-3] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gle_numeric(V) == 0.0
+        np.testing.assert_array_equal(
+            analysis._stationary_angles((lift @ V @ lift)[None]), analysis._stationary_angles(V[None])
+        )
+
+
 @pytest.mark.parametrize("phi", [0.0, 0.37, 1.2, 2.9])
 def test_exact_line_search_follows_a_rotated_measured_mode(phi):
     # At N = 3 one line search is the whole GLE. Turning the measured mode by

@@ -101,8 +101,9 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
     "argv, raised",
     [
         (["network-sweep", "--mu", "1e200"], "OverflowError"),
-        (["swap-check", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
-        (["fig2a", "--x-max", "1e150", "--seed", "1", "--samples", "5"], "OverflowError"),
+        # the sampler's z interval (-z_max, z_max) is wider than the largest double
+        (["swap-check", "--x-max", "1e200", "--seed", "1", "--samples", "5"], "OverflowError"),
+        (["fig2a", "--x-max", "1e200", "--seed", "1", "--samples", "5"], "OverflowError"),
         (["fig2b", "--x-max", "1e150"], "FloatingPointError"),
         (["network-sweep", "--mu", "1e30"], "PhysicalityError"),
         (["fig2b", "--x-max", "1e200"], "FloatingPointError"),
@@ -120,6 +121,21 @@ def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path)
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert f"numerical failure: {raised}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", ["swap-check", "fig2a"])
+def test_sampler_at_a_cap_of_1e150_writes_finite_rows(experiment, capsys, tmp_path):
+    # the sampler's verdict reads the kernel, which rescales a pair whose
+    # products would overflow, so draws of variance up to 1e150 are judged,
+    # not lost to an OverflowError
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--x-max", "1e150", "--seed", "1", "--samples", "5", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(np.isfinite(float(value)) for row in rows for value in row.values())
 
 
 @pytest.mark.parametrize(

@@ -312,7 +312,7 @@ ROWS = [
         # the twin checks the Kronecker ordering of the 16x16 system by a Schur-form solve
         "_kron_lyapunov <-> scipy's Bartels-Stewart",
         lambda: [optomech._kron_lyapunov(A, D) for A, D in _DRIFTS],
-        (optomech._kron_lyapunov, optomech._solve_lyapunov),
+        (optomech._kron_lyapunov, optomech._steady_state),
         lambda: [scipy.linalg.solve_continuous_lyapunov(A, -D) for A, D in _DRIFTS],
         (scipy.linalg.solve_continuous_lyapunov,),
         # test_optomech::test_kronecker_lyapunov_matches_scipy_on_random_stable_drifts

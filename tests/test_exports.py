@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import os
@@ -75,6 +76,22 @@ def test_every_public_name_is_reached_outside_its_definition():
     # counts unless it is the name a def or class line defines.
     reached = _read_names(("src", "demos", "perfbench"))
     assert [name for name in cvswap.__all__ if name not in reached] == []
+
+
+def test_every_public_method_and_property_is_reached_outside_its_definition():
+    # the same reach for each public method and property that an exported
+    # class defines itself: a test-only predicate on a class is not code
+    reached = _read_names(("src", "demos", "perfbench"))
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    members = [
+        f"{name}.{attr}"
+        for name in cvswap.__all__
+        if inspect.isclass(cls := getattr(cvswap, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
+    ]
+    assert len(members) > 8  # the scan sees the classes' methods
+    assert [m for m in members if m.rpartition(".")[2] not in reached] == []
 
 
 def test_every_private_module_name_is_read_in_the_library():

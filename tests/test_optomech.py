@@ -25,7 +25,7 @@ from cvswap.optomech import (
     steady_state_cm,
 )
 from cvswap.relay import bell_detect, build_relay
-from gaussian_reference import apply_symplectic
+from gaussian_reference import apply_symplectic, lyapunov_residual
 
 OMEGA_M = 2 * np.pi * 10e6
 
@@ -171,14 +171,10 @@ def test_stability_checks():
         steady_state_cm(blue)
 
 
-def _lyapunov_residual(p):
-    return optomech._solve_lyapunov(*drift_diffusion(p), p.omega_m)[1]
-
-
 def test_lyapunov_residual_is_tiny():
-    assert _lyapunov_residual(standard_params()) < 1e-10
-    for ratio in np.linspace(0.05, 1.5, 8):
-        assert _lyapunov_residual(standard_params(delta=ratio * OMEGA_M)) < 1e-10
+    # read off the returned state, not the solver's own residual
+    for p in [standard_params()] + [standard_params(delta=r * OMEGA_M) for r in np.linspace(0.05, 1.5, 8)]:
+        assert lyapunov_residual(p, steady_state_cm(p)) < 1e-10
 
 
 def test_steady_state_frozen_values():
@@ -427,12 +423,13 @@ def test_kronecker_lyapunov_matches_scipy_on_the_fig2c_grid():
             A, D = drift_diffusion(p)
             if not is_stable(A):
                 continue
-            V, residual = optomech._solve_lyapunov(A, D, p.omega_m)
+            state = steady_state_cm(p)
+            V = state.cov[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]  # back to the solver's (q, p, X, P)
             reference = _scipy_lyapunov(A / p.omega_m, D / p.omega_m)
             reference = 0.5 * (reference + reference.T)
             tol = _solver_tolerance(A / p.omega_m, reference)
             np.testing.assert_allclose(V, reference, rtol=0, atol=tol)
-            assert residual < 1e-10
+            assert lyapunov_residual(p, state) < 1e-10
 
 
 def test_detuning_sweep_does_not_load_scipy():

@@ -13,7 +13,6 @@ from cvswap.gaussian import (
     rotation,
 )
 from cvswap.relay import (
-    RelayPlan,
     bell_detect,
     build_relay,
     cluster_closed_form,
@@ -54,16 +53,14 @@ def test_cascade_reproduces_orthogonal_rows(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
-def test_build_relay_returns_one_plan_per_n(n):
+def test_build_relay_returns_one_readout_matrix_per_n(n):
     assert build_relay(n) is build_relay(n)
-    assert build_relay(n).n_users == n
 
 
 # each entry point maps a size or cap to a result, and names the values it accepts
 _SIZE_ENTRY_POINTS = {
     "relay_orthogonal": (relay_orthogonal, {4.0}),
-    "build_relay": (lambda n: build_relay(n).readout, {4.0}),
-    "RelayPlan": (lambda n: RelayPlan(n).readout, {4.0}),
+    "build_relay": (build_relay, {4.0}),
     "sample_normal_form": (
         lambda x_max: sample_normal_form(np.random.default_rng(0), x_max).x,
         {4.0, 2.5},
@@ -87,13 +84,6 @@ def test_sizes_and_caps_are_read_or_refused_with_value_error(entry, value):
         np.testing.assert_array_equal(call(value), call(4))
 
 
-def test_relay_plan_stores_an_integral_size_as_int():
-    plan = RelayPlan(4.0)
-    assert plan.n_users == 4 and type(plan.n_users) is int
-    assert type(build_relay(5.0).n_users) is int
-    np.testing.assert_array_equal(plan.readout, build_relay(4).readout)
-
-
 def _relay_measurements(n):
     """The relay's homodynes in readout order: P of port 0, then X of ports 1..N-1."""
     return [(0, "P")] + [(port, "X") for port in range(1, n)]
@@ -110,12 +100,12 @@ def _relay_readout(n):
 
 
 @pytest.mark.parametrize("n", range(2, 33))
-def test_relay_plan_readout_is_read_only_and_matches_the_relay_measurement(n):
-    plan = build_relay(n)
-    assert plan.readout.shape == (2 * n, n)
-    np.testing.assert_array_equal(plan.readout, _relay_readout(n))
+def test_relay_readout_is_read_only_and_matches_the_relay_measurement(n):
+    wt = build_relay(n)
+    assert wt.shape == (2 * n, n)
+    np.testing.assert_array_equal(wt, _relay_readout(n))
     with pytest.raises(ValueError):
-        plan.readout[0, 0] = 1.0
+        wt[0, 0] = 1.0
 
 
 def test_embed_orthogonal_is_symplectic():
@@ -151,6 +141,13 @@ def test_bell_detect_rejects_degenerate_readout(x_var):
     squeezed_flat = GaussianState(np.diag([x_var, 1e13, 1.0, 1.0]), check=False)
     with pytest.raises(ValueError, match="degenerate"):
         bell_detect([squeezed_flat, squeezed_flat], build_relay(2))
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 4])
+def test_bell_detect_refuses_a_copy_count_other_than_the_relay_size(n_copies):
+    # N is read from the readout matrix's shape
+    with pytest.raises(ValueError, match="number of copies does not match the relay plan"):
+        bell_detect([tmsv(2.0).state()] * n_copies, build_relay(3))
 
 
 def test_homodyne_order_independence():
@@ -289,7 +286,7 @@ def _condition_in_order(state, order):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
 def test_joint_conditioning_equals_sequential_in_every_order(seed, n):
     # bell_detect's one joint Schur step against single readouts of the
-    # register, chained in every order of the plan's homodynes
+    # register, chained in every order of the relay's homodynes
     rng = np.random.default_rng(seed)
     copies = [_random_state(rng, 2) for _ in range(n)]
     joint, _ = bell_detect(copies, build_relay(n))
@@ -373,11 +370,11 @@ def test_block_bell_detect_matches_register_reference(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
 def test_readout_variances_multiply_to_det_m(seed, n):
     # the squared pivots of M = L L^T, in port order: their product is det M,
-    # with M = W blockdiag(a_k) W^T built here from the plan's readout matrix
+    # with M = W blockdiag(a_k) W^T built here from the relay's readout matrix
     rng = np.random.default_rng(seed)
     copies = [_random_state(rng, 2) for _ in range(n)]
     _, variances = bell_detect(copies, build_relay(n))
-    wt = build_relay(n).readout
+    wt = build_relay(n)
     a = np.zeros((2 * n, 2 * n))
     for k, c in enumerate(copies):
         a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = c.cov[:2, :2]

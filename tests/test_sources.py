@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cvswap import sources
 from cvswap.analysis import NetworkPoint, swap_logneg_two, tmsv_swap_bound
-from cvswap.gaussian import log_negativity, symplectic_eigenvalues
+from cvswap.gaussian import GaussianState, PhysicalityError, log_negativity, symplectic_eigenvalues
 from cvswap.optomech import standard_params
 from cvswap.relay import cluster_closed_form
 from cvswap.sources import (
     _FRONTIER_GRID,
     TwoModeNormalForm,
     _best_over_z,
+    _keeps,
     frontier_closed_form,
     max_swap_logneg_at_asymmetry,
     sample_normal_form,
@@ -28,12 +29,46 @@ def test_normal_form_validation_and_derived_quantities():
     assert nf.d == 0.5
     # the largest physical |z| at (x, y) is sqrt(xy - 1 - |x - y|)
     z_edge = np.sqrt(3.0 * 2.0 - 1.0 - 1.0)
-    assert TwoModeNormalForm(3.0, 2.0, z_edge).is_bona_fide()
-    assert not TwoModeNormalForm(3.0, 2.0, 1.001 * z_edge).is_bona_fide()
+    TwoModeNormalForm(3.0, 2.0, z_edge).state()
+    with pytest.raises(PhysicalityError):
+        TwoModeNormalForm(3.0, 2.0, 1.001 * z_edge).state()
     with pytest.raises(ValueError):
         TwoModeNormalForm(0.9, 2.0, 0.0)
     with pytest.raises(ValueError):
         TwoModeNormalForm(2.0, 0.5, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats(1.0, 1e3), y=st.floats(1.0, 1e3), t=st.floats(-1.5, 1.5), at_edge=st.booleans())
+def test_sampler_verdict_matches_the_state_constructor(x, y, t, at_edge):
+    # z across and past the physical interval: a fraction of sqrt(xy), past
+    # which the form is not positive definite, or within 0.1 % of the
+    # physical edge sqrt(xy - 1 - |x - y|)
+    if at_edge:
+        z = (1.0 + t / 1500.0) * math.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
+    else:
+        z = t * math.sqrt(x * y)
+    nf = TwoModeNormalForm(x, y, z)
+    try:
+        state = GaussianState(nf.cov())
+    except PhysicalityError:
+        bona_fide = entangled = False
+    else:
+        bona_fide, entangled = True, log_negativity(state, [0]) > 0.0
+    assert _keeps(nf, require_entangled=False) == bona_fide
+    assert _keeps(nf, require_entangled=True) == (bona_fide and entangled)
+
+
+# each meets (nu_-^2 - 1)(nu_+^2 - 1) >= 0, a necessary condition only, so a
+# verdict that reads it alone accepts all three; the last is not even
+# positive definite
+@pytest.mark.parametrize("x, y, z", [(1.0, 1.0, 0.5), (2.0, 2.0, 1.9), (3.0, 2.0, 2.5)])
+def test_sampler_verdict_refuses_unphysical_forms(x, y, z):
+    nf = TwoModeNormalForm(x, y, z)
+    assert not _keeps(nf, require_entangled=False)
+    assert not _keeps(nf, require_entangled=True)
+    with pytest.raises(PhysicalityError):
+        nf.state()
 
 
 def test_normal_form_entanglement_threshold():
@@ -166,7 +201,7 @@ def test_sampler_produces_entangled_bona_fide_states():
     saw_negative_d = saw_positive_d = False
     for _ in range(200):
         nf = sample_normal_form(rng, 10.0)
-        assert nf.is_bona_fide()
+        nf.state()
         assert nf.log_negativity() > 0.0
         assert 1.0 <= nf.x <= 10.0 and 1.0 <= nf.y <= 10.0
         saw_negative_d |= nf.d < 0
