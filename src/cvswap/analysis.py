@@ -167,9 +167,32 @@ _GLE_GRID = 64
 _GLE_TOL = 1e-12
 _GLE_MAX_SWEEPS = 60
 
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+#: The seed grid's angles and their (cos, sin), computed once and read-only.
+_SEED_ANGLES = _read_only(np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False))
+_SEED_READS = tuple(_read_only(f(_SEED_ANGLES)) for f in (np.cos, np.sin))
 #: An exact line search (:func:`_stationary_angles`) reads each block's mode
-#: at theta = _LINE_READS, that is at phi = 2 theta = 0, pi/2 and pi.
-_LINE_READS = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi])
+#: at theta = 0, pi/4 and pi/2, that is at phi = 2 theta = 0, pi/2 and pi;
+#: these are their (cos, sin). With the reads of M, p or q at those phi in
+#: a row, ``row @ _LINE_COEF`` is its (c0, c1, c2) in c0 + c1 cos phi + c2 sin phi.
+_LINE_READS = tuple(_read_only(f(np.array([0.0, 0.25 * np.pi, 0.5 * np.pi]))) for f in (np.cos, np.sin))
+_LINE_COEF = _read_only(np.array([[0.5, 0.5, -0.5], [0.0, 0.0, 1.0], [0.5, -0.5, -0.5]]))
+#: The Minkowski metric diag(1, -1, -1) on (c0, c1, c2).
+_MINKOWSKI = _read_only(np.array([1.0, -1.0, -1.0]))
+#: With G the Gram matrix of (M, p, q) under that metric, flattened row by
+#: row, ``G @ _QUARTIC`` is h's x^3 .. x^0 coefficients: -2 <M, p>,
+#: <p, p> + 2 <M, q>, -2 <p, q> and <q, q>. Each sums at most two terms
+#: scaled by powers of two, so it rounds once, as those expressions do.
+_QUARTIC = np.zeros((9, 4))
+_QUARTIC[[1, 4, 2, 5, 8], [0, 1, 1, 2, 3]] = [-2.0, 1.0, 2.0, -2.0, 1.0]
+_read_only(_QUARTIC)
+#: A (4, 4) companion matrix below its first row: ones on the subdiagonal.
+_COMPANION_SHIFT = _read_only(np.eye(4, k=-1))
 #: The part of a (pair, mode) block each row and column belongs to: 0 the pair, 1 the mode.
 _BLOCK_PART = np.array([0, 0, 0, 0, 1, 1])
 
@@ -193,21 +216,22 @@ def _coordinate_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q[:, :, None], q[:, None, :], reads
 
 
-def _read_last(v: np.ndarray, theta) -> np.ndarray:
+def _read_last(v: np.ndarray, cos, sin) -> np.ndarray:
     """Condition on reading the last mode along X cos(theta) - P sin(theta), then drop it.
 
-    ``v`` is a covariance or a stack of them, shape (..., d, d), and ``theta``
-    a scalar or an array that broadcasts against that stack, whose shape
-    leads the result's. With u = (cos theta, -sin theta), c = V u and the
-    readout variance M = u^T V_mm u, the other modes keep V_oo - c_o c_o^T / M,
-    formed as g g^T with g = c_o / sqrt(M), one step of a Cholesky
-    factorization. A readout variance below _MIN_READOUT_VARIANCE raises
-    ValueError.
+    ``v`` is a covariance or a stack of them, shape (..., d, d), and ``cos``
+    and ``sin`` are cos theta and sin theta, arrays or numpy scalars that
+    broadcast against that stack, whose shape leads the result's. With
+    u = (cos theta, -sin theta), c = V u and the readout variance
+    M = u^T V_mm u, the other modes keep V_oo - c_o c_o^T / M, formed as
+    g g^T with g = c_o / sqrt(M), one step of a Cholesky factorization. A
+    readout variance below _MIN_READOUT_VARIANCE raises ValueError. Callers
+    take cos and sin of a fixed set of angles once, not once per read.
     """
-    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    cos, sin = cos[..., None], sin[..., None]
     c = cos * v[..., -2] - sin * v[..., -1]
     var = cos * c[..., -2:-1] - sin * c[..., -1:]
-    if not np.min(var) >= _MIN_READOUT_VARIANCE:
+    if not var.min() >= _MIN_READOUT_VARIANCE:
         raise ValueError(_DEGENERATE)
     g = c[..., :-2] / np.sqrt(var)
     return v[..., :-2, :-2] - g[..., :, None] * g[..., None, :]
@@ -217,18 +241,15 @@ def _pair_logneg(covs):
     """Unclamped -ln nu~_- of a pair covariance or of each in a (..., 4, 4) stack.
 
     A stack passes the bona-fide check only if its smallest nu_- does (a NaN
-    fails), so one unphysical pair raises PhysicalityError.
+    fails), so one unphysical pair raises PhysicalityError. The kernel
+    returns Python floats for one pair, so the smallest is taken by the
+    ufunc, which reads both.
     """
     if covs.ndim > 3:  # the kernel's entry-wise reads cost less on a flat stack
         return _pair_logneg(covs.reshape(-1, 4, 4)).reshape(covs.shape[:-2])
     (nu_min, _), (pt_minus, _) = _two_mode_spectra(covs)
-    _require_bona_fide(float(np.min(nu_min)), "conditioned pair")
+    _require_bona_fide(float(np.minimum.reduce(nu_min, axis=None)), "conditioned pair")
     return -np.log(pt_minus)
-
-
-def _minkowski(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u0 v0 - u1 v1 - u2 v2 over the last axis, elementwise across the stack."""
-    return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
 def _stationary_angles(W: np.ndarray) -> np.ndarray:
@@ -238,53 +259,56 @@ def _stationary_angles(W: np.ndarray) -> np.ndarray:
     the partial-transpose invariant Delta~ = det A + det B - 2 det C = p / M
     and det V' = q / M, where M = u^T V_mm u and, by the matrix determinant
     lemma, M, p and q are each c0 + c1 cos phi + c2 sin phi in phi = 2 theta;
-    one stacked read at phi = 0, pi/2 and pi gives their coefficients.
+    one stacked read at phi = 0, pi/2 and pi gives their values there, and
+    one product with the constant _LINE_COEF their coefficients.
     x = nu~_-^2 solves F = M x^2 - p x + q = 0, and at fixed x,
     F = A + B cos phi + C sin phi vanishes at some phi iff A^2 <= B^2 + C^2.
     So the least x on a line, and every other extreme x, is a real root of
-    the quartic h = A^2 - B^2 - C^2, whose x^4 coefficient is det V_mm > 0,
-    and it is reached at cos phi = -B/A, sin phi = -C/A. The roots are the
-    eigenvalues of one real (k, 4, 4) companion stack; a complex root's real
-    part only adds a candidate, which is scored as the others are, so the
-    best score among the four is the line's maximum. h grows as |W|^10, so
-    each block is first scaled, exactly, by the power of two that puts its
-    largest diagonal entry in [1/2, 1), and then the rows and columns of
-    whichever of the pair and the mode has the smaller diagonal by the power
-    of two that brings it within a factor 4 of the other's: the conditioned
-    pair only scales, so the angles do not change, and a measured variance
-    far below the pair's does not drop under _MIN_READOUT_VARIANCE. A block
-    and its multiples by powers of two give the same candidates bit for bit.
-    Every step is elementwise or one LAPACK call per matrix, so a line's
+    the quartic h = A^2 - B^2 - C^2, whose coefficients are Minkowski
+    products of the coefficient vectors of M, p and q, all six read off one
+    Gram product, and whose x^4 coefficient is det V_mm > 0; it is reached
+    at cos phi = -B/A, sin phi = -C/A. The roots are the eigenvalues of one
+    real (k, 4, 4) companion stack, copied from a constant shift; a complex
+    root's real part only adds a candidate, which is scored as the others
+    are, so the best score among the four is the line's maximum. h grows as
+    |W|^10, so each block is first scaled, exactly, by the power of two that
+    puts its largest diagonal entry in [1/2, 1), and then the rows and
+    columns of whichever of the pair and the mode has the smaller diagonal
+    by the power of two that brings it within a factor 4 of the other's:
+    the conditioned pair only scales, so the angles do not change, and a
+    measured variance far below the pair's does not drop under
+    _MIN_READOUT_VARIANCE. A block and its multiples by powers of two give
+    the same candidates bit for bit. Every step is elementwise, one BLAS or
+    LAPACK call per matrix, or the exact _QUARTIC product, so a line's
     candidates do not depend on the stack it sits in.
     """
     _, e = np.frexp(np.maximum.reduceat(W.diagonal(axis1=1, axis2=2), [0, 4], axis=1))  # pair, mode
     top = e.max(axis=1, keepdims=True)
     lift = ((top - e) // 2)[:, _BLOCK_PART]  # per row and column
     W = np.ldexp(W, lift[:, :, None] + (lift - top)[:, None, :])
-    pairs = _read_last(W[:, None], _LINE_READS)
+    pairs = _read_last(W[:, None], *_LINE_READS)
     a, b, c, d = (pairs[..., r, :] for r in range(4))
     tilde = a[..., 0] * b[..., 1] - a[..., 1] ** 2 + c[..., 2] * d[..., 3] - c[..., 3] ** 2
     tilde -= 2.0 * (a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2])
     vxx, vxp, vpp = W[:, 4, 4], W[:, 4, 5], W[:, 5, 5]
     m = np.stack([vxx, 0.5 * (vxx + vpp) - vxp, vpp], axis=-1)
-    f = np.stack([m, m * tilde, m * np.linalg.det(pairs)])  # M, p, q at phi = 0, pi/2, pi
-    mid = 0.5 * (f[..., 0] + f[..., 2])
-    M, p, q = np.stack([mid, 0.5 * (f[..., 0] - f[..., 2]), f[..., 1] - mid], axis=-1)
-    h = [-2.0 * _minkowski(M, p), _minkowski(p, p) + 2.0 * _minkowski(M, q), -2.0 * _minkowski(p, q), _minkowski(q, q)]
-    companion = np.zeros((len(W), 4, 4))
-    companion[:, 0] = -np.stack(h, axis=-1) / _minkowski(M, M)[:, None]  # h's x^3 .. x^0 over its x^4 coefficient
-    companion[:, 1:, :-1] = np.eye(3)
+    # rows M, p, q of each line; columns their reads at phi = 0, pi/2, pi, then c0, c1, c2
+    coef = np.stack([m, m * tilde, m * np.linalg.det(pairs)], axis=1) @ _LINE_COEF
+    gram = ((coef * _MINKOWSKI) @ coef.transpose(0, 2, 1)).reshape(-1, 9)
+    companion = np.empty((len(W), 4, 4))
+    companion[:] = _COMPANION_SHIFT
+    companion[:, 0] = (gram @ _QUARTIC) / -gram[:, :1]  # h's x^3 .. x^0 over its x^4 coefficient <M, M>
     x = np.linalg.eigvals(companion).real[..., None]
-    A, B, C = np.moveaxis(M[:, None] * (x * x) - p[:, None] * x + q[:, None], -1, 0)
+    A, B, C = (coef[:, None, 0] * (x * x) - coef[:, None, 1] * x + coef[:, None, 2]).transpose(2, 0, 1)
     return 0.5 * np.arctan2(-C * A, -B * A)
 
 
 def _line_search(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best angle and value of each line of a (k, 6, 6) stack, by one kernel call on its candidates."""
     candidates = _stationary_angles(W)
-    vals = _pair_logneg(_read_last(W[:, None], candidates))
-    best = np.argmax(vals, axis=1)[:, None]
-    return tuple(np.take_along_axis(arr, best, axis=1)[:, 0] for arr in (candidates, vals))
+    vals = _pair_logneg(_read_last(W[:, None], np.cos(candidates), np.sin(candidates)))
+    lines, best = np.arange(len(W)), vals.argmax(axis=1)
+    return candidates[lines, best], vals[lines, best]
 
 
 def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
@@ -299,19 +323,20 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     conditioned pair (a physical pair has nu~_+ >= 1, so that is its whole
     log-negativity when positive) and clamps only the returned value at 0.
     The ascent starts from the best common angle on a grid: every measured
-    mode is read at the 64 grid angles as one stack, and one kernel call
-    scores the (64, 4, 4) stack of pairs. It then moves one angle per sweep.
-    Each coordinate m orders the modes as (pair, m, the rest) and reads the
-    rest at their current angles, which leaves the 6x6 covariance of the
-    pair and m. A sweep builds the k blocks of all k = N - 2 coordinates
-    with k - 1 stacked reads and searches each line exactly
-    (:func:`_stationary_angles`): a line's best reading is among the 4
-    roots of a quartic, and one kernel call scores the (k, 4) candidates.
-    Only the coordinate with the largest gain moves (the first on a tie),
-    and the ascent stops after a sweep whose best gain is below 1e-12. A
-    sweep costs 1 stacked kernel call at any N, so a cluster whose
-    common-angle seed is already best, as an unrotated one is, takes 2 with
-    the seeds. One unphysical angle in a scored stack raises
+    mode is read at the 64 constant grid angles as one stack, and one kernel
+    call scores the (64, 4, 4) stack of pairs. It then moves one angle per
+    sweep. Each coordinate m orders the modes as (pair, m, the rest) and
+    reads the rest at their current angles, which leaves the 6x6 covariance
+    of the pair and m. A sweep takes cos and sin of those angles once,
+    builds the k blocks of all k = N - 2 coordinates with k - 1 stacked
+    reads and searches each line exactly (:func:`_stationary_angles`): a
+    line's best reading is among the 4 roots of a quartic, and one kernel
+    call scores the (k, 4) candidates. Only the coordinate with the largest
+    gain moves (the first on a tie), and the ascent stops after a sweep
+    whose best gain is below 1e-12. A sweep costs 1 stacked kernel call and
+    k + 1 reads at any N, so a cluster whose common-angle seed is already
+    best, as an unrotated one is, takes 2 kernel calls and 2k + 1 reads
+    with the seeds. One unphysical angle in a scored stack raises
     PhysicalityError.
     The conditioned pair is formed from entries of order mu that cancel, so
     the value drifts from :func:`gle_formula` as the cluster is squeezed
@@ -325,30 +350,31 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     if i == j:
         raise ValueError("duplicate mode indices")
     others = [m for m in range(n) if m not in (i, j)]
-    order = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)]
-    v = state.cov[np.ix_(order, order)]
+    order = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)])
+    v = state.cov[order[:, None], order]
     if not others:
         return max(0.0, float(_pair_logneg(v)))
 
     # The unclamped objective has no separable plateau, so coordinate moves
     # climb out of angles where the pair is separable; seeding with the best
     # common angle rather than a fixed corner starts near the global optimum.
-    grid = np.linspace(0.0, np.pi, _GLE_GRID, endpoint=False)
     k = len(others)
     seeds = v
     for _ in range(k):
-        seeds = _read_last(seeds, grid)
+        seeds = _read_last(seeds, *_SEED_READS)
     seed_vals = _pair_logneg(seeds)
-    thetas = np.full(k, grid[int(np.argmax(seed_vals))])
-    best = float(np.max(seed_vals))
+    top = seed_vals.argmax()
+    thetas = np.full(k, _SEED_ANGLES[top])
+    best = float(seed_vals[top])
     rows, cols, reads = _coordinate_index(k)
     blocks = v[rows, cols]
     for _ in range(_GLE_MAX_SWEEPS):
         W = blocks
-        for angles in thetas[reads].T:
-            W = _read_last(W, angles)
+        angles = thetas[reads].T
+        for cos, sin in zip(np.cos(angles), np.sin(angles)):
+            W = _read_last(W, cos, sin)
         tops, vals = _line_search(W)
-        m = int(np.argmax(vals))
+        m = vals.argmax()
         gain = float(vals[m]) - best
         if gain > 0:
             best = float(vals[m])

@@ -352,8 +352,8 @@ def reduce(state: GaussianState, modes) -> GaussianState:
         raise ValueError("duplicate mode indices")
     if keep == list(range(state.n_modes)):
         return state
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep]).astype(int)
-    cov = state.cov[np.ix_(idx, idx)]
+    idx = np.array([2 * m + q for m in keep for q in (0, 1)])
+    cov = state.cov[idx[:, None], idx]
     cov.flags.writeable = False
     marginal = object.__new__(GaussianState)
     marginal.n_modes, marginal.cov = len(keep), cov

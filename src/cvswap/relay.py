@@ -66,7 +66,6 @@ def relay_orthogonal(n_users: int) -> np.ndarray:
     return U
 
 
-@cache
 def build_relay(n_users: int) -> np.ndarray:
     """The relay's one Bell detection on ``n_users`` ports, built once per N (4.0 reads as 4).
 
@@ -74,9 +73,14 @@ def build_relay(n_users: int) -> np.ndarray:
     homodynes P on port 0 and X on ports 1..N-1. The read-only 2N x N
     readout matrix W^T returned here holds, in column j, readout j's weights
     on the sent quadratures (X_1, P_1, ..., X_N, P_N), so one matrix serves
-    every detection of its N.
+    every detection of its N, however N is written.
     """
-    N = _as_size(n_users, 2, "n_users")
+    return _readout_matrix(_as_size(n_users, 2, "n_users"))
+
+
+@cache
+def _readout_matrix(N: int) -> np.ndarray:
+    """:func:`build_relay`'s matrix for an int N >= 2, cached per N."""
     U = relay_orthogonal(N)
     # W^T, indexed (copy k, quadrature of A_k, readout j) until reshaped:
     # readout 0 is P of port 0, readout j >= 1 is X of port j

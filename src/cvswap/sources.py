@@ -146,22 +146,23 @@ def _best_over_z(d: float, xs: np.ndarray) -> np.ndarray:
     grid is np.linspace's arithmetic bit for bit (j * step, or
     (j / (P - 1)) * z_max when any z_max is 0, and z_max as the last point),
     because the frozen fig2b data file holds the search's values to 12 digits.
+    Each row takes its least y - z^2/x and one log: -ln decreases, so that
+    is the row's largest -ln, and a row holding a NaN or a negative entry
+    reads NaN either way.
     """
     ys = xs - 2.0 * d
     zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
     j = np.arange(_GRID_POINTS, dtype=float)
     last = _GRID_POINTS - 1
     step = zm / last
-    unit, scale = (j / last, zm) if np.any(step == 0) else (j, step)
+    unit, scale = (j / last, zm) if (step == 0).any() else (j, step)
     z = np.multiply(unit, scale[:, None])
     z[:, -1] = zm
-    # -ln(y - z^2/x), written over z
+    # y - z^2/x, written over z
     z *= z
     z /= xs[:, None]
     np.subtract(ys[:, None], z, out=z)
-    np.log(z, out=z)
-    np.negative(z, out=z)
-    return np.maximum(z.max(axis=1), 0.0)
+    return np.maximum(-np.log(z.min(axis=1)), 0.0)
 
 
 def _feasible_x_range(d: float, x_max: float) -> tuple[float, float]:
@@ -185,12 +186,12 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     Maximizes the swapped output -ln(y - z^2/x) over x (with y = x - 2d) and
     z within the physical region, both variances capped at x_max: one
     grid of z at each of _FRONTIER_GRID grid values of x, all at once
-    (:func:`_best_over_z`), and the largest grid value. A refinement could
-    gain no more than the search's own rounding: at fixed x the output
-    increases in z^2, so its best z is the interval's upper end, z_max,
-    which the grid holds; on that physical boundary z^2 = xy - 1 - |x - y|
-    the output is ln(x / (1 + 2|d|)), which increases in x, so the best
-    grid point is the last one, x at its cap.
+    (:func:`_best_over_z`, one log per x), and the largest grid value. A
+    refinement could gain no more than the search's own rounding: at fixed
+    x the output increases in z^2, so its best z is the interval's upper
+    end, z_max, which the grid holds; on that physical boundary
+    z^2 = xy - 1 - |x - y| the output is ln(x / (1 + 2|d|)), which
+    increases in x, so the best grid point is the last one, x at its cap.
     This search never reads :func:`frontier_closed_form`, which the tests
     check it against. Near the boundary y - z^2/x cancels, so the search
     drifts from the closed form as x_max grows: over fig2b's default 31-point
@@ -201,7 +202,7 @@ def max_swap_logneg_at_asymmetry(d: float, x_max: float) -> float:
     """
     lo, hi = _feasible_x_range(d, x_max)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        best = float(np.max(_best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID))))
+        best = float(_best_over_z(d, np.linspace(lo, hi, _FRONTIER_GRID)).max())
     if not math.isfinite(best):
         raise FloatingPointError(f"frontier search at d = {d!r}, x_max = {x_max!r} gave {best}")
     return best

@@ -30,6 +30,9 @@ build and check states with; no package code path calls them. ``unclamped_logneg
 unclamped -ln nu~_min of a partially transposed marginal from the Williamson
 spectrum: the matrix-side value of the unclamped network formulas, and the
 reference the pairwise and block oracles are checked against.
+``reduce_ix`` is ``reduce``'s gather as it was before it became one direct
+fancy index: ``np.concatenate`` of each mode's rows, then ``np.ix_``; the
+package must gather the same matrix bit for bit.
 ``partial_transpose`` is the library's partial transpose as it was before
 ``log_negativity`` read it from the Cholesky factor of V: F V F with F the
 diagonal sign matrix built and multiplied, the independent reference the
@@ -122,6 +125,12 @@ def partial_transpose(cov, partition) -> np.ndarray:
         signs[2 * int(m) + 1] = -1.0
     F = np.diag(signs)
     return F @ cov @ F
+
+
+def reduce_ix(cov, modes) -> np.ndarray:
+    """The marginal covariance on ``modes`` as ``reduce`` once gathered it: ``np.concatenate``, then ``np.ix_``."""
+    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
+    return np.asarray(cov)[np.ix_(idx, idx)]
 
 
 def unclamped_logneg(cov, group_a, group_b):
@@ -293,7 +302,7 @@ def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
     k = len(others)
     seeds = v
     for _ in range(k):
-        seeds = _read_last(seeds, grid)
+        seeds = _read_last(seeds, np.cos(grid), np.sin(grid))
     seed_vals = _pair_logneg(seeds)
     thetas = np.full(k, grid[int(np.argmax(seed_vals))])
     best = float(np.max(seed_vals))
@@ -304,7 +313,7 @@ def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:
             q = [0, 1, 2, 3] + [4 + 2 * b + s for b in [a] + rest for s in (0, 1)]
             W = v[np.ix_(q, q)]
             for b in reversed(rest):
-                W = _read_last(W, thetas[b])
+                W = _read_last(W, np.cos(thetas[b]), np.sin(thetas[b]))
             top, val = _line_search(W[None])
             scored.append((top[0], val[0]))
         a = max(range(k), key=lambda c: scored[c][1])
@@ -334,8 +343,12 @@ def grid_line_search(W):
     grid = np.linspace(0.0, np.pi, _LINE_GRID, endpoint=False)
     step = np.pi / _LINE_GRID
     W = W[:, None]
-    centres = grid[np.argmax(_pair_logneg(_read_last(W, grid)), axis=-1)]
-    return grid_max_linspace(lambda t: _pair_logneg(_read_last(W, t)), centres - step, centres + step, _LINE_LEVELS)
+    centres = grid[np.argmax(_pair_logneg(_read_last(W, np.cos(grid), np.sin(grid))), axis=-1)]
+
+    def score(t):
+        return _pair_logneg(_read_last(W, np.cos(t), np.sin(t)))
+
+    return grid_max_linspace(score, centres - step, centres + step, _LINE_LEVELS)
 
 
 def grid_max_linspace(f, lo, hi, levels: int):

@@ -441,8 +441,8 @@ def test_gle_numeric_refuses_one_unphysical_scanned_angle(monkeypatch, route):
     # uncertainty principle (positive definite, nu = 0.5) must raise
     real = analysis._read_last
 
-    def one_bad_angle(v, theta):
-        pairs = real(v, theta)
+    def one_bad_angle(v, cos, sin):
+        pairs = real(v, cos, sin)
         if pairs.shape == _SCANNED_PAIRS[route]:
             pairs = pairs.copy()
             pairs.reshape(-1, 4, 4)[5] = 0.5 * np.eye(4)
@@ -463,9 +463,13 @@ def test_gle_numeric_scores_the_seeds_and_each_sweep_in_one_kernel_call(monkeypa
     # call each, and no angle is scored on its own; the seeds are best on an
     # unrotated cluster, so its one sweep moves nothing and the ascent makes
     # 2 calls, while rotating the measured modes by fixed off-grid angles
-    # makes it move
-    calls = {"scalar": 0, "stacked": 0, "sweeps": 0}
-    kernel, line_search = analysis._two_mode_spectra, analysis._line_search
+    # makes it move. With k = N - 2 measured modes, the seeds take k reads
+    # and a sweep k + 1: k - 1 to build its blocks, one for the line
+    # search's three fixed angles and one for its candidates. The seed grid
+    # is a constant and the gathers are direct fancy indices, so neither
+    # np.linspace nor np.ix_ runs.
+    calls = {"scalar": 0, "stacked": 0, "sweeps": 0, "reads": 0, "linspace": 0, "ix_": 0}
+    kernel, line_search, read_last = analysis._two_mode_spectra, analysis._line_search, analysis._read_last
 
     def counted(cov):
         calls["stacked" if np.ndim(cov) > 2 else "scalar"] += 1
@@ -475,28 +479,55 @@ def test_gle_numeric_scores_the_seeds_and_each_sweep_in_one_kernel_call(monkeypa
         calls["sweeps"] += 1
         return line_search(*args)
 
-    monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
-    monkeypatch.setattr(analysis, "_line_search", sweep)
+    def read(*args):
+        calls["reads"] += 1
+        return read_last(*args)
+
+    def count_numpy(name):
+        real = getattr(np, name)
+
+        def counted_numpy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted_numpy)
+
     cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, n))
     if rotated:
         R = np.eye(2 * n)
         for m in range(2, n):
             R[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = rotation(0.37 * m)
         cm = R @ cm @ R.T
+    monkeypatch.setattr(analysis, "_two_mode_spectra", counted)
+    monkeypatch.setattr(analysis, "_line_search", sweep)
+    monkeypatch.setattr(analysis, "_read_last", read)
+    count_numpy("linspace")
+    count_numpy("ix_")
     gle_numeric(cm)
-    sweeps = calls["sweeps"]
+    sweeps, k = calls["sweeps"], n - 2
     assert sweeps > 1 if rotated else sweeps == 1
-    assert calls == {"scalar": 0, "stacked": 1 + sweeps, "sweeps": sweeps}
+    assert calls == {
+        "scalar": 0,
+        "stacked": 1 + sweeps,
+        "sweeps": sweeps,
+        "reads": k + (k + 1) * sweeps,
+        "linspace": 0,
+        "ix_": 0,
+    }
 
 
 @pytest.mark.parametrize(
     "oracle, groups, counts",
     [
-        (block_logneg_numeric, ([0, 1, 2], [3, 4, 5]), {"_require_symmetric": 1, "cholesky": 1, "_two_mode_spectra": 0}),
+        (
+            block_logneg_numeric,
+            ([0, 1, 2], [3, 4, 5]),
+            {"_require_symmetric": 1, "cholesky": 1, "_two_mode_spectra": 0, "ix_": 0},
+        ),
         (
             lambda cm, a, b: pairwise_logneg_numeric(cm, *a, *b),
             ([2], [4]),
-            {"_require_symmetric": 1, "cholesky": 0, "_two_mode_spectra": 1},
+            {"_require_symmetric": 1, "cholesky": 0, "_two_mode_spectra": 1, "ix_": 0},
         ),
     ],
     ids=["block-3|3", "pairwise"],
@@ -505,7 +536,8 @@ def test_pair_and_block_oracles_read_their_marginal_once(monkeypatch, oracle, gr
     # log_negativity reads nu_min and nu~ of the marginal from one spectrum
     # call: one Cholesky of V for a block (F L F factors F V F), one kernel
     # call for a pair; the one symmetry check is the input's, since reduce
-    # does not check a validated state's marginal again
+    # does not check a validated state's marginal again, and reduce gathers
+    # the marginal by one direct fancy index, with no np.ix_
     cm = network_cluster_cm(NetworkPoint(5.0, 0.9, 1.1, 6))
     calls = dict.fromkeys(counts, 0)
 
@@ -521,6 +553,7 @@ def test_pair_and_block_oracles_read_their_marginal_once(monkeypatch, oracle, gr
     count(gaussian, "_require_symmetric")
     count(np.linalg, "cholesky")
     count(gaussian, "_two_mode_spectra")
+    count(np, "ix_")
     value = oracle(cm, *groups)
     assert calls == counts
     assert value == pytest.approx(max(0.0, unclamped_logneg(cm, *groups)), rel=1e-12, abs=1e-12)
@@ -627,7 +660,7 @@ def _read_all(v, thetas):
     The last axis of ``thetas`` holds one angle per measured mode.
     """
     for b in reversed(range(np.shape(thetas)[-1])):
-        v = _read_last(v, thetas[..., b])
+        v = _read_last(v, np.cos(thetas[..., b]), np.sin(thetas[..., b]))
     return v
 
 
@@ -691,10 +724,10 @@ def test_read_last_refuses_a_degenerate_readout():
     # mode 1 has zero X variance: reading X is degenerate at theta = 0, and
     # one such angle in a stack refuses the whole stack
     v = np.diag([2.0, 1.0, 0.0, 4.0])
-    assert _read_last(v, np.pi / 2) == pytest.approx(np.diag([2.0, 1.0]))
+    assert _read_last(v, np.cos(np.pi / 2), np.sin(np.pi / 2)) == pytest.approx(np.diag([2.0, 1.0]))
     for theta in (0.0, np.array([np.pi / 2, 0.0, 1.0])):
         with pytest.raises(ValueError, match="degenerate"):
-            _read_last(v, theta)
+            _read_last(v, np.cos(theta), np.sin(theta))
 
 
 def test_gle_numeric_dominates_pairwise():

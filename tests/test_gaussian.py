@@ -31,6 +31,7 @@ from gaussian_reference import (
     is_symplectic,
     omega_product_eigvals,
     partial_transpose,
+    reduce_ix,
     standard_form_per_block,
     symplectic_form,
     tensor,
@@ -780,18 +781,23 @@ def test_two_mode_state_past_1e154_reads_as_its_six_mode_embedding():
     assert (stacked[0][0] >= 1.0 - BONA_FIDE_TOL).all()
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
-def test_reduce_returns_the_checked_marginal_bit_for_bit(seed, n):
-    # reduce skips the symmetry check on a state's submatrix: the check
-    # would return it unchanged, since 0.5 * (a + a) == a
-    rng = np.random.default_rng(seed)
-    V, _ = _random_williamson_form(rng, n)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reduce_returns_the_checked_marginal_bit_for_bit(seed, data):
+    # reduce gathers a marginal by one direct fancy index and skips the
+    # symmetry check on a state's submatrix: on random bona-fide states and
+    # ordered mode lists of any length and order (the identity list returns
+    # the state itself) it must give the matrix the np.ix_ twin gathers, bit
+    # for bit and read-only, which the check returns unchanged, since
+    # 0.5 * (a + a) == a
+    n = data.draw(st.integers(1, 8))
+    modes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    V, _ = _random_williamson_form(np.random.default_rng(seed), n)
     state = GaussianState(V)
-    modes = [int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
-    idx = np.array([[2 * m, 2 * m + 1] for m in modes]).ravel()
-    checked = GaussianState(state.cov[np.ix_(idx, idx)], check=False)
     marginal = reduce(state, modes)
+    want = reduce_ix(state.cov, modes)
     assert marginal.n_modes == len(modes)
-    np.testing.assert_array_equal(marginal.cov, checked.cov)
+    assert marginal.cov.dtype == want.dtype and marginal.cov.shape == want.shape
+    assert marginal.cov.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(marginal.cov, GaussianState(want, check=False).cov)
     assert not marginal.cov.flags.writeable

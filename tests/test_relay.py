@@ -82,6 +82,8 @@ def test_sizes_and_caps_are_read_or_refused_with_value_error(entry, value):
         assert 1.0 <= call(value) <= value
     else:
         np.testing.assert_array_equal(call(value), call(4))
+        if entry == "build_relay":  # one cached matrix per N, however N is written
+            assert call(value) is call(4)
 
 
 def _relay_measurements(n):

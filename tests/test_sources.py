@@ -14,6 +14,7 @@ from cvswap.sources import (
     _FRONTIER_GRID,
     TwoModeNormalForm,
     _best_over_z,
+    _feasible_x_range,
     _keeps,
     frontier_closed_form,
     max_swap_logneg_at_asymmetry,
@@ -361,6 +362,16 @@ _XS = {
     "positive widths near fig2b's largest cap": (0.5, np.random.default_rng(26).uniform(1e3, 1e5, 400)),
     "symmetric": (0.0, np.random.default_rng(27).uniform(1.01, 10.0, 400)),
     "one x": (0.0, np.array([3.0])),
+    # the frontier's own x grid at larger caps, whose first x has z_max = 0;
+    # at 1e150 y - z^2/x cancels to zero or below and at 1e200 xy overflows,
+    # so some rows read inf or NaN and the search refuses the cap
+    **{
+        f"zero-width member, frontier grid at x_max {x_max:g}": (
+            0.5,
+            np.linspace(*_feasible_x_range(0.5, x_max), _FRONTIER_GRID),
+        )
+        for x_max in (1e3, 1e5, 1e150, 1e200)
+    },
 }
 
 
@@ -370,13 +381,15 @@ def test_best_over_z_matches_the_linspace_reference_bit_for_bit(case):
     # of place, gives the in-place search's values bit for bit
     d, xs = _XS[case]
     ys = xs - 2.0 * d
-    zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
     x, y = xs[:, None], ys[:, None]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
         _, want = grid_max_linspace(lambda z: -np.log(y - z * z / x), np.zeros(len(xs)), zm, 1)
         got = _best_over_z(d, xs)
     assert (zm == 0).any() == case.startswith("zero-width member")
-    assert got.shape == want.shape and np.array_equal(got, np.maximum(want, 0.0))
+    refused = case.endswith(("1e+150", "1e+200"))
+    assert np.isfinite(want).all() != refused
+    assert got.shape == want.shape and np.array_equal(got, np.maximum(want, 0.0), equal_nan=True)
 
 
 def test_frontier_matches_the_linspace_reference_on_the_fig2b_grid():
@@ -388,7 +401,7 @@ def test_frontier_matches_the_linspace_reference_on_the_fig2b_grid():
             assert got.hex() == frontier_linspace(float(d), x_max).hex(), (d, x_max)
 
 
-@pytest.mark.parametrize("x_max", [1.0 + 1e-12, 1e8, 1e150, 1e300, 1.7e308])
+@pytest.mark.parametrize("x_max", [1.0 + 1e-12, 1e8, 1e150, 1e200, 1e300, 1.7e308])
 def test_frontier_at_extreme_caps_matches_the_linspace_reference(x_max):
     # a value where both give one, and the same exception type where the
     # reference raises: FloatingPointError for a non-finite search,
