@@ -82,9 +82,14 @@ class NetworkPoint:
 def _e2(pt: NetworkPoint) -> float:
     # ln(num / den) with num = eta mu + (1 - eta) omega, taken as log1p of
     # num - den = (mu - 1)(eta - (1 - eta) omega) over den: num / den rounds
-    # near 1 as mu -> 1, which would let E2 move the wrong way by one ulp
+    # near 1 as mu -> 1, which would let E2 move the wrong way by one ulp.
+    # Far below 1 that quotient rounds to -1, so there ln num - ln den is
+    # read; num and den are both >= 1, so neither log can fail
     den = pt.eta + (1.0 - pt.eta) * pt.mu * pt.omega
-    return float(np.log1p((pt.mu - 1.0) * (pt.eta - (1.0 - pt.eta) * pt.omega) / den))
+    rel = (pt.mu - 1.0) * (pt.eta - (1.0 - pt.eta) * pt.omega) / den
+    if rel < -0.5:
+        return math.log(pt.eta * pt.mu + (1.0 - pt.eta) * pt.omega) - math.log(den)
+    return float(np.log1p(rel))
 
 
 def _gle(pt: NetworkPoint) -> float:
@@ -141,9 +146,9 @@ def network_cluster_cm(pt: NetworkPoint) -> np.ndarray:
     return cluster_closed_form(nf.x, nf.y, nf.z, pt.n_users).assemble()
 
 
-def pairwise_logneg_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
-    """Log-negativity of the (i, j) pair reduced out of the cluster."""
-    return block_logneg_numeric(cluster_cov, [i], [j])
+def pairwise_logneg_numeric(cluster_cov: np.ndarray) -> float:
+    """Log-negativity of modes 0 and 1 reduced out of the cluster; any other pair is a block of one."""
+    return block_logneg_numeric(cluster_cov, [0], [1])
 
 
 def block_logneg_numeric(cluster_cov: np.ndarray, group_a, group_b) -> float:

@@ -290,7 +290,7 @@ def _run_fig2c(cfg):
     for g_mhz in cfg["g_eff_mhz"]:
         base = _optomech_params(cfg, g_mhz)
         deltas = [r * base.omega_m for r in cfg["delta_over_omega_m"]]
-        for row in detuning_sweep(base, deltas, n_users=(2,), local_preprocessing=cfg["local_preprocessing"]):
+        for row in detuning_sweep(base, deltas, n_users=(2,)):
             rows.append((g_mhz,) + row)
     columns = ("g_eff_mhz", "delta_over_omega_m", "n", "e_in_optomech", "e_mech_pairwise", "stable")
     return columns, rows, f"fig2c: {len(rows)} sweep points"
@@ -302,7 +302,7 @@ def _run_fig2d(cfg):
     (g_mhz,) = cfg["g_eff_mhz"]
     base = _optomech_params(cfg, g_mhz)
     deltas = [r * base.omega_m for r in cfg["delta_over_omega_m"]]
-    sweep = detuning_sweep(base, deltas, n_users=cfg["n"], local_preprocessing=cfg["local_preprocessing"])
+    sweep = detuning_sweep(base, deltas, n_users=cfg["n"])
     rows = []
     for n in cfg["n"]:
         best = (float("-inf"), float("nan"), float("nan"))
@@ -357,15 +357,6 @@ def _as_float(value):
     return number
 
 
-def _as_switch(value):
-    text = str(value).strip().lower()
-    if text in ("on", "true", "1", "yes"):
-        return True
-    if text in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"must be on or off, got {value!r}")
-
-
 #: key -> (parser, bound, help). A bound is (test, text): every parsed value
 #: (each point of a grid) must pass the test.
 KEYS = {
@@ -387,18 +378,12 @@ KEYS = {
         (lambda v: v in ("angular", "ordinary"), "angular or ordinary"),
         "read the quoted cavity linewidth as 'angular' (rad/s) or 'ordinary' (Hz)",
     ),
-    "local_preprocessing": (
-        _as_switch,
-        None,
-        "on/off: rotate each optomechanical copy to standard form before the relay",
-    ),
 }
 
 _OPTOMECH = {
     "delta_over_omega_m": "linspace(0,1.5,31)",
     "temp_mk": "0.4",
     "kappa_convention": "angular",
-    "local_preprocessing": "on",
 }
 
 #: name -> (runner, {key it reads: default}); a None default marks a required key.

@@ -99,7 +99,6 @@ class OptomechParams:
 
 
 def standard_params(
-    delta: float | None = None,
     g_eff: float = 2 * np.pi * 8e6,
     kappa_convention: str = "angular",
     temp: float = 0.4e-3,
@@ -110,7 +109,8 @@ def standard_params(
     linewidth is quoted as 31.4 MHz, which reads either as an angular rate
     (kappa = 3.14e7 rad/s, i.e. about 2pi x 5 MHz) or as an ordinary
     frequency (kappa = 2pi x 31.4e6 rad/s); both are supported and the
-    angular reading is the default. ``delta`` defaults to omega_m.
+    angular reading is the default. The detuning is delta = omega_m; move it
+    with :meth:`OptomechParams.with_delta`.
     """
     omega_m = 2 * np.pi * 10e6
     if kappa_convention == "angular":
@@ -119,13 +119,11 @@ def standard_params(
         kappa = 2 * np.pi * 31.4e6
     else:
         raise ValueError("kappa_convention must be 'angular' or 'ordinary'")
-    if delta is None:
-        delta = omega_m
     return OptomechParams(
         omega_m=omega_m,
         gamma_m=2 * np.pi * 100.0,
         kappa=kappa,
-        delta=delta,
+        delta=omega_m,
         g_eff=g_eff,
         temp=temp,
     )
@@ -209,16 +207,14 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
     return _steady_state(A, D, p.omega_m)
 
 
-def _relay_copy(single: GaussianState, local_preprocessing: bool) -> GaussianState:
-    """The state each block hands the relay: ``single``, or its two-mode standard form.
+def _relay_copy(single: GaussianState) -> GaussianState:
+    """The state each block hands the relay: ``single`` in two-mode standard form.
 
-    ``two_mode_standard_form`` builds S = S_1 (+) S_2 symplectic, so the
-    rotated copy S V S^T is formed directly, with no symplectic check. The
-    validated state's covariance is already symmetric, so its standard form
-    is taken without a second symmetry check.
+    ``_standard_form`` builds S = S_1 (+) S_2 symplectic, so the rotated copy
+    S V S^T is formed directly, with no symplectic check. The validated
+    state's covariance is already symmetric, so its standard form is taken
+    without a second symmetry check.
     """
-    if not local_preprocessing:
-        return single
     _, _, _, _, S = _standard_form(single.cov)
     return GaussianState(S @ single.cov @ S.T)
 
@@ -229,29 +225,20 @@ def _swap_blocks(copy: GaussianState, n_users: int):
     return cluster, log_negativity(reduce_state(cluster, [0, 1]), [0])
 
 
-def mechanical_cluster(
-    p: OptomechParams,
-    n_users: int,
-    local_preprocessing: bool = True,
-) -> tuple[GaussianState, float]:
+def mechanical_cluster(p: OptomechParams, n_users: int) -> tuple[GaussianState, float]:
     """Swap N identical optomechanical blocks into an N-mode mechanical state.
 
     Each block contributes its cavity mode to the relay and keeps its
-    mechanical mode. With ``local_preprocessing`` each copy is first rotated
-    (locally on cavity and mechanics separately) into two-mode standard
-    form, aligning the correlated quadratures with the relay's fixed
-    measurement pattern. Returns the mechanical state and the pairwise
-    log-negativity between the first two mechanics.
+    mechanical mode. Each copy is first rotated (locally on cavity and
+    mechanics separately) into two-mode standard form, aligning the
+    correlated quadratures with the relay's fixed measurement pattern.
+    Returns the mechanical state and the pairwise log-negativity between
+    the first two mechanics.
     """
-    return _swap_blocks(_relay_copy(steady_state_cm(p), local_preprocessing), n_users)
+    return _swap_blocks(_relay_copy(steady_state_cm(p)), n_users)
 
 
-def detuning_sweep(
-    base: OptomechParams,
-    deltas,
-    n_users=(2, 3, 4, 5),
-    local_preprocessing: bool = True,
-):
+def detuning_sweep(base: OptomechParams, deltas, n_users=(2, 3, 4, 5)):
     """Scan detuning and cluster size; yields one row per (delta, N).
 
     Rows are (delta / omega_m, N, E_in optical-mechanical, E pairwise
@@ -271,7 +258,7 @@ def detuning_sweep(
             continue
         state = _steady_state(A, D, p.omega_m)
         e_in = log_negativity(state, [0])
-        copy = _relay_copy(state, local_preprocessing)
+        copy = _relay_copy(state)
         for n in sizes:
             _, e_pair = _swap_blocks(copy, n)
             rows.append((p.delta / p.omega_m, n, e_in, e_pair, 1))

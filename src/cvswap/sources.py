@@ -67,10 +67,16 @@ class TwoModeNormalForm:
 
 
 def tmsv(mu: float) -> TwoModeNormalForm:
-    """Two-mode squeezed vacuum with quadrature variance mu >= 1."""
+    """Two-mode squeezed vacuum with quadrature variance mu >= 1.
+
+    A mu whose square overflows raises OverflowError.
+    """
     if not (mu >= 1.0 and math.isfinite(mu)):
         raise ValueError("mu must be finite and >= 1")
-    return TwoModeNormalForm(mu, mu, float(np.sqrt(mu * mu - 1.0)))
+    square = mu * mu
+    if square == math.inf:
+        raise OverflowError(f"mu = {mu:g} is too large to square")
+    return TwoModeNormalForm(mu, mu, float(np.sqrt(square - 1.0)))
 
 
 def thermal_loss_on_a(nf: TwoModeNormalForm, eta: float, omega: float) -> TwoModeNormalForm:

@@ -189,7 +189,7 @@ def optomech_sweep():
     base = standard_params()  # gamma_m/2pi = 100 Hz, omega_m/2pi = 10 MHz, T = 0.4 mK
     deltas = np.linspace(0.0, 1.5, 31) * base.omega_m
     started = time.perf_counter()
-    rows = detuning_sweep(base, deltas, n_users=(2, 3, 4, 5), local_preprocessing=True)
+    rows = detuning_sweep(base, deltas, n_users=(2, 3, 4, 5))
     elapsed = time.perf_counter() - started
     return rows, elapsed
 
@@ -263,7 +263,7 @@ def test_criterion_6_physicality_suite():
     # optomechanics: Lyapunov residuals, bona fide steady states, no free lunch
     for convention in ("angular", "ordinary"):
         for ratio in np.linspace(0.05, 1.5, 10):
-            p = standard_params(delta=ratio * OMEGA_M, kappa_convention=convention)
+            p = standard_params(kappa_convention=convention).with_delta(ratio * OMEGA_M)
             st = steady_state_cm(p)
             assert lyapunov_residual(p, st) < 1e-10
             assert symplectic_eigenvalues(st.cov)[0] >= 1.0 - 1e-9

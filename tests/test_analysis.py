@@ -140,6 +140,13 @@ def test_gle_alpha_zero_is_regular():
     assert analysis._gle(pt) == analysis._e2(pt)
 
 
+@pytest.mark.parametrize("mu", [1e17, 1e150, 1e300])
+def test_e2_far_below_zero_reads_the_log_of_the_ratio(mu):
+    # at eta = 1/mu, omega = 1, num / den = 2 / mu to rounding, while
+    # (num - den) / den rounds to -1, whose log1p is -inf
+    assert analysis._e2(NetworkPoint(mu, 1.0 / mu, 1.0, 3)) == pytest.approx(np.log(2.0 / mu), rel=1e-14)
+
+
 def test_block_edge_cases():
     pt = NetworkPoint(4.0, 0.9, 1.2, 6)
     assert block_logneg_formula(pt, 1) == pairwise_logneg_formula(pt)
@@ -172,7 +179,7 @@ def test_pairwise_numeric_pair_choice_is_irrelevant():
     pt = NetworkPoint(4.0, 0.85, 1.4, 5)
     cm = network_cluster_cm(pt)
     values = {
-        pairwise_logneg_numeric(cm, i, j)
+        block_logneg_numeric(cm, [i], [j])
         for i, j in [(0, 1), (0, 4), (2, 3), (1, 3)]
     }
     assert max(values) - min(values) < 1e-10
@@ -218,8 +225,8 @@ def test_pair_oracles_match_the_williamson_reference(seed, n, cluster):
         for j in range(n):
             if i != j:
                 expected = max(0.0, unclamped_logneg(cm, [i], [j]))
-                assert pairwise_logneg_numeric(cm, i, j) == pytest.approx(expected, abs=1e-12)
                 assert block_logneg_numeric(cm, [i], [j]) == pytest.approx(expected, abs=1e-12)
+    assert pairwise_logneg_numeric(cm) == block_logneg_numeric(cm, [0], [1])
 
 
 def test_pipeline_cluster_equals_closed_form_cluster():
@@ -311,10 +318,10 @@ def test_pair_and_block_oracles_refuse_an_unphysical_marginal():
     cm[:6, :6] = cluster
     cm[6:, 6:] = 0.3 * np.eye(2)
     with pytest.raises(PhysicalityError):
-        pairwise_logneg_numeric(cm, 0, 3)
+        block_logneg_numeric(cm, [0], [3])
     with pytest.raises(PhysicalityError):
         block_logneg_numeric(cm, [0, 1], [3])
-    assert pairwise_logneg_numeric(cm, 0, 1) == pairwise_logneg_numeric(cluster, 0, 1)
+    assert pairwise_logneg_numeric(cm) == pairwise_logneg_numeric(cluster)
     assert block_logneg_numeric(cm, [0], [1, 2]) == block_logneg_numeric(cluster, [0], [1, 2])
 
 
@@ -525,8 +532,8 @@ def test_gle_numeric_scores_the_seeds_and_each_sweep_in_one_kernel_call(monkeypa
             {"_require_symmetric": 1, "cholesky": 1, "_two_mode_spectra": 0, "ix_": 0},
         ),
         (
-            lambda cm, a, b: pairwise_logneg_numeric(cm, *a, *b),
-            ([2], [4]),
+            lambda cm, *_: pairwise_logneg_numeric(cm),
+            ([0], [1]),
             {"_require_symmetric": 1, "cholesky": 0, "_two_mode_spectra": 1, "ix_": 0},
         ),
     ],

@@ -107,6 +107,8 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
         (["fig2b", "--x-max", "1e150"], "FloatingPointError"),
         (["network-sweep", "--mu", "1e30"], "PhysicalityError"),
         (["fig2b", "--x-max", "1e200"], "FloatingPointError"),
+        (["network-sweep", "--mu=1e300", "--eta=1e-300", "--omega=1", "--n=20"], "OverflowError"),
+        (["ghz-limit", "--mu", "1e300", "--n", "2"], "OverflowError"),
     ],
 )
 def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path):
@@ -121,6 +123,19 @@ def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path)
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert f"numerical failure: {raised}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_far_below_zero_swap_entanglement_writes_zeros_without_a_warning(tmp_path, capsys):
+    # E2 = ln(2 / mu) is far below zero here; every clamped formula reads 0
+    out = tmp_path / "ns.csv"
+    argv = ["network-sweep", "--mu=1e17", "--eta=1e-17", "--omega=1", "--n=3", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_OK
+    assert [w.message for w in caught] == []
+    capsys.readouterr()
+    columns, (row,) = read_csv(out)
+    assert [float(v) for c, v in zip(columns, row) if c in ("e_formula", "gle", "block")] == [0.0] * 3
 
 
 @pytest.mark.parametrize("experiment", ["swap-check", "fig2a"])
@@ -477,6 +492,24 @@ def test_workers_is_neither_read_from_the_environment_nor_a_key(tmp_path, capsys
         assert main(argv) == EXIT_BAD_CONFIG
         assert "does not read 'workers'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_local_preprocessing_is_not_a_key(tmp_path, capsys):
+    # each optomechanical copy is always rotated into standard form: the
+    # flag is an argparse usage error, and the file key an unread key
+    out = tmp_path / "out" / "c.csv"
+    out.parent.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2c", *_QUICK_ARGS["fig2c"], "--local-preprocessing", "on", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--local-preprocessing" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("local_preprocessing = on\n")
+    for experiment in ("fig2c", "fig2d"):
+        argv = [experiment, *_QUICK_ARGS[experiment], "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "does not read 'local_preprocessing'" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
 
 
 def test_fig2d_refuses_more_than_one_coupling(tmp_path, capsys, monkeypatch):

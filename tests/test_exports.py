@@ -2,6 +2,7 @@ import ast
 import functools
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
@@ -144,3 +145,67 @@ def test_first_oracle_calls_import_no_module():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+#: Parameters with a default that only the tests set, and why each stays.
+_TEST_ONLY_PARAMETERS = {
+    "gle_numeric(i)": "the tests read other pairs of asymmetric clusters through it",
+    "gle_numeric(j)": "the tests read other pairs of asymmetric clusters through it",
+    "sample_normal_form(require_entangled)": "acceptance criterion 1 draws forms that need not be entangled",
+}
+
+
+def _calls(folders):
+    """{callee name: [(positional count, keyword names)]} over every ast.Call in the folders.
+
+    A callee is a bare name or the last attribute of a dotted one, read
+    through the file's ``from ... import name as alias`` lines. A ``*args``
+    counts as every position and a ``**kwargs`` as every keyword.
+    """
+    calls = {}
+    for folder in folders:
+        for path in sorted((_ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            aliases = {
+                alias.asname: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.asname
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(aliases.get(name, name), []).append(
+                    (math.inf if starred else len(node.args), keywords)
+                )
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # an option is code only if something sets it: for each public callable,
+    # every parameter with a default is passed, by position or by keyword, at
+    # some call in the library, a demo or the benchmark harness
+    calls = _calls(("src", "demos", "perfbench"))
+    unset, checked = [], 0
+    for name in cvswap.__all__:
+        obj = getattr(cvswap, name)
+        if not callable(obj):
+            continue
+        for position, param in enumerate(_parameters(obj).values()):
+            if param.default is inspect.Parameter.empty or param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+                continue
+            checked += 1
+            by_position = param.kind is not param.KEYWORD_ONLY
+            if not any(
+                (by_position and count > position) or param.name in keywords or None in keywords
+                for count, keywords in calls.get(name, [])
+            ):
+                unset.append(f"{name}({param.name})")
+    assert checked > 5  # the scan sees the defaulted parameters
+    # an exemption lapses once a call sets the parameter
+    assert sorted(unset) == sorted(_TEST_ONLY_PARAMETERS)

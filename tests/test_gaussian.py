@@ -22,7 +22,6 @@ from cvswap.analysis import (
     block_logneg_numeric,
     gle_numeric,
     network_cluster_cm,
-    pairwise_logneg_numeric,
 )
 from cvswap.relay import cluster_closed_form, diff_x_variance
 from cvswap.sources import TwoModeNormalForm, tmsv
@@ -181,7 +180,6 @@ _INDEX_READERS = {
     "log_negativity-2": lambda m: log_negativity(tmsv(3.0).state(), [m]),
     "log_negativity-3": lambda m: log_negativity(GaussianState(_CLUSTER), [m]),
     "diff_x_variance": lambda m: diff_x_variance(_CLUSTER, 0, m),
-    "pairwise_logneg_numeric": lambda m: pairwise_logneg_numeric(_CLUSTER, 0, m),
     "block_logneg_numeric": lambda m: block_logneg_numeric(_CLUSTER, [0], [m]),
     "gle_numeric": lambda m: gle_numeric(_CLUSTER, 0, m),
 }

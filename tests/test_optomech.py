@@ -108,7 +108,7 @@ def test_standard_params_kappa_conventions():
 def test_drift_structural_zero_pattern():
     # the pattern must not depend on parameter values
     zero_positions = {(0, 0), (0, 2), (0, 3), (1, 3), (2, 0), (2, 1), (3, 1)}
-    for p in (standard_params(), standard_params(delta=0.3 * OMEGA_M, g_eff=2 * np.pi * 4e6)):
+    for p in (standard_params(), standard_params(g_eff=2 * np.pi * 4e6).with_delta(0.3 * OMEGA_M)):
         A, D = drift_diffusion(p)
         for i in range(4):
             for j in range(4):
@@ -164,7 +164,7 @@ def test_stability_checks():
     # the margin scales with the largest singular value, ||A||_2 = 10 here
     assert not is_stable(np.diag([-1e-13, -10.0]))
     # blue detuning at strong coupling destabilizes the steady state
-    blue = standard_params(delta=-OMEGA_M)
+    blue = standard_params().with_delta(-OMEGA_M)
     A_blue, _ = drift_diffusion(blue)
     assert not is_stable(A_blue)
     with pytest.raises(ValueError):
@@ -173,13 +173,13 @@ def test_stability_checks():
 
 def test_lyapunov_residual_is_tiny():
     # read off the returned state, not the solver's own residual
-    for p in [standard_params()] + [standard_params(delta=r * OMEGA_M) for r in np.linspace(0.05, 1.5, 8)]:
+    for p in [standard_params()] + [standard_params().with_delta(r * OMEGA_M) for r in np.linspace(0.05, 1.5, 8)]:
         assert lyapunov_residual(p, steady_state_cm(p)) < 1e-10
 
 
 def test_steady_state_frozen_values():
     # regression anchors computed independently before this module existed
-    p = standard_params(delta=0.7 * OMEGA_M)
+    p = standard_params().with_delta(0.7 * OMEGA_M)
     st = steady_state_cm(p)
     assert log_negativity(st, [0]) == pytest.approx(0.33714185877093505, rel=1e-9)
     a, b, c_plus, c_minus, _ = two_mode_standard_form(st.cov)
@@ -208,12 +208,12 @@ def test_movable_mirror_benchmark():
 
 def test_steady_state_bona_fide_across_sweep():
     for ratio in np.linspace(0.0, 1.5, 16):
-        st = steady_state_cm(standard_params(delta=ratio * OMEGA_M))
+        st = steady_state_cm(standard_params().with_delta(ratio * OMEGA_M))
         assert symplectic_eigenvalues(st.cov)[0] >= 1.0 - 1e-9
 
 
 def test_mechanical_cluster_is_permutation_symmetric():
-    cluster, _ = mechanical_cluster(standard_params(delta=0.7 * OMEGA_M), 3)
+    cluster, _ = mechanical_cluster(standard_params().with_delta(0.7 * OMEGA_M), 3)
     cov = cluster.cov
     for perm in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
         idx = np.concatenate([[2 * m, 2 * m + 1] for m in perm])
@@ -223,24 +223,21 @@ def test_mechanical_cluster_is_permutation_symmetric():
 def test_preprocessed_copy_is_the_standard_form_rotation():
     # the copies are rotated by S of two_mode_standard_form without
     # apply_symplectic's check; the cluster must equal that route's bit for bit
-    p = standard_params(delta=0.7 * OMEGA_M)
+    p = standard_params().with_delta(0.7 * OMEGA_M)
     single = steady_state_cm(p)
     rotated = apply_symplectic(single, two_mode_standard_form(single.cov)[4])
     for n in (2, 3):
         cluster, _ = mechanical_cluster(p, n)
         expected, _ = bell_detect([rotated] * n, build_relay(n))
         np.testing.assert_array_equal(cluster.cov, expected.cov)
-        plain, _ = mechanical_cluster(p, n, local_preprocessing=False)
-        assert not np.allclose(plain.cov, cluster.cov)
 
 
 def test_mechanical_swap_never_beats_input():
     for ratio in np.linspace(0.1, 1.5, 8):
-        p = standard_params(delta=ratio * OMEGA_M)
+        p = standard_params().with_delta(ratio * OMEGA_M)
         e_in = log_negativity(steady_state_cm(p), [0])
-        for preprocess in (True, False):
-            _, e_pair = mechanical_cluster(p, 2, local_preprocessing=preprocess)
-            assert e_pair <= e_in + 1e-12
+        _, e_pair = mechanical_cluster(p, 2)
+        assert e_pair <= e_in + 1e-12
 
 
 def test_decoupled_blocks_swap_to_nothing():
@@ -254,7 +251,7 @@ def test_temperature_never_helps():
     temps = [0.4e-3, 4e-3, 40e-3]
     e_in_values, e_pair_values = [], []
     for temp in temps:
-        p = standard_params(delta=0.7 * OMEGA_M, temp=temp)
+        p = standard_params(temp=temp).with_delta(0.7 * OMEGA_M)
         e_in_values.append(log_negativity(steady_state_cm(p), [0]))
         _, e_pair = mechanical_cluster(p, 2)
         e_pair_values.append(e_pair)
@@ -307,8 +304,7 @@ def test_detuning_sweep_builds_the_drift_pair_once_per_point(monkeypatch):
     assert [r[4] for r in rows] == [1, 1, 1, 1, 0, 0]
 
 
-@pytest.mark.parametrize("local_preprocessing, states", [(True, 3), (False, 2)])
-def test_stable_two_user_point_builds_each_state_once(monkeypatch, local_preprocessing, states):
+def test_stable_two_user_point_builds_each_state_once(monkeypatch):
     # the steady state, its standard-form copy and the relay output; the
     # pair of an N = 2 output is the output itself, not a reduced copy
     calls = []
@@ -319,11 +315,9 @@ def test_stable_two_user_point_builds_each_state_once(monkeypatch, local_preproc
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(GaussianState, "__init__", counting_init)
-    (row,) = detuning_sweep(
-        standard_params(), [0.5 * OMEGA_M], n_users=(2,), local_preprocessing=local_preprocessing
-    )
+    (row,) = detuning_sweep(standard_params(), [0.5 * OMEGA_M], n_users=(2,))
     assert row[4] == 1
-    assert len(calls) == states
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n_users", [(2.5,), (2, 3.5), (1,), (0,), (float("nan"),), (float("inf"),)])
@@ -343,8 +337,7 @@ def test_detuning_sweep_reads_integral_floats_as_integers():
     )
 
 
-@pytest.mark.parametrize("local_preprocessing", [True, False])
-def test_detuning_sweep_takes_standard_form_once_per_stable_point(monkeypatch, local_preprocessing):
+def test_detuning_sweep_takes_standard_form_once_per_stable_point(monkeypatch):
     # the sweep takes the standard form through the unchecked body, since
     # the steady state it rotates is already validated
     calls = []
@@ -357,9 +350,9 @@ def test_detuning_sweep_takes_standard_form_once_per_stable_point(monkeypatch, l
     monkeypatch.setattr(optomech, "_standard_form", counting_standard_form)
     base = standard_params()
     deltas = [0.5 * OMEGA_M, OMEGA_M, -OMEGA_M]  # the last point is unstable
-    rows = detuning_sweep(base, deltas, n_users=(2, 3, 4), local_preprocessing=local_preprocessing)
+    rows = detuning_sweep(base, deltas, n_users=(2, 3, 4))
     assert [r[4] for r in rows] == [1] * 6 + [0] * 3
-    assert len(calls) == (2 if local_preprocessing else 0)
+    assert len(calls) == 2
 
 
 def test_conditional_determinant_keeps_mirrors_separable():
@@ -378,9 +371,8 @@ def test_conditional_determinant_keeps_mirrors_separable():
             cov = steady_state_cm(p).cov
             assert np.linalg.det(cov) / np.linalg.det(cov[:2, :2]) >= 1.0
             for n in (2, 3, 4, 5):
-                for preprocess in (True, False):
-                    _, e_pair = mechanical_cluster(p, n, local_preprocessing=preprocess)
-                    assert e_pair == 0.0
+                _, e_pair = mechanical_cluster(p, n)
+                assert e_pair == 0.0
 
 
 def _scipy_lyapunov(A, D):

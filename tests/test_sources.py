@@ -89,6 +89,10 @@ def test_tmsv_examples():
     np.testing.assert_allclose(symplectic_eigenvalues(tmsv(7.0).cov()), [1, 1], atol=1e-12)
     with pytest.raises(ValueError):
         tmsv(0.5)
+    # finite, but its square is not: refused, not read as z = inf
+    with pytest.raises(OverflowError):
+        tmsv(1e300)
+    assert np.isfinite(tmsv(1.3e154).z)
 
 
 def test_tmsv_log_negativity_closed_form():
