@@ -22,7 +22,6 @@ __all__ = [
     "symplectic_eigenvalues",
     "log_negativity",
     "reduce",
-    "rotation",
     "two_mode_standard_form",
 ]
 
@@ -215,12 +214,6 @@ class GaussianState:
         return f"GaussianState(n_modes={self.n_modes})"
 
 
-def rotation(theta: float) -> np.ndarray:
-    """Single-mode phase-space rotation (a symplectic 2x2 matrix)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def log_negativity(state: GaussianState, partition) -> float:
     """Logarithmic negativity across ``partition`` | rest.
 
@@ -286,7 +279,8 @@ def _two_mode_spectra(cov):
     Only the upper triangle is read; a matrix that is not positive definite
     (any matrix, for a stack) raises PhysicalityError, as
     :func:`symplectic_eigenvalues` does; one whose products could overflow
-    is rescaled (see _SCALE_ABOVE). Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
+    is rescaled (see _SCALE_ABOVE), and a nu_+ past the largest double reads
+    inf. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 2:
@@ -301,8 +295,12 @@ def _two_mode_spectra(cov):
         shift = 2 * np.maximum(np.maximum((e.max(axis=-1) - 499) // 2, (e.sum(axis=-1) - 993) // 8), 0)
         if shift.any():  # else no product overflows, and the matrix is read as it is
             spectra = _two_mode_spectra(np.ldexp(cov, -shift[..., None, None]))
-            ldexp = math.ldexp if cov.ndim == 2 else np.ldexp
-            return tuple(tuple(ldexp(nu, shift.tolist()) for nu in pair) for pair in spectra)
+            # 2^shift is finite (shift <= 774), so nu 2^shift is ldexp's
+            # value bit for bit, but a nu_+ past the largest double reads
+            # inf instead of raising OverflowError
+            scale = np.ldexp(1.0, shift).tolist()
+            with np.errstate(over="ignore"):
+                return tuple(tuple(nu * scale for nu in pair) for pair in spectra)
     (x1x1, x1p1, x1x2, x1p2), (_, p1p1, p1x2, p1p2), (_, _, x2x2, x2p2), (_, _, _, p2p2) = rows
 
     # Cholesky of the (X1, X2, P1, P2) matrix [[V_X, K], [K^T, V_P]]
@@ -367,7 +365,10 @@ def two_mode_standard_form(cov: np.ndarray):
     and S cov S^T = [[a I, C], [C^T, b I]] with C = diag(c_plus, c_minus),
     c_plus >= |c_minus| and sign(c_minus) = sign(det of the input cross block).
     A matrix that is not positive definite raises PhysicalityError: a local
-    block by its Cholesky, the whole by a b > c_plus^2 in standard form.
+    block by its Cholesky, the whole by a b > c_plus^2 in standard form,
+    compared as sqrt(a) sqrt(b) > c_plus so that no product overflows. The
+    form is closed: two 2x2 Cholesky factors and two rotations in Python
+    floats, with no :mod:`numpy.linalg` call.
     """
     cov = _require_symmetric(cov)
     if cov.shape[0] != 4:
@@ -375,31 +376,57 @@ def two_mode_standard_form(cov: np.ndarray):
     return _standard_form(cov)
 
 
+def _whiten(x: float, y: float, z: float):
+    """(s, w00, w10, w11) of the 2x2 block [[x, y], [y, z]]: s = sqrt(det), W = [[w00, 0], [w10, w11]].
+
+    With the block = L L^T (Cholesky) and s = l00 l11, W = sqrt(s) L^-1 has
+    det 1 (hence is symplectic) and takes the block to s I. A block that is
+    not positive definite raises PhysicalityError.
+    """
+    l00 = _pivot(x)
+    l10 = y / l00
+    l11 = _pivot(z - l10 * l10)
+    s = l00 * l11
+    root = math.sqrt(s)
+    w11 = root / l11
+    return s, root / l00, -(l10 / l00) * w11, w11
+
+
 def _standard_form(cov: np.ndarray):
-    """:func:`two_mode_standard_form` of a covariance already checked: symmetric, 4x4 and finite."""
-    # whiten both diagonal blocks as one (2, 2, 2) stack: with block = L L^T
-    # and s = L00 L11 = sqrt(det), sqrt(s) L^-1 has det 1 (hence is
-    # symplectic) and takes the block to s I
-    try:
-        L = np.linalg.cholesky(np.stack([cov[:2, :2], cov[2:, 2:]]))
-    except np.linalg.LinAlgError:
-        raise PhysicalityError("covariance matrix must be positive-definite") from None
-    s = L[:, 0, 0] * L[:, 1, 1]
-    SA, SB = np.sqrt(s)[:, None, None] * np.linalg.inv(L)
-    (p, q), (r, t) = (SA @ cov[:2, 2:] @ SB.T).tolist()
-    # C1 = [[p, q], [r, t]] is (|u| / 2) R(phi) plus (|w| / 2) R(psi) diag(1, -1),
-    # a rotation plus a reflection; R(-(phi + psi) / 2) C1 R((phi - psi) / 2)^T
-    # takes both to diag(c_plus, c_minus), and |u|^2 - |w|^2 = 4 det C1 gives
+    """:func:`two_mode_standard_form` of a covariance already checked: symmetric, 4x4 and finite.
+
+    Python floats throughout: each local block is whitened by its closed-form
+    2x2 Cholesky, the whitened cross block and both rotations are written
+    out, and numpy builds only S.
+    """
+    (x0, y0, c00, c01), (_, z0, c10, c11), (_, _, x1, y1), (_, _, _, z1) = cov.tolist()
+    a, f0, g0, h0 = _whiten(x0, y0, z0)
+    b, f1, g1, h1 = _whiten(x1, y1, z1)
+    # C1 = S_A C S_B^T = [[p, q], [r, t]], S_A = [[f0, 0], [g0, h0]]
+    m0, m1 = g0 * c00 + h0 * c10, g0 * c01 + h0 * c11
+    p, q = f0 * c00 * f1, f0 * (c00 * g1 + c01 * h1)
+    r, t = m0 * f1, m0 * g1 + m1 * h1
+    # C1 is (|u| / 2) R(phi) plus (|w| / 2) R(psi) diag(1, -1), a rotation
+    # plus a reflection; R(-(phi + psi) / 2) C1 R((phi - psi) / 2)^T takes
+    # both to diag(c_plus, c_minus), and |u|^2 - |w|^2 = 4 det C1 gives
     # c_minus the sign of det C with no branch
     u, w = math.hypot(p + t, r - q), math.hypot(p - t, q + r)
     phi, psi = math.atan2(r - q, p + t), math.atan2(q + r, p - t)
-    S = np.zeros((4, 4))
-    S[:2, :2] = rotation(-0.5 * (phi + psi)) @ SA
-    S[2:, 2:] = rotation(0.5 * (phi - psi)) @ SB
-    a, b = s.tolist()
+    ca, sa = math.cos(0.5 * (phi + psi)), -math.sin(0.5 * (phi + psi))
+    cb, sb = math.cos(0.5 * (phi - psi)), math.sin(0.5 * (phi - psi))
+    # R(theta) = [[c, -s], [s, c]] times a lower-triangular whitening
+    S = np.array(
+        [
+            [ca * f0 - sa * g0, -sa * h0, 0.0, 0.0],
+            [sa * f0 + ca * g0, ca * h0, 0.0, 0.0],
+            [0.0, 0.0, cb * f1 - sb * g1, -sb * h1],
+            [0.0, 0.0, sb * f1 + cb * g1, cb * h1],
+        ]
+    )
     c_plus = 0.5 * (u + w)
     # S is invertible, so V is positive definite iff its standard form is:
-    # both 2x2 minors a b - c_plus^2 and a b - c_minus^2 positive, c_plus >= |c_minus|
-    if not a * b > c_plus * c_plus:
+    # both 2x2 minors a b - c_plus^2 and a b - c_minus^2 positive, c_plus >= |c_minus|.
+    # a b > c_plus^2 is read as sqrt(a) sqrt(b) > c_plus, which cannot overflow
+    if not math.sqrt(a) * math.sqrt(b) > c_plus:
         raise PhysicalityError("covariance matrix must be positive-definite")
     return a, b, c_plus, 0.5 * (u - w), S

@@ -210,10 +210,12 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
 def _relay_copy(single: GaussianState) -> GaussianState:
     """The state each block hands the relay: ``single`` in two-mode standard form.
 
-    ``_standard_form`` builds S = S_1 (+) S_2 symplectic, so the rotated copy
-    S V S^T is formed directly, with no symplectic check. The validated
-    state's covariance is already symmetric, so its standard form is taken
-    without a second symmetry check.
+    ``_standard_form`` builds S = S_1 (+) S_2 symplectic in closed form
+    (Python floats, no :mod:`numpy.linalg` call), so the rotated copy
+    S V S^T is formed directly, with no symplectic check; it is the one
+    numpy product here. The validated state's covariance is already
+    symmetric, so its standard form is taken without a second symmetry
+    check.
     """
     _, _, _, _, S = _standard_form(single.cov)
     return GaussianState(S @ single.cov @ S.T)

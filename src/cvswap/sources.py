@@ -120,8 +120,14 @@ def sample_normal_form(
     """Draw a random physical (and by default entangled) normal form.
 
     x and y are log-uniform on [1, x_max]; z is uniform on the physical
-    interval (-z_max, z_max). Draws that are not bona fide or (when
-    ``require_entangled``) have zero input log-negativity are rejected.
+    interval (-z_max, z_max), z_max^2 = x y - 1 - |x - y|. Draws that are
+    not bona fide or (when ``require_entangled``) have zero input
+    log-negativity are rejected. Where x y overflows, z_max is read from
+    z_max^2 = (max + 1)(min - 1) as a product of square roots. Where
+    2 z_max overflows, z is drawn as 2 (z_max u - z_max / 2) from one
+    ``rng.random()`` u: halving and doubling are exact, so that is
+    ``rng.uniform(-z_max, z_max)``'s -z_max + (2 z_max) u bit for bit
+    wherever the latter is finite.
     """
     if not (x_max > 1.0 and math.isfinite(x_max)):
         raise ValueError("x_max must be finite and > 1")
@@ -129,10 +135,18 @@ def sample_normal_form(
     for _ in range(_SAMPLE_ATTEMPTS):
         x = float(np.exp(rng.uniform(0.0, span)))
         y = float(np.exp(rng.uniform(0.0, span)))
-        zm = np.sqrt(max(x * y - 1.0 - abs(x - y), 0.0))
+        xy = x * y
+        if xy < math.inf:
+            zm = np.sqrt(max(xy - 1.0 - abs(x - y), 0.0))
+        else:
+            zm = math.sqrt(max(x, y) + 1.0) * math.sqrt(min(x, y) - 1.0)
         if zm == 0.0:
             continue
-        nf = TwoModeNormalForm(x, y, float(rng.uniform(-zm, zm)))
+        if 2.0 * zm < math.inf:
+            z = float(rng.uniform(-zm, zm))
+        else:
+            z = 2.0 * (zm * rng.random() - 0.5 * zm)
+        nf = TwoModeNormalForm(x, y, z)
         if _keeps(nf, require_entangled):
             return nf
     raise RuntimeError("rejection sampling budget exhausted")

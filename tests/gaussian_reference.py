@@ -24,7 +24,7 @@ mode mixer splitter by splitter, the hardware route that the package's
 row-by-row ``relay_orthogonal`` is checked against, and
 ``thermal_loss_map`` is the thermal-loss channel on one mode of any state,
 the general route that the package's normal-form ``thermal_loss_on_a`` is
-checked against. ``symplectic_form``, ``is_symplectic``,
+checked against. ``symplectic_form``, ``rotation``, ``is_symplectic``,
 ``apply_symplectic`` and ``vacuum`` are the symplectic algebra the tests
 build and check states with; no package code path calls them. ``unclamped_logneg`` is the
 unclamped -ln nu~_min of a partially transposed marginal from the Williamson
@@ -63,7 +63,6 @@ from cvswap.analysis import _GLE_GRID, _GLE_TOL, _line_search, _pair_logneg, _re
 from cvswap.gaussian import (
     GaussianState,
     _require_symmetric,
-    rotation,
     symplectic_eigenvalues,
 )
 from cvswap.optomech import drift_diffusion
@@ -78,6 +77,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     k = np.arange(n_modes)
     omega.reshape(n_modes, 2, n_modes, 2)[k, :, k, :] = [[0.0, 1.0], [-1.0, 0.0]]
     return omega
+
+
+def rotation(theta: float) -> np.ndarray:
+    """Single-mode phase-space rotation (a symplectic 2x2 matrix)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 def is_symplectic(S: np.ndarray, tol: float = 1e-10) -> bool:

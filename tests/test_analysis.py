@@ -20,7 +20,7 @@ from cvswap.analysis import (
     swap_logneg_two,
     tmsv_swap_bound,
 )
-from cvswap.gaussian import GaussianState, PhysicalityError, rotation
+from cvswap.gaussian import GaussianState, PhysicalityError
 from cvswap.relay import bell_detect, build_relay, cluster_closed_form
 from cvswap.sources import sample_normal_form, tmsv
 from gaussian_reference import (
@@ -29,6 +29,7 @@ from gaussian_reference import (
     grid_line_search,
     is_symplectic,
     read_quadrature,
+    rotation,
     tensor,
     unclamped_logneg,
     vacuum,
@@ -145,6 +146,18 @@ def test_e2_far_below_zero_reads_the_log_of_the_ratio(mu):
     # at eta = 1/mu, omega = 1, num / den = 2 / mu to rounding, while
     # (num - den) / den rounds to -1, whose log1p is -inf
     assert analysis._e2(NetworkPoint(mu, 1.0 / mu, 1.0, 3)) == pytest.approx(np.log(2.0 / mu), rel=1e-14)
+
+
+def test_e2_where_its_denominator_overflows_is_finite_and_negative():
+    # den = eta + (1 - eta) mu omega passes the largest double here, and
+    # (num - den) / den would read nan; num / den is (1 + 1e-6) / 1e154
+    pt = NetworkPoint(1e154, 0.5, 1e160, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [analysis._e2(pt), analysis._gle(pt), analysis._block(pt, 1)]
+    assert values[0] == pytest.approx(np.log1p(1e-6) - np.log(1e154), rel=1e-14)
+    assert values == [values[0]] * 3
+    assert e2_formula(pt) == 0.0
 
 
 def test_block_edge_cases():
@@ -676,9 +689,9 @@ def _read_all(v, thetas):
 def test_gle_pair_covariance_matches_rotated_homodynes(seed, n_modes, common):
     """The optimizer's pair covariance at one angle set, against a second route.
 
-    The second route rotates every measured mode by gaussian.rotation(theta)
+    The second route rotates every measured mode by rotation(theta)
     and reads their X quadratures one at a time with the rank-one
-    read_quadrature of gaussian_reference. The optimizer's routes: the
+    read_quadrature, both of gaussian_reference. The optimizer's routes: the
     chain of _read_last steps (the seeds, with one common angle), and a
     coordinate's block, which orders the modes as (pair, a, rest), reads the
     rest from the last and then mode a.

@@ -101,14 +101,11 @@ def test_numerical_failure_exits_5_and_writes_nothing(capsys, tmp_path, monkeypa
     "argv, raised",
     [
         (["network-sweep", "--mu", "1e200"], "OverflowError"),
-        # the sampler's z interval (-z_max, z_max) is wider than the largest double
-        (["swap-check", "--x-max", "1e200", "--seed", "1", "--samples", "5"], "OverflowError"),
-        (["fig2a", "--x-max", "1e200", "--seed", "1", "--samples", "5"], "OverflowError"),
+        (["network-sweep", "--mu=1e300", "--eta=1e-300", "--omega=1", "--n=20"], "OverflowError"),
+        (["ghz-limit", "--mu", "1e300", "--n", "2"], "OverflowError"),
         (["fig2b", "--x-max", "1e150"], "FloatingPointError"),
         (["network-sweep", "--mu", "1e30"], "PhysicalityError"),
         (["fig2b", "--x-max", "1e200"], "FloatingPointError"),
-        (["network-sweep", "--mu=1e300", "--eta=1e-300", "--omega=1", "--n=20"], "OverflowError"),
-        (["ghz-limit", "--mu", "1e300", "--n", "2"], "OverflowError"),
     ],
 )
 def test_huge_variances_exit_5_and_write_nothing(argv, raised, capsys, tmp_path):
@@ -138,6 +135,20 @@ def test_far_below_zero_swap_entanglement_writes_zeros_without_a_warning(tmp_pat
     assert [float(v) for c, v in zip(columns, row) if c in ("e_formula", "gle", "block")] == [0.0] * 3
 
 
+def test_swap_entanglement_whose_denominator_overflows_writes_zeros_without_a_warning(tmp_path, capsys):
+    # (1 - eta) mu omega passes the largest double; E2, about -ln(1e154), is
+    # read from logs, and every clamped formula reads 0
+    out = tmp_path / "ns.csv"
+    argv = ["network-sweep", "--mu", "1e154", "--eta", "0.5", "--omega", "1e160", "--n", "2", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_OK
+    assert [w.message for w in caught] == []
+    capsys.readouterr()
+    columns, (row,) = read_csv(out)
+    assert [float(v) for c, v in zip(columns, row) if c in ("e_formula", "e_numeric", "gle", "block")] == [0.0] * 4
+
+
 @pytest.mark.parametrize("experiment", ["swap-check", "fig2a"])
 def test_sampler_at_a_cap_of_1e150_writes_finite_rows(experiment, capsys, tmp_path):
     # the sampler's verdict reads the kernel, which rescales a pair whose
@@ -147,6 +158,20 @@ def test_sampler_at_a_cap_of_1e150_writes_finite_rows(experiment, capsys, tmp_pa
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([experiment, "--x-max", "1e150", "--seed", "1", "--samples", "5", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(np.isfinite(float(value)) for row in rows for value in row.values())
+
+
+@pytest.mark.parametrize("experiment", ["swap-check", "fig2a"])
+def test_sampler_at_a_cap_of_1e200_writes_finite_rows(experiment, capsys, tmp_path):
+    # past a cap of about 1.3e154 x y and 2 z_max can overflow; the sampler
+    # reads z_max and draws z without either, so the run writes its rows
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--x-max", "1e200", "--seed", "1", "--samples", "1", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     with out.open() as f:
         rows = list(csv.DictReader(f))

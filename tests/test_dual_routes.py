@@ -64,7 +64,7 @@ def _two_mode_states():
         theta = rng.uniform(0, np.pi)
         c, s = np.cos(theta), np.sin(theta)
         R = np.zeros((4, 4))
-        R[:2, :2], R[2:, 2:] = gaussian.rotation(rng.uniform(0, np.pi)), gaussian.rotation(rng.uniform(0, np.pi))
+        R[:2, :2], R[2:, 2:] = gaussian_reference.rotation(rng.uniform(0, np.pi)), gaussian_reference.rotation(rng.uniform(0, np.pi))
         S = R @ np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
         V = S @ nf.cov() @ S.T
         covs.append(0.5 * (V + V.T))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from cvswap.gaussian import (
     _williamson,
     log_negativity,
     reduce,
-    rotation,
     symplectic_eigenvalues,
     two_mode_standard_form,
 )
@@ -31,6 +31,7 @@ from gaussian_reference import (
     omega_product_eigvals,
     partial_transpose,
     reduce_ix,
+    rotation,
     standard_form_per_block,
     symplectic_form,
     tensor,
@@ -421,17 +422,52 @@ def test_two_mode_standard_form_recovers_normal_form():
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
-def test_two_mode_standard_form_matches_the_svd_twin(seed, scale):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    a=st.integers(-40, 40),
+    b=st.integers(-40, 40),
+)
+def test_two_mode_standard_form_matches_the_svd_twin(seed, scale, a, b):
     # S itself is not compared: it is not unique when c_plus = |c_minus|,
-    # as on every normal form
+    # as on every normal form. D V D scales the first mode's block by 2^a,
+    # the second's by 2^b and the cross block by 2^((a + b) / 2)
     V, _, _ = _random_two_mode(np.random.default_rng(seed))
-    for cov in (V, scale * V):
+    D = np.diag(np.sqrt([2.0**a, 2.0**a, 2.0**b, 2.0**b]))
+    for cov in (V, scale * V, D @ V @ D):
         tol = 1e-12 * np.linalg.norm(cov, 2)
         got = two_mode_standard_form(cov)
         want = standard_form_per_block(cov)
         np.testing.assert_allclose(got[:4], want[:4], rtol=0, atol=tol)
         np.testing.assert_allclose(got[4] @ cov @ got[4].T, want[4] @ cov @ want[4].T, rtol=0, atol=tol)
+
+
+def test_two_mode_standard_form_makes_no_linalg_call(monkeypatch):
+    # the form is closed: Python floats, and numpy only to build S
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("cholesky", "inv", "det", "svd", "solve", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    V, _, _ = _random_two_mode(np.random.default_rng(5))
+    a, b, c_plus, c_minus, S = two_mode_standard_form(V)
+    assert a > 0.0 and b > 0.0 and c_plus >= abs(c_minus)
+    with pytest.raises(PhysicalityError):
+        two_mode_standard_form(-np.eye(4))
+
+
+@pytest.mark.parametrize("s", [1e155, 1e200, 1e300])
+def test_two_mode_standard_form_of_a_scaled_tmsv_does_not_overflow(s):
+    # a b and c_plus^2 pass the largest double from s of about 1e154 on;
+    # GaussianState accepts these matrices, and so must the standard form
+    cov = s * tmsv(3.0).cov()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        GaussianState(cov)
+        a, b, c_plus, c_minus, S = two_mode_standard_form(cov)
+    want = [3.0 * s, 3.0 * s, math.sqrt(8.0) * s, -math.sqrt(8.0) * s]
+    np.testing.assert_allclose([a, b, c_plus, c_minus], want, rtol=1e-15, atol=0)
+    assert is_symplectic(S)
 
 
 # cross blocks with det C > 0, < 0, = 0 and C = 0, beside local blocks 3 I and 2 I
@@ -777,6 +813,23 @@ def test_two_mode_state_past_1e154_reads_as_its_six_mode_embedding():
             rtol=1e-12,
         )
     assert (stacked[0][0] >= 1.0 - BONA_FIDE_TOL).all()
+
+
+def test_a_partially_transposed_nu_plus_past_the_largest_double_reads_inf():
+    # nu~_+ = x + |z| here: a pair whose entries are all finite can have a
+    # spectrum past the largest double; the kernel reads it as inf, with no
+    # OverflowError or numpy warning, and the verdict quantities stay finite
+    x, z = 1.7e308, 1.6e308
+    V = np.array([[x, 0.0, z, 0.0], [0.0, x, 0.0, -z], [z, 0.0, x, 0.0], [0.0, -z, 0.0, x]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (nu_minus, nu_plus), (pt_minus, pt_plus) = _two_mode_spectra(V)
+        stacked = _two_mode_spectra(np.stack([V, tmsv(3.0).cov()]))
+    assert pt_plus == math.inf and stacked[1][1][0] == math.inf
+    assert nu_minus == pytest.approx(math.sqrt(x - z) * math.sqrt(0.5 * x + 0.5 * z) * math.sqrt(2.0), rel=1e-12)
+    assert nu_plus == pytest.approx(nu_minus, rel=1e-12)
+    assert pt_minus == pytest.approx(x - z, rel=1e-12)
+    assert stacked[0][0][0] == nu_minus and stacked[1][0][0] == pt_minus
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,6 @@ from cvswap.gaussian import (
     GaussianState,
     log_negativity,
     reduce,
-    rotation,
 )
 from cvswap.relay import (
     bell_detect,
@@ -27,6 +26,7 @@ from gaussian_reference import (
     is_symplectic,
     read_quadrature,
     relay_from_cascade,
+    rotation,
     tensor,
     vacuum,
     williamson_eigvals,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +270,54 @@ def test_sampler_validation_and_budget(monkeypatch):
     monkeypatch.setattr(sources, "_SAMPLE_ATTEMPTS", 0)
     with pytest.raises(RuntimeError):
         sample_normal_form(rng, 10.0)
+
+
+@pytest.mark.parametrize("x_max", [1e200, 1.7e308])
+def test_sampler_draws_where_x_y_overflows(x_max):
+    # from x_max of about 1.3e154 on, x y can pass the largest double; z_max
+    # is then read from (max + 1)(min - 1), and no draw raises or warns
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forms = [sample_normal_form(rng, x_max, require_entangled=False) for _ in range(30)]
+    assert any(nf.x * nf.y == math.inf for nf in forms)
+    for nf in forms:
+        assert 1.0 <= nf.x <= x_max and 1.0 <= nf.y <= x_max
+        z_max = math.sqrt(max(nf.x, nf.y) + 1.0) * math.sqrt(min(nf.x, nf.y) - 1.0)
+        assert abs(nf.z) <= z_max
+        assert _keeps(nf, require_entangled=False)
+
+
+class _DrawsAtTheCap:
+    """A generator whose draws of x and y land one ulp below the cap, so 2 z_max overflows."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high):
+        return np.nextafter(high, low) if low == 0.0 else self.rng.uniform(low, high)
+
+    def random(self):
+        return self.rng.random()
+
+
+def test_sampler_draws_z_where_its_interval_is_wider_than_the_largest_double():
+    x_max = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nf = sample_normal_form(_DrawsAtTheCap(4), x_max, require_entangled=False)
+    z_max = math.sqrt(nf.x + 1.0) * math.sqrt(nf.y - 1.0)
+    assert 2.0 * z_max == math.inf
+    assert abs(nf.z) <= z_max
+
+
+def test_overflow_free_z_draw_is_rng_uniform_bit_for_bit():
+    # the draw of z that 2 z_max cannot overflow reads the same double as
+    # rng.uniform and returns what rng.uniform returns wherever that is finite
+    z_max = np.exp(np.random.default_rng(2).uniform(-5.0, 709.0, 2000))
+    by_uniform, by_random = np.random.default_rng(3), np.random.default_rng(3)
+    for zm in z_max.tolist():
+        assert by_uniform.uniform(-zm, zm) == 2.0 * (zm * by_random.random() - 0.5 * zm)
 
 
 def test_frontier_numeric_matches_closed_form():
