@@ -85,18 +85,14 @@ def _e2(pt: NetworkPoint) -> float:
     # near 1 as mu -> 1, which would let E2 move the wrong way by one ulp.
     # Far below 1 that quotient rounds to -1, so there ln num - ln den is
     # read; num and den are both >= 1, so neither log can fail. So is it
-    # where den or the quotient overflows: there each log is taken of a sum
-    # that cannot overflow. A den past the largest double has
+    # where den or the quotient overflows. num, a convex combination of mu
+    # and omega, stays finite; a den past the largest double has
     # (1 - eta) mu omega > eta / eps, so ln den is ln((1 - eta) mu) + ln omega
     eta, mu, omega = pt.eta, pt.mu, pt.omega
     den = eta + (1.0 - eta) * mu * omega
     rel = (mu - 1.0) * (eta - (1.0 - eta) * omega) / den
     if rel < -0.5 or not (math.isfinite(rel) and den < math.inf):
-        num = eta * mu + (1.0 - eta) * omega
-        if num < math.inf:
-            ln_num = math.log(num)
-        else:
-            ln_num = math.log(0.5 * eta * mu + 0.5 * (1.0 - eta) * omega) + math.log(2.0)
+        ln_num = math.log(eta * mu + (1.0 - eta) * omega)
         ln_den = math.log(den) if den < math.inf else math.log((1.0 - eta) * mu) + math.log(omega)
         return ln_num - ln_den
     return float(np.log1p(rel))

@@ -123,9 +123,9 @@ def sample_normal_form(
     interval (-z_max, z_max), z_max^2 = x y - 1 - |x - y|. Draws that are
     not bona fide or (when ``require_entangled``) have zero input
     log-negativity are rejected. Where x y overflows, z_max is read from
-    z_max^2 = (max + 1)(min - 1) as a product of square roots. Where
-    2 z_max overflows, z is drawn as 2 (z_max u - z_max / 2) from one
-    ``rng.random()`` u: halving and doubling are exact, so that is
+    z_max^2 = (max + 1)(min - 1) as a product of square roots. z is drawn
+    as 2 (z_max u - z_max / 2) from one ``rng.random()`` u, which cannot
+    overflow: halving and doubling are exact, so that is
     ``rng.uniform(-z_max, z_max)``'s -z_max + (2 z_max) u bit for bit
     wherever the latter is finite.
     """
@@ -142,10 +142,7 @@ def sample_normal_form(
             zm = math.sqrt(max(x, y) + 1.0) * math.sqrt(min(x, y) - 1.0)
         if zm == 0.0:
             continue
-        if 2.0 * zm < math.inf:
-            z = float(rng.uniform(-zm, zm))
-        else:
-            z = 2.0 * (zm * rng.random() - 0.5 * zm)
+        z = float(2.0 * (zm * rng.random() - 0.5 * zm))
         nf = TwoModeNormalForm(x, y, z)
         if _keeps(nf, require_entangled):
             return nf

@@ -312,9 +312,11 @@ def test_sampler_draws_z_where_its_interval_is_wider_than_the_largest_double():
 
 
 def test_overflow_free_z_draw_is_rng_uniform_bit_for_bit():
-    # the draw of z that 2 z_max cannot overflow reads the same double as
-    # rng.uniform and returns what rng.uniform returns wherever that is finite
-    z_max = np.exp(np.random.default_rng(2).uniform(-5.0, 709.0, 2000))
+    # the draw of z, which 2 z_max cannot overflow, reads the same double as
+    # rng.uniform and returns what rng.uniform returns wherever that is
+    # finite, from the smallest nonzero z_max the sampler makes (about 1e-8,
+    # the square root of one ulp of x y - 1 - |x - y|) to e^709
+    z_max = np.exp(np.random.default_rng(2).uniform(-19.0, 709.0, 2000))
     by_uniform, by_random = np.random.default_rng(3), np.random.default_rng(3)
     for zm in z_max.tolist():
         assert by_uniform.uniform(-zm, zm) == 2.0 * (zm * by_random.random() - 0.5 * zm)
