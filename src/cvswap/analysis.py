@@ -68,8 +68,20 @@ class NetworkPoint:
 
     @property
     def alpha(self) -> float:
-        """alpha = eta (mu^2 - 1) / (eta + (1 - eta) mu omega), recomputed."""
-        return self.eta * (self.mu**2 - 1.0) / (self.eta + (1.0 - self.eta) * self.mu * self.omega)
+        """alpha = eta (mu^2 - 1) / (eta + (1 - eta) mu omega), recomputed.
+
+        Finite wherever it can be represented: where mu^2 or the denominator
+        overflows, both are divided by mu first. An alpha past the largest
+        double raises OverflowError.
+        """
+        eta, mu, omega = self.eta, self.mu, self.omega
+        num, den = mu * mu - 1.0, eta + (1.0 - eta) * mu * omega
+        if num < math.inf and den < math.inf:
+            return eta * num / den  # den >= 1 here, so this is finite
+        alpha = eta * (mu - 1.0 / mu) / (eta / mu + (1.0 - eta) * omega)
+        if alpha == math.inf:
+            raise OverflowError(f"alpha at mu = {mu:g}, eta = {eta:g}, omega = {omega:g} is too large")
+        return alpha
 
     def normal_form(self) -> TwoModeNormalForm:
         return thermal_loss_on_a(tmsv(self.mu), self.eta, self.omega)

@@ -257,9 +257,11 @@ def _two_mode_spectra(cov):
     u = (h01 + h23, h02 - h13, h03 + h12), w = (h01 - h23, h02 + h13, h03 - h12),
     so nu_+ = (|u| + |w|) / 2 is a sum and stays accurate when nu_- = nu_+
     (pure states); nu_- = sqrt(det V) / nu_+ does not cancel when nu_- << nu_+
-    (strong squeezing). det V = det V_X det S, with S = V_P - K^T V_X^-1 K the
-    Schur complement that the Cholesky pass forms, and both 2x2 determinants
-    taken as differences of products. For a state without X-P correlations
+    (strong squeezing), but it carries det V's rounding, so where the two
+    are equal it can round above nu_+, and it is cut to nu_+ there.
+    det V = det V_X det S, with S = V_P - K^T V_X^-1 K the Schur complement
+    that the Cholesky pass forms, and both 2x2 determinants taken as
+    differences of products. For a state without X-P correlations
     (a normal form, a TMSV) these are the determinants of its X and P blocks,
     but each product rounds, so det V carries an error of order
     eps max|V|^2. That is large against det V when a strongly squeezed state
@@ -272,7 +274,7 @@ def _two_mode_spectra(cov):
 
     ``cov`` is one 4x4 matrix or a stack of shape (..., 4, 4), as anything
     :func:`numpy.asarray` reads. One body serves both: a single matrix takes
-    ``sqrt``, ``hypot`` and the pivot test from :mod:`math` and returns
+    ``sqrt``, ``hypot``, the cut and the pivot test from Python and returns
     Python floats; a stack takes them from numpy and returns arrays of shape
     ``cov.shape[:-2]``, to within rounding of the per-matrix results.
 
@@ -280,15 +282,16 @@ def _two_mode_spectra(cov):
     (any matrix, for a stack) raises PhysicalityError, as
     :func:`symplectic_eigenvalues` does; one whose products could overflow
     is rescaled (see _SCALE_ABOVE), and a nu_+ past the largest double reads
-    inf. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``.
+    inf. Returns ``((nu_-, nu_+), (nu~_-, nu~_+))``, each pair in ascending
+    order.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 2:
-        rows, pivot, sqrt, hypot = cov.tolist(), _pivot, math.sqrt, math.hypot
+        rows, pivot, sqrt, hypot, low = cov.tolist(), _pivot, math.sqrt, math.hypot, min
         rescale = rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3] > _SCALE_ABOVE
     else:  # entry (r, s) of every matrix at once, as an array of shape cov.shape[:-2]
         rows = cov.transpose(-2, -1, *range(cov.ndim - 2))
-        pivot, sqrt, hypot = _stack_pivot, np.sqrt, _stack_hypot
+        pivot, sqrt, hypot, low = _stack_pivot, np.sqrt, _stack_hypot, np.minimum
         rescale = cov.max(initial=0.0) > _SCALE_ABOVE
     if rescale:  # each diagonal entry is below 2^e
         _, e = np.frexp(cov.diagonal(axis1=-2, axis2=-1))
@@ -329,7 +332,7 @@ def _two_mode_spectra(cov):
         h02 = r10 * r32 + sign * r00 * r22
         u, w = hypot(h01, h02 - h13, h03 + h12), hypot(h01, h02 + h13, h03 - h12)
         nu_plus = 0.5 * (u + w)
-        return sqrt_det_v / nu_plus, nu_plus
+        return low(sqrt_det_v / nu_plus, nu_plus), nu_plus
 
     return spectrum(1.0), spectrum(-1.0)
 

@@ -151,12 +151,50 @@ def drift_diffusion(p: OptomechParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_stable(A: np.ndarray) -> bool:
-    """True iff every drift eigenvalue sits strictly in the left half plane."""
+    """True iff every eigenvalue of the 4 x 4 drift A has Re < -STABILITY_MARGIN ||A||_F.
+
+    The Routh-Hurwitz test (Vitali et al., PRL 98, 030405 (2007)), in
+    Python floats with no eigensolve. A is scaled by a power of two so that
+    its largest |entry| lies in [1/2, 1), which is exact and scales the
+    margin with it, so no coefficient below overflows or underflows. Shifted by
+    sigma = STABILITY_MARGIN ||A||_F, M = A + sigma I has every Re lambda < 0
+    iff A has every Re lambda < -sigma, and the quartic
+    det(lambda I - M) = lambda^4 + c1 lambda^3 + c2 lambda^2 + c3 lambda + c4
+    has all its roots there iff c1, c3, c4 > 0, c1 c2 - c3 > 0 and
+    (c1 c2 - c3) c3 - c1^2 c4 > 0. Each c_k is (-1)^k times the sum of the
+    k x k principal minors of M, written out from the 2 x 2 minors of its
+    rows (0, 1) and (2, 3). The zero drift is not stable (c1 = 0). An A that
+    is not 4 x 4, or has an entry that is not finite, raises ValueError.
+    """
     A = np.asarray(A, dtype=float)
-    scale = np.linalg.svd(A, compute_uv=False)[0]  # the largest, norm(A, 2)
-    if scale == 0.0:
-        return False
-    return bool(np.max(np.linalg.eigvals(A).real) < -STABILITY_MARGIN * scale)
+    if A.shape != (4, 4):
+        raise ValueError("the drift matrix must be 4 x 4")
+    entries = A.ravel().tolist()
+    scale = -math.frexp(max(map(abs, entries)))[1]
+    entries = [math.ldexp(x, scale) for x in entries]
+    norm = math.hypot(*entries)
+    if not norm < math.inf:  # NaN fails this as inf does
+        raise ValueError("the drift matrix must be finite")
+    sigma = STABILITY_MARGIN * norm
+    # M row by row: (a b c d), (e f g h), (i j k l), (m n o p)
+    a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = entries
+    a, f, k, p = a + sigma, f + sigma, k + sigma, p + sigma
+    # s_xy and t_xy: the 2 x 2 minors on columns (x, y) of rows (0, 1) and of rows (2, 3)
+    s01, s02, s03 = a * f - b * e, a * g - c * e, a * h - d * e
+    s12, s13, s23 = b * g - c * f, b * h - d * f, c * h - d * g
+    t01, t02, t03 = i * n - j * m, i * o - k * m, i * p - l * m
+    t12, t13, t23 = j * o - k * n, j * p - l * n, k * p - l * o
+    c1 = -(a + f + k + p)
+    c2 = s01 + (a * k - c * i) + (a * p - d * m) + (f * k - g * j) + (f * p - h * n) + t23
+    c3 = -(
+        (s01 * k - s02 * j + s12 * i)  # the principal minors on rows (0, 1, 2)
+        + (s01 * p - s03 * n + s13 * m)  # (0, 1, 3)
+        + (a * t23 - c * t03 + d * t02)  # (0, 2, 3)
+        + (f * t23 - g * t13 + h * t12)  # (1, 2, 3)
+    )
+    c4 = s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01  # Laplace on rows (0, 1)
+    hurwitz_2 = c1 * c2 - c3
+    return c1 > 0.0 and c3 > 0.0 and c4 > 0.0 and hurwitz_2 > 0.0 and hurwitz_2 * c3 > c1 * c1 * c4
 
 
 _I4 = np.eye(4)

@@ -53,6 +53,12 @@ of place; the package's in-place frontier must match it bit for bit, and
 raise what it raises. ``lyapunov_residual`` reads the relative residual of
 the Lyapunov equation off a steady state the package returned, as the
 benchmark's optomech check does, so no private solver step is called.
+``eigenvalue_is_stable`` is ``optomech.is_stable`` as it was before it
+became a Routh-Hurwitz test: the largest singular value by ``svd`` and the
+largest real part by ``eigvals``, with the margin STABILITY_MARGIN ||A||_2.
+The package's margin is STABILITY_MARGIN ||A||_F, which is at least as
+large, so the two verdicts may differ only where max Re lambda lies between
+the two margins; they must agree everywhere else.
 """
 
 import math
@@ -65,7 +71,7 @@ from cvswap.gaussian import (
     _require_symmetric,
     symplectic_eigenvalues,
 )
-from cvswap.optomech import drift_diffusion
+from cvswap.optomech import STABILITY_MARGIN, drift_diffusion
 from cvswap.sources import _FRONTIER_GRID, _GRID_POINTS, _feasible_x_range
 
 
@@ -285,6 +291,15 @@ def lyapunov_residual(p, state: GaussianState) -> float:
     V = state.cov[np.ix_(order, order)]
     An, Dn = A / p.omega_m, D / p.omega_m
     return float(np.max(np.abs(An @ V + V @ An.T + Dn)) / np.max(np.abs(Dn)))
+
+
+def eigenvalue_is_stable(A) -> bool:
+    """True iff every drift eigenvalue sits strictly in the left half plane, by STABILITY_MARGIN ||A||_2."""
+    A = np.asarray(A, dtype=float)
+    scale = np.linalg.svd(A, compute_uv=False)[0]  # the largest, norm(A, 2)
+    if scale == 0.0:
+        return False
+    return bool(np.max(np.linalg.eigvals(A).real) < -STABILITY_MARGIN * scale)
 
 
 def gle_sequential(cluster_cov, i: int, j: int, max_sweeps: int) -> float:

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +160,31 @@ def test_e2_where_its_denominator_overflows_is_finite_and_negative():
     assert values[0] == pytest.approx(np.log1p(1e-6) - np.log(1e154), rel=1e-14)
     assert values == [values[0]] * 3
     assert e2_formula(pt) == 0.0
+
+
+@pytest.mark.parametrize("args", [(1e200, 0.9, 1.1, 4), (1.7e308, 0.5, 1.7e308, 2)])
+def test_alpha_where_mu_squared_overflows_matches_exact_arithmetic(args):
+    # mu * mu passes the largest double at both points (and so does the
+    # denominator at the second), while alpha itself is representable
+    pt = NetworkPoint(*args)
+    mu, eta, omega = (Fraction(v) for v in args[:3])
+    n = pt.n_users
+    alpha = eta * (mu * mu - 1) / (eta + (1 - eta) * mu * omega)
+    assert pt.alpha == pytest.approx(float(alpha), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gle, block = analysis._gle(pt), analysis._block(pt, 1)
+    e2 = analysis._e2(pt)
+    assert gle == pytest.approx(e2 - 0.5 * math.log1p(float(alpha * (n - 2) / (n + 2 * alpha))), rel=1e-12)
+    assert block == pytest.approx(e2 - 0.5 * math.log1p(float(alpha * (n - 2) / n)), rel=1e-12)
+    assert gle_formula(pt) == max(0.0, gle)
+    assert pairwise_logneg_formula(pt) == block_logneg_formula(pt, 1) == max(0.0, block)
+
+
+def test_alpha_past_the_largest_double_raises():
+    # eta = 1: alpha = mu^2 - 1 = 1e320
+    with pytest.raises(OverflowError):
+        NetworkPoint(1e160, 1.0, 1.0, 2).alpha
 
 
 def test_block_edge_cases():

@@ -12,6 +12,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +43,25 @@ def test_workload_items_run_and_pass_their_check(workloads, name):
         row, evidence = workload.run_item(inp)
         assert len(row) == len(workload.columns)
         assert workload.check(inp, evidence) is None, (name, inp)
+
+
+def test_optomech_check_reads_the_drift_on_an_unstable_item(workloads, monkeypatch):
+    # every seeded optomech-sweep input is stable, so only this item takes
+    # the check's branch that asks is_stable of the drift itself
+    from cvswap import optomech
+
+    workload = workloads.WORKLOADS["optomech-sweep"]
+    base = optomech.standard_params(g_eff=2 * np.pi * 8e6, kappa_convention="angular", temp=0.4e-3)
+    inp = (8.0, base, -1.0)
+    row, evidence = workload.run_item(inp)
+    assert row[-1] == 0 and len(row) == len(workload.columns)
+    verdicts = []
+    is_stable = optomech.is_stable
+
+    def recording_is_stable(A):
+        verdicts.append(is_stable(A))
+        return verdicts[-1]
+
+    monkeypatch.setattr(optomech, "is_stable", recording_is_stable)
+    assert workload.check(inp, evidence) is None
+    assert verdicts == [False]

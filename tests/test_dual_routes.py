@@ -109,6 +109,18 @@ def _drifts():
 _DRIFTS = _drifts()
 
 
+def _stability_drifts():
+    """fig2c's couplings across delta in [-2, 2] omega_m (both verdicts), and _DRIFTS with their negatives."""
+    drifts = [A for A, _ in _DRIFTS] + [-A for A, _ in _DRIFTS]
+    for g_mhz in (4.0, 8.0, 8.5):
+        base = optomech.standard_params(g_eff=2 * np.pi * g_mhz * 1e6)
+        drifts += [optomech.drift_diffusion(base.with_delta(r * base.omega_m))[0] for r in np.linspace(-2.0, 2.0, 17)]
+    return drifts
+
+
+_STABILITY_DRIFTS = _stability_drifts()
+
+
 def _lines():
     """A (6, 6, 6) stack of bona-fide (pair, mode) blocks S diag(nu) S^T, each mode rotated and squeezed."""
     rng = np.random.default_rng(9)
@@ -319,6 +331,15 @@ ROWS = [
         np.repeat(
             [_lyapunov_tolerance(A, scipy.linalg.solve_continuous_lyapunov(A, -D)) for A, D in _DRIFTS], 16
         ),
+    ),
+    Row(
+        # the twin reads the largest real part off an eigensolve, against a margin scaled by ||A||_2 from an svd
+        "is_stable's Routh-Hurwitz test <-> eigenvalue_is_stable",
+        lambda: [optomech.is_stable(A) for A in _STABILITY_DRIFTS],
+        (optomech.is_stable,),
+        lambda: [gaussian_reference.eigenvalue_is_stable(A) for A in _STABILITY_DRIFTS],
+        (gaussian_reference.eigenvalue_is_stable,),
+        0.0,  # test_optomech::test_routh_hurwitz_matches_the_eigenvalue_twin_on_the_drift_grid: the same flags
     ),
     Row(
         # the spectrum checks the sign and scale of the shift: it accepts exactly nu_min >= 1 - tol

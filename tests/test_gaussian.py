@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cvswap import gaussian
 from cvswap.gaussian import (
@@ -609,6 +609,46 @@ def test_two_mode_spectra_of_strongly_squeezed_tmsv(m):
     assert pt_minus == pytest.approx(exact, rel=1e-12, abs=0)
     assert pt_plus == pytest.approx(1.0 / exact, rel=1e-12, abs=0)
     assert nf.log_negativity() == pytest.approx(-np.log(exact), rel=1e-12, abs=0)
+
+
+def _assert_ascending(spectra):
+    for low, high in spectra:
+        assert np.all(np.asarray(low) <= np.asarray(high)), spectra
+
+
+def test_two_mode_spectra_of_pure_tmsvs_come_in_ascending_order():
+    # nu_- = sqrt(det V) / nu_+ carries det V's rounding; for these pure
+    # states nu_- = nu_+ = 1, and the quotient read above nu_+ at 193 of them
+    covs = np.array([tmsv(float(mu)).cov() for mu in np.geomspace(1.0001, 1e6, 400)])
+    for V in covs:
+        _assert_ascending(_two_mode_spectra(V))
+    _assert_ascending(_two_mode_spectra(covs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(1.0, 1e6),
+    power=st.integers(0, 1000),
+    diagonal=st.floats(1.0, 1.7e308),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(mu=1.0001, power=0, diagonal=1.7e308, seed=0)
+def test_two_mode_spectra_come_in_ascending_order(mu, power, diagonal, seed):
+    # pure TMSVs, as stored and scaled by 2^power (past 2^250 the kernel
+    # rescales), diagonals up to the largest double, and random states, one
+    # by one and as one stack
+    rng = np.random.default_rng(seed)
+    pure = tmsv(mu).cov()
+    covs = [
+        pure,
+        np.ldexp(pure, power),
+        np.diag([diagonal] * 4),
+        np.diag(diagonal * rng.uniform(0.5, 1.0, 4)),
+        *_random_stack(rng, (4,)),
+    ]
+    for V in covs:
+        _assert_ascending(_two_mode_spectra(V))
+    _assert_ascending(_two_mode_spectra(np.array(covs)))
 
 
 def test_two_mode_spectra_of_pure_products_are_exactly_one():

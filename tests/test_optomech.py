@@ -25,7 +25,7 @@ from cvswap.optomech import (
     steady_state_cm,
 )
 from cvswap.relay import bell_detect, build_relay
-from gaussian_reference import apply_symplectic, lyapunov_residual
+from gaussian_reference import apply_symplectic, eigenvalue_is_stable, lyapunov_residual
 
 OMEGA_M = 2 * np.pi * 10e6
 
@@ -161,14 +161,112 @@ def test_stability_checks():
         ]
     )
     assert not is_stable(lossless)
-    # the margin scales with the largest singular value, ||A||_2 = 10 here
-    assert not is_stable(np.diag([-1e-13, -10.0]))
+    # the margin scales with the Frobenius norm, ||A||_F = 10 sqrt(3) here
+    # (||A||_2 = 10, the eigenvalue twin's scale, reads it unstable too)
+    assert not is_stable(np.diag([-1e-13, -10.0, -10.0, -10.0]))
     # blue detuning at strong coupling destabilizes the steady state
     blue = standard_params().with_delta(-OMEGA_M)
     A_blue, _ = drift_diffusion(blue)
     assert not is_stable(A_blue)
     with pytest.raises(ValueError):
         steady_state_cm(blue)
+
+
+def _drift_grid():
+    """Drifts across both kappa readings, T = 0 / 0.4 mK / 300 K, g_eff 0..20 MHz, delta in [-2, 2] omega_m."""
+    drifts = []
+    for convention in ("angular", "ordinary"):
+        for temp in (0.0, 0.4e-3, 300.0):
+            for g_mhz in np.linspace(0.0, 20.0, 9):
+                base = standard_params(g_eff=2 * np.pi * g_mhz * 1e6, kappa_convention=convention, temp=temp)
+                for ratio in np.concatenate([np.linspace(-2.0, 2.0, 41), np.linspace(0.0, 1.5, 31)]):
+                    drifts.append(drift_diffusion(base.with_delta(ratio * base.omega_m))[0])
+    return drifts
+
+
+def test_routh_hurwitz_matches_the_eigenvalue_twin_on_the_drift_grid():
+    drifts = _drift_grid()
+    flags = [is_stable(A) for A in drifts]
+    assert flags == [eigenvalue_is_stable(A) for A in drifts]
+    assert 0 < sum(flags) < len(flags)
+
+
+def test_routh_hurwitz_matches_the_eigenvalue_twin_off_the_band_on_random_drifts():
+    # Random drifts, two thirds of them shifted so that max Re lambda sits
+    # 10^-15..1 ||B||_2 to either side of 0. The package's margin is
+    # 1e-12 ||A||_F, the twin's 1e-12 ||A||_2 <= ||A||_F, so the flags may
+    # differ only where max Re lambda lies between the two (widened by
+    # 1e-14 ||A||_2 for rounding at either edge); everywhere else they agree.
+    rng = np.random.default_rng(2024)
+    count = 3000
+    B = rng.normal(size=(count, 4, 4))
+    near = rng.uniform(size=count) < 2 / 3
+    offset = rng.choice([-1.0, 1.0], count) * np.linalg.norm(B, 2, axis=(1, 2)) * 10.0 ** rng.uniform(-15, 0, count)
+    shift = np.where(near, np.linalg.eigvals(B).real.max(axis=1) + offset, 0.0)
+    drifts = B - shift[:, None, None] * np.eye(4)
+    top = np.linalg.eigvals(drifts).real.max(axis=1)
+    norm_2, norm_f = np.linalg.norm(drifts, 2, axis=(1, 2)), np.linalg.norm(drifts, axis=(1, 2))
+    slack = 1e-14 * norm_2
+    in_band = (top >= -optomech.STABILITY_MARGIN * norm_f - slack) & (top <= -optomech.STABILITY_MARGIN * norm_2 + slack)
+    flags = np.array([is_stable(A) for A in drifts])
+    twin = np.array([eigenvalue_is_stable(A) for A in drifts])
+    assert (flags == twin)[~in_band].all()
+    # the sample reaches both verdicts close to the boundary
+    close = np.abs(top) < 1e-9 * norm_2
+    assert flags[close & ~in_band].any() and not flags[close & ~in_band].all()
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.diag([np.nan, -1.0, -1.0, -1.0]),
+        np.diag([-np.inf, -1.0, -1.0, -1.0]),
+        np.diag([np.inf, -np.inf, np.nan, -1.0]),
+        -np.eye(2),
+        -np.eye(5),
+        np.zeros(4),
+    ],
+    ids=["nan", "inf", "mixed", "2x2", "5x5", "vector"],
+)
+def test_is_stable_refuses_a_non_finite_or_non_4x4_drift(A):
+    with pytest.raises(ValueError):
+        is_stable(A)
+
+
+def test_is_stable_reads_every_finite_scale():
+    # A is scaled by a power of two first, so no coefficient overflows or underflows
+    A, _ = drift_diffusion(standard_params())
+    for s in (1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300, 2.0**-1060):
+        assert is_stable(s * A)
+        assert not is_stable(-s * A)
+    assert is_stable(np.diag([-1.7e308, -1.7e308, -5e-324 - 1.7e308, -1.7e308]))
+    assert not is_stable(np.zeros((4, 4)))
+
+
+def test_fig2c_sweep_runs_without_svd_or_eigvals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd or eigvals called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    # the fig2c grid, and one blue-detuned point for the unstable branch
+    deltas = np.append(np.linspace(0.0, 1.5, 31), -1.0) * OMEGA_M
+    rows = []
+    for g_mhz in (4.0, 8.0, 8.5):
+        rows += detuning_sweep(standard_params(g_eff=2 * np.pi * g_mhz * 1e6), deltas, n_users=(2,))
+    assert [row[4] for row in rows] == ([1] * 31 + [0]) * 3
+
+
+def test_is_stable_makes_no_numpy_linalg_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    A, _ = drift_diffusion(standard_params())
+    A_blue, _ = drift_diffusion(standard_params().with_delta(-OMEGA_M))
+    assert is_stable(A) and not is_stable(A_blue)
 
 
 def test_lyapunov_residual_is_tiny():
