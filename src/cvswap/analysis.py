@@ -111,9 +111,11 @@ def _e2(pt: NetworkPoint) -> float:
 
 
 def _gle(pt: NetworkPoint) -> float:
+    # a (N - 2) / (N + 2a), written so that neither a (N - 2) nor 2a can
+    # overflow for an alpha near the largest double
     N = pt.n_users
     a = pt.alpha
-    return float(_e2(pt) - 0.5 * np.log1p(a * (N - 2) / (N + 2.0 * a)))
+    return float(_e2(pt) - 0.5 * np.log1p((N - 2) / (N / a + 2.0) if a > 0.0 else 0.0))
 
 
 def _block(pt: NetworkPoint, n_prime: int) -> float:
@@ -121,7 +123,8 @@ def _block(pt: NetworkPoint, n_prime: int) -> float:
     n_prime = _as_size(n_prime, 1, "n_prime")
     if 2 * n_prime > N:
         raise ValueError("2 * n_prime must not exceed n_users")
-    return float(_e2(pt) - 0.5 * np.log1p(pt.alpha * (N - 2 * n_prime) / N))
+    # (N - 2 n') / N <= 1, so the product stays finite wherever alpha is
+    return float(_e2(pt) - 0.5 * np.log1p(pt.alpha * ((N - 2 * n_prime) / N)))
 
 
 def e2_formula(pt: NetworkPoint) -> float:
@@ -137,8 +140,9 @@ def pairwise_logneg_formula(pt: NetworkPoint) -> float:
 def gle_formula(pt: NetworkPoint) -> float:
     """Localizable entanglement when the other N-2 users homodyne optimally.
 
-    Algebraically identical to E2 - ln(1 + (N-2)/(N/alpha + 2)) / 2 but
-    written so that alpha = 0 is regular (the correction vanishes there).
+    E2 - ln(1 + alpha (N-2)/(N + 2 alpha)) / 2, taken as
+    E2 - ln(1 + (N-2)/(N/alpha + 2)) / 2 so that it stays finite for an
+    alpha near the largest double; the correction vanishes at alpha = 0.
     """
     return max(0.0, _gle(pt))
 

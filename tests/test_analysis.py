@@ -162,10 +162,21 @@ def test_e2_where_its_denominator_overflows_is_finite_and_negative():
     assert e2_formula(pt) == 0.0
 
 
-@pytest.mark.parametrize("args", [(1e200, 0.9, 1.1, 4), (1.7e308, 0.5, 1.7e308, 2)])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e200, 0.9, 1.1, 4),
+        (1.7e308, 0.5, 1.7e308, 2),
+        (2e307, 0.9, 1.1, 3),
+        (2e307, 0.9, 1.1, 4),
+        (1e154, 1.0, 1.0, 4),
+    ],
+)
 def test_alpha_where_mu_squared_overflows_matches_exact_arithmetic(args):
-    # mu * mu passes the largest double at both points (and so does the
-    # denominator at the second), while alpha itself is representable
+    # mu * mu passes the largest double at the first four points (and so
+    # does the denominator at the second); alpha itself is representable,
+    # and past half the largest double at the last three, where 2 alpha and
+    # alpha (N - 2) overflow
     pt = NetworkPoint(*args)
     mu, eta, omega = (Fraction(v) for v in args[:3])
     n = pt.n_users
@@ -174,7 +185,9 @@ def test_alpha_where_mu_squared_overflows_matches_exact_arithmetic(args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gle, block = analysis._gle(pt), analysis._block(pt, 1)
-    e2 = analysis._e2(pt)
+    ratio = (eta * mu + (1 - eta) * omega) / (eta + (1 - eta) * mu * omega)
+    e2 = math.log(ratio.numerator) - math.log(ratio.denominator)
+    assert analysis._e2(pt) == pytest.approx(e2, rel=1e-12)
     assert gle == pytest.approx(e2 - 0.5 * math.log1p(float(alpha * (n - 2) / (n + 2 * alpha))), rel=1e-12)
     assert block == pytest.approx(e2 - 0.5 * math.log1p(float(alpha * (n - 2) / n)), rel=1e-12)
     assert gle_formula(pt) == max(0.0, gle)
