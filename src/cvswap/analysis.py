@@ -20,7 +20,6 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    _as_index,
     _require_bona_fide,
     _two_mode_spectra,
     log_negativity,
@@ -338,15 +337,17 @@ def _line_search(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return candidates[lines, best], vals[lines, best]
 
 
-def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
-    """Localizable entanglement by optimized homodynes on the other modes.
+def gle_numeric(cluster_cov: np.ndarray) -> float:
+    """Localizable entanglement of modes 0 and 1 by optimized homodynes on the other modes.
 
-    Every mode except (i, j) is measured along an adjustable quadrature
-    angle; the input is validated once, and every candidate pair is checked
-    for physicality and read through the closed-form two-mode spectrum. The
-    readouts sit on distinct modes and commute, so reading them one after
-    another by the rank-one step :func:`_read_last` conditions the pair on
-    all of them. The search maximizes the unclamped -ln nu~_- of the
+    Every mode but the pair is measured along an adjustable quadrature
+    angle; any other pair is the caller's permutation of the covariance, as
+    for :func:`pairwise_logneg_numeric`, and a one-mode input raises
+    ValueError. The input is validated once, and every candidate pair is
+    checked for physicality and read through the closed-form two-mode
+    spectrum. The readouts sit on distinct modes and commute, so reading
+    them one after another by the rank-one step :func:`_read_last`
+    conditions the pair on all of them. The search maximizes the unclamped -ln nu~_- of the
     conditioned pair (a physical pair has nu~_+ >= 1, so that is its whole
     log-negativity when positive) and clamps only the returned value at 0.
     The ascent starts from the best common angle on a grid: every measured
@@ -372,20 +373,16 @@ def gle_numeric(cluster_cov: np.ndarray, i: int = 0, j: int = 1) -> float:
     the value is rounding noise, about 0.46 below the formula.
     """
     state = GaussianState(cluster_cov)
-    n = state.n_modes
-    i, j = (_as_index(m, n) for m in (i, j))
-    if i == j:
-        raise ValueError("duplicate mode indices")
-    others = [m for m in range(n) if m not in (i, j)]
-    order = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1] + [2 * m + q for m in others for q in (0, 1)])
-    v = state.cov[order[:, None], order]
-    if not others:
+    v = state.cov
+    k = state.n_modes - 2
+    if k < 0:
+        raise ValueError("the GLE needs a pair: the cluster has one mode")
+    if not k:
         return max(0.0, float(_pair_logneg(v)))
 
     # The unclamped objective has no separable plateau, so coordinate moves
     # climb out of angles where the pair is separable; seeding with the best
     # common angle rather than a fixed corner starts near the global optimum.
-    k = len(others)
     seeds = v
     for _ in range(k):
         seeds = _read_last(seeds, *_SEED_READS)

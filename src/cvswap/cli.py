@@ -361,7 +361,7 @@ def _as_float(value):
 #: (each point of a grid) must pass the test.
 KEYS = {
     "format": (str, (lambda v: v in ("csv", "json"), "csv or json"), "csv or json (default csv)"),
-    "seed": (_as_int, None, "RNG seed"),
+    "seed": (_as_int, (lambda v: v >= 0, ">= 0"), "RNG seed"),
     "samples": (_as_int, (lambda v: v >= 1, ">= 1"), "number of sampled states"),
     "n_max": (_as_int, (lambda v: v >= 2, ">= 2"), "largest relay size"),
     "x_max": (_as_float, (lambda v: v > 1, "> 1"), "sampler cap on normal-form variances"),

@@ -362,16 +362,18 @@ def reduce(state: GaussianState, modes) -> GaussianState:
 
 
 def two_mode_standard_form(cov: np.ndarray):
-    """Reduce a two-mode covariance matrix to standard form by local symplectics.
+    """Two-mode standard form of a covariance matrix: its four local symplectic invariants.
 
-    Returns ``(a, b, c_plus, c_minus, S)`` where S = S_1 (+) S_2 is symplectic
-    and S cov S^T = [[a I, C], [C^T, b I]] with C = diag(c_plus, c_minus),
-    c_plus >= |c_minus| and sign(c_minus) = sign(det of the input cross block).
+    Returns ``(a, b, c_plus, c_minus)``: a local symplectic S = S_1 (+) S_2
+    takes cov to [[a I, C], [C^T, b I]] with C = diag(c_plus, c_minus),
+    c_plus >= |c_minus| and sign(c_minus) = sign(det of the input cross
+    block), and these four numbers are the whole form (Serafini, Illuminati
+    & De Siena, J. Phys. B 37, L21 (2004)); S itself is not formed.
     A matrix that is not positive definite raises PhysicalityError: a local
     block by its Cholesky, the whole by a b > c_plus^2 in standard form,
     compared as sqrt(a) sqrt(b) > c_plus so that no product overflows. The
-    form is closed: two 2x2 Cholesky factors and two rotations in Python
-    floats, with no :mod:`numpy.linalg` call.
+    form is closed: two 2x2 Cholesky factors and the singular values of the
+    whitened cross block in Python floats, with no :mod:`numpy.linalg` call.
     """
     cov = _require_symmetric(cov)
     if cov.shape[0] != 4:
@@ -399,37 +401,25 @@ def _standard_form(cov: np.ndarray):
     """:func:`two_mode_standard_form` of a covariance already checked: symmetric, 4x4 and finite.
 
     Python floats throughout: each local block is whitened by its closed-form
-    2x2 Cholesky, the whitened cross block and both rotations are written
-    out, and numpy builds only S.
+    2x2 Cholesky, and the whitened cross block's singular values, signed by
+    its determinant, are c_plus and c_minus.
     """
     (x0, y0, c00, c01), (_, z0, c10, c11), (_, _, x1, y1), (_, _, _, z1) = cov.tolist()
     a, f0, g0, h0 = _whiten(x0, y0, z0)
     b, f1, g1, h1 = _whiten(x1, y1, z1)
-    # C1 = S_A C S_B^T = [[p, q], [r, t]], S_A = [[f0, 0], [g0, h0]]
+    # C1 = W_A C W_B^T = [[p, q], [r, t]], W_A = [[f0, 0], [g0, h0]]
     m0, m1 = g0 * c00 + h0 * c10, g0 * c01 + h0 * c11
     p, q = f0 * c00 * f1, f0 * (c00 * g1 + c01 * h1)
     r, t = m0 * f1, m0 * g1 + m1 * h1
     # C1 is (|u| / 2) R(phi) plus (|w| / 2) R(psi) diag(1, -1), a rotation
-    # plus a reflection; R(-(phi + psi) / 2) C1 R((phi - psi) / 2)^T takes
-    # both to diag(c_plus, c_minus), and |u|^2 - |w|^2 = 4 det C1 gives
+    # plus a reflection, so local rotations take it to diag(c_plus, c_minus)
+    # with c_plus, c_minus = (|u| +- |w|) / 2; |u|^2 - |w|^2 = 4 det C1 gives
     # c_minus the sign of det C with no branch
     u, w = math.hypot(p + t, r - q), math.hypot(p - t, q + r)
-    phi, psi = math.atan2(r - q, p + t), math.atan2(q + r, p - t)
-    ca, sa = math.cos(0.5 * (phi + psi)), -math.sin(0.5 * (phi + psi))
-    cb, sb = math.cos(0.5 * (phi - psi)), math.sin(0.5 * (phi - psi))
-    # R(theta) = [[c, -s], [s, c]] times a lower-triangular whitening
-    S = np.array(
-        [
-            [ca * f0 - sa * g0, -sa * h0, 0.0, 0.0],
-            [sa * f0 + ca * g0, ca * h0, 0.0, 0.0],
-            [0.0, 0.0, cb * f1 - sb * g1, -sb * h1],
-            [0.0, 0.0, sb * f1 + cb * g1, cb * h1],
-        ]
-    )
     c_plus = 0.5 * (u + w)
-    # S is invertible, so V is positive definite iff its standard form is:
+    # the local symplectic is invertible, so V is positive definite iff its standard form is:
     # both 2x2 minors a b - c_plus^2 and a b - c_minus^2 positive, c_plus >= |c_minus|.
     # a b > c_plus^2 is read as sqrt(a) sqrt(b) > c_plus, which cannot overflow
     if not math.sqrt(a) * math.sqrt(b) > c_plus:
         raise PhysicalityError("covariance matrix must be positive-definite")
-    return a, b, c_plus, 0.5 * (u - w), S
+    return a, b, c_plus, 0.5 * (u - w)

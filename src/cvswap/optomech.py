@@ -248,15 +248,17 @@ def steady_state_cm(p: OptomechParams) -> GaussianState:
 def _relay_copy(single: GaussianState) -> GaussianState:
     """The state each block hands the relay: ``single`` in two-mode standard form.
 
-    ``_standard_form`` builds S = S_1 (+) S_2 symplectic in closed form
-    (Python floats, no :mod:`numpy.linalg` call), so the rotated copy
-    S V S^T is formed directly, with no symplectic check; it is the one
-    numpy product here. The validated state's covariance is already
-    symmetric, so its standard form is taken without a second symmetry
-    check.
+    The copy is built from the four invariants of :func:`_standard_form`
+    alone, so it is exactly [[a I, C], [C, b I]] with C = diag(c_plus,
+    c_minus), zeros included, and no local symplectic or matrix product is
+    formed. The validated state's covariance is already symmetric, so its
+    standard form is taken without a second symmetry check; the copy is
+    validated as any state is.
     """
-    _, _, _, _, S = _standard_form(single.cov)
-    return GaussianState(S @ single.cov @ S.T)
+    a, b, c_plus, c_minus = _standard_form(single.cov)
+    return GaussianState(
+        [[a, 0.0, c_plus, 0.0], [0.0, a, 0.0, c_minus], [c_plus, 0.0, b, 0.0], [0.0, c_minus, 0.0, b]]
+    )
 
 
 def _swap_blocks(copy: GaussianState, n_users: int):
@@ -269,9 +271,10 @@ def mechanical_cluster(p: OptomechParams, n_users: int) -> tuple[GaussianState, 
     """Swap N identical optomechanical blocks into an N-mode mechanical state.
 
     Each block contributes its cavity mode to the relay and keeps its
-    mechanical mode. Each copy is first rotated (locally on cavity and
-    mechanics separately) into two-mode standard form, aligning the
-    correlated quadratures with the relay's fixed measurement pattern.
+    mechanical mode. Each copy is first taken (by local operations on cavity
+    and mechanics separately) to two-mode standard form, built from its four
+    invariants, which aligns the correlated quadratures with the relay's
+    fixed measurement pattern.
     Returns the mechanical state and the pairwise log-negativity between
     the first two mechanics.
     """

@@ -160,20 +160,18 @@ def _best_over_z(d: float, xs: np.ndarray) -> np.ndarray:
 
     y = x - 2d. One (len(xs), _GRID_POINTS) grid spans every x's z interval,
     ends included, and is scored in place; an x with z_max = 0 reads 0. The
-    grid is np.linspace's arithmetic bit for bit (j * step, or
-    (j / (P - 1)) * z_max when any z_max is 0, and z_max as the last point),
-    because the frozen fig2b data file holds the search's values to 12 digits.
-    Each row takes its least y - z^2/x and one log: -ln decreases, so that
-    is the row's largest -ln, and a row holding a NaN or a negative entry
-    reads NaN either way.
+    grid is j * (z_max / (P - 1)) with z_max itself as the last point, so
+    every interior z lies below z_max; z^2, z^2/x and y - z^2/x each round
+    monotonically, so a row's least y - z^2/x is its last column, z_max, as
+    in np.linspace's grid, and the search's values match that grid's bit
+    for bit (the frozen fig2b data file holds them to 12 digits). Each row
+    takes its least y - z^2/x and one log: -ln decreases, so that is the
+    row's largest -ln, and a row holding a NaN or a negative entry reads
+    NaN either way.
     """
     ys = xs - 2.0 * d
     zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
-    j = np.arange(_GRID_POINTS, dtype=float)
-    last = _GRID_POINTS - 1
-    step = zm / last
-    unit, scale = (j / last, zm) if (step == 0).any() else (j, step)
-    z = np.multiply(unit, scale[:, None])
+    z = np.arange(_GRID_POINTS, dtype=float) * (zm[:, None] / (_GRID_POINTS - 1))
     z[:, -1] = zm
     # y - z^2/x, written over z
     z *= z

@@ -8,12 +8,14 @@ tests check against it. ``omega_product_eigvals`` is the package's route
 as it was before Omega stopped being built: the same Cholesky and
 ``eigvalsh``, with L^T Omega L formed by multiplying by ``symplectic_form``;
 the package must match it bit for bit. ``standard_form_per_block`` is
-the SVD twin of ``two_mode_standard_form``'s closed-form rotations: one
+the SVD twin of ``two_mode_standard_form``'s closed-form invariants: one
 ``det``, ``cholesky`` and ``inv`` call per block, an ``svd`` of the whitened
 cross block with its determinant-sign repairs and the two branches that put
-the larger correlation on X with a positive sign. The package must match
-its (a, b, c_plus, c_minus) and S V S^T to 1e-12 ||V||, not bit for bit; S
-itself is not unique when c_plus = |c_minus|.
+the larger correlation on X with a positive sign, and the local symplectic
+S that they build. The package forms no S: its (a, b, c_plus, c_minus)
+must match the twin's, and the relay copy it builds from them the twin's
+S V S^T, to 1e-12 ||V||, not bit for bit; S itself is not unique when
+c_plus = |c_minus|.
 ``tensor`` builds direct sums for test setup, and ``embed_orthogonal``
 promotes a passive mode mixer to a symplectic on a whole register: the
 register route that the relay's block-wise ``bell_detect`` is checked
@@ -32,7 +34,10 @@ spectrum: the matrix-side value of the unclamped network formulas, and the
 reference the pairwise and block oracles are checked against.
 ``reduce_ix`` is ``reduce``'s gather as it was before it became one direct
 fancy index: ``np.concatenate`` of each mode's rows, then ``np.ix_``; the
-package must gather the same matrix bit for bit.
+package must gather the same matrix bit for bit. ``pair_first`` moves a
+pair of modes to the front through ``reduce``, the permutation by which a
+caller reads another pair's GLE with ``gle_numeric``, which reads modes 0
+and 1.
 ``partial_transpose`` is the library's partial transpose as it was before
 ``log_negativity`` read it from the Cholesky factor of V: F V F with F the
 diagonal sign matrix built and multiplied, the independent reference the
@@ -69,6 +74,7 @@ from cvswap.analysis import _GLE_GRID, _GLE_TOL, _line_search, _pair_logneg, _re
 from cvswap.gaussian import (
     GaussianState,
     _require_symmetric,
+    reduce,
     symplectic_eigenvalues,
 )
 from cvswap.optomech import STABILITY_MARGIN, drift_diffusion
@@ -142,6 +148,17 @@ def reduce_ix(cov, modes) -> np.ndarray:
     """The marginal covariance on ``modes`` as ``reduce`` once gathered it: ``np.concatenate``, then ``np.ix_``."""
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
     return np.asarray(cov)[np.ix_(idx, idx)]
+
+
+def pair_first(cov, i, j) -> np.ndarray:
+    """``cov`` with modes i and j first and the others after them in order, gathered by ``reduce``.
+
+    The input is symmetrized as ``GaussianState`` stores it, and ``reduce``
+    reads and checks the indices.
+    """
+    n = np.shape(cov)[0] // 2
+    order = [i, j] + [m for m in range(n) if m not in (i, j)]
+    return reduce(GaussianState(cov, check=False), order).cov
 
 
 def unclamped_logneg(cov, group_a, group_b):

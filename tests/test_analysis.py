@@ -30,6 +30,7 @@ from gaussian_reference import (
     gle_sequential,
     grid_line_search,
     is_symplectic,
+    pair_first,
     read_quadrature,
     rotation,
     tensor,
@@ -308,10 +309,11 @@ def test_gle_numeric_escapes_separable_plateau():
 
 
 def test_gle_numeric_pair_choice_is_irrelevant():
+    # gle_numeric reads modes 0 and 1; another pair is moved to the front first
     cm = network_cluster_cm(NetworkPoint(3.0, 0.8, 1.2, 5))
     value = gle_numeric(cm)
-    assert gle_numeric(cm, 2, 4) == pytest.approx(value, abs=1e-9)
-    assert gle_numeric(cm, 4, 2) == pytest.approx(value, abs=1e-9)
+    assert gle_numeric(pair_first(cm, 2, 4)) == pytest.approx(value, abs=1e-9)
+    assert gle_numeric(pair_first(cm, 4, 2)) == pytest.approx(value, abs=1e-9)
 
 
 def test_gle_numeric_keeps_the_requested_pair():
@@ -319,9 +321,9 @@ def test_gle_numeric_keeps_the_requested_pair():
     # TMSV carry entanglement, whichever mode is measured
     cm = tensor(tmsv(3.0).state(), vacuum(1)).cov
     e_tmsv = np.log(3.0 + np.sqrt(8.0))
-    assert gle_numeric(cm, 1, 0) == pytest.approx(e_tmsv, abs=1e-9)
-    assert gle_numeric(cm, 0, 2) == pytest.approx(0.0, abs=1e-9)
-    assert gle_numeric(cm, 2, 1) == pytest.approx(0.0, abs=1e-9)
+    assert gle_numeric(pair_first(cm, 1, 0)) == pytest.approx(e_tmsv, abs=1e-9)
+    assert gle_numeric(pair_first(cm, 0, 2)) == pytest.approx(0.0, abs=1e-9)
+    assert gle_numeric(pair_first(cm, 2, 1)) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("sigma2", [0.5, 2.0])
@@ -352,13 +354,17 @@ def test_gle_numeric_reads_a_mode_coupled_through_one_quadrature(sigma2, phi):
 
 
 def test_gle_numeric_rejects_bad_pair():
+    # a one-mode input has no pair; a bad pair is refused by the reduce
+    # that moves it to the front
+    with pytest.raises(ValueError, match="one mode"):
+        gle_numeric(np.eye(2))
     cm = network_cluster_cm(NetworkPoint(3.0, 0.8, 1.2, 5))
     with pytest.raises(ValueError, match="duplicate mode indices"):
-        gle_numeric(cm, 1, 1)
+        gle_numeric(pair_first(cm, 1, 1))
     with pytest.raises(IndexError, match="out of range"):
-        gle_numeric(cm, 0, 7)
+        gle_numeric(pair_first(cm, 0, 7))
     with pytest.raises(IndexError, match="out of range"):
-        gle_numeric(cm, -1, 2)
+        gle_numeric(pair_first(cm, -1, 2))
 
 
 def test_pair_and_block_oracles_refuse_an_unphysical_marginal():
@@ -639,7 +645,7 @@ def test_gle_numeric_equals_the_sequential_ascent(seed, n, rotated):
     i, j = (int(m) for m in rng.choice(n, 2, replace=False))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_GLE_MAX_SWEEPS", 3)
-        assert gle_numeric(cm, i, j) == gle_sequential(cm, i, j, 3)
+        assert gle_numeric(pair_first(cm, i, j)) == gle_sequential(cm, i, j, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -70,6 +70,16 @@ def test_missing_seed_exits_3(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["fig2a", "swap-check"])
+def test_negative_seed_exits_3_names_the_key_and_writes_nothing(experiment, capsys, tmp_path):
+    # the key's bound refuses it before numpy's generator, whose own message
+    # names no key, ever sees it
+    out = tmp_path / "a.csv"
+    assert main([experiment, "--seed", "-1", "--samples", "3", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "seed: must be >= 0, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_grid_exits_3(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["ghz-limit", "--mu", "0.5", "--out", out]) == EXIT_BAD_CONFIG

@@ -145,10 +145,15 @@ def _lyapunov_tolerance(A, V):
     return max(1e-12, np.finfo(float).eps * np.linalg.cond(K)) * np.linalg.norm(V, 2)
 
 
-def _standard_form_values(route, V):
-    """(a, b, c_plus, c_minus) and S V S^T: S itself is not unique when c_plus = |c_minus|."""
-    *values, S = route(V)
-    return np.concatenate([values, np.ravel(S @ V @ S.T)])
+def _standard_form_values(V):
+    """The package's (a, b, c_plus, c_minus) and the relay copy it builds from them."""
+    return [*gaussian.two_mode_standard_form(V), optomech._relay_copy(gaussian.GaussianState(V)).cov]
+
+
+def _standard_form_per_block_values(V):
+    """The SVD twin's (a, b, c_plus, c_minus) and S V S^T: S itself is not unique when c_plus = |c_minus|."""
+    *values, S = gaussian_reference.standard_form_per_block(V)
+    return [*values, S @ V @ S.T]
 
 
 def _certified(cov):
@@ -311,11 +316,12 @@ ROWS = [
         np.repeat([1e-12 * np.linalg.norm(V, 2) for V in _PAIRS], 4),
     ),
     Row(
-        # the SVD twin checks that the closed-form angles diagonalize C and that c_minus keeps det C's sign
+        # the SVD twin checks that the closed-form invariants are the whitened cross block's singular
+        # values with c_minus keeping det C's sign, and that the copy built from them is S V S^T
         "two_mode_standard_form <-> standard_form_per_block",
-        lambda: [_standard_form_values(gaussian.two_mode_standard_form, V) for V in _PAIRS],
-        (gaussian._standard_form, gaussian.two_mode_standard_form),
-        lambda: [_standard_form_values(gaussian_reference.standard_form_per_block, V) for V in _PAIRS],
+        lambda: [_flat(_standard_form_values(V)) for V in _PAIRS],
+        (gaussian._standard_form, gaussian.two_mode_standard_form, optomech._relay_copy),
+        lambda: [_flat(_standard_form_per_block_values(V)) for V in _PAIRS],
         (gaussian_reference.standard_form_per_block,),
         # test_gaussian::test_two_mode_standard_form_matches_the_svd_twin: 1e-12 ||V||
         np.repeat([1e-12 * np.linalg.norm(V, 2) for V in _PAIRS], 20),

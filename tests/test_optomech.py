@@ -24,8 +24,7 @@ from cvswap.optomech import (
     standard_params,
     steady_state_cm,
 )
-from cvswap.relay import bell_detect, build_relay
-from gaussian_reference import apply_symplectic, eigenvalue_is_stable, lyapunov_residual
+from gaussian_reference import eigenvalue_is_stable, lyapunov_residual, rotation, standard_form_per_block
 
 OMEGA_M = 2 * np.pi * 10e6
 
@@ -280,7 +279,7 @@ def test_steady_state_frozen_values():
     p = standard_params().with_delta(0.7 * OMEGA_M)
     st = steady_state_cm(p)
     assert log_negativity(st, [0]) == pytest.approx(0.33714185877093505, rel=1e-9)
-    a, b, c_plus, c_minus, _ = two_mode_standard_form(st.cov)
+    a, b, c_plus, c_minus = two_mode_standard_form(st.cov)
     assert a == pytest.approx(1.4694100176442877, rel=1e-9)
     assert b == pytest.approx(1.5976898901516454, rel=1e-9)
     assert c_plus == pytest.approx(0.993336249084664, rel=1e-9)
@@ -318,16 +317,44 @@ def test_mechanical_cluster_is_permutation_symmetric():
         np.testing.assert_allclose(cov[np.ix_(idx, idx)], cov, atol=1e-9)
 
 
-def test_preprocessed_copy_is_the_standard_form_rotation():
-    # the copies are rotated by S of two_mode_standard_form without
-    # apply_symplectic's check; the cluster must equal that route's bit for bit
-    p = standard_params().with_delta(0.7 * OMEGA_M)
-    single = steady_state_cm(p)
-    rotated = apply_symplectic(single, two_mode_standard_form(single.cov)[4])
-    for n in (2, 3):
-        cluster, _ = mechanical_cluster(p, n)
-        expected, _ = bell_detect([rotated] * n, build_relay(n))
-        np.testing.assert_array_equal(cluster.cov, expected.cov)
+def _random_pair(rng):
+    """S diag(nu_1, nu_1, nu_2, nu_2) S^T, S local squeezes and rotations on each side of a beam splitter."""
+
+    def local():
+        S = np.zeros((4, 4))
+        for k in (0, 2):
+            r = rng.uniform(-1.5, 1.5)
+            S[k : k + 2, k : k + 2] = rotation(rng.uniform(0, np.pi)) @ np.diag([np.exp(r), np.exp(-r)])
+        return S
+
+    theta = rng.uniform(0, np.pi)
+    mix = np.kron([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]], np.eye(2))
+    S = local() @ mix @ local()
+    V = S @ np.diag(np.repeat(rng.uniform(1.0, 4.0, 2), 2)) @ S.T
+    return 0.5 * (V + V.T)
+
+
+#: The eight entries that two-mode standard form holds at zero: X-P within a mode and X-P across.
+_OFF_PATTERN = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relay_copy_is_the_standard_form_of_random_pairs(seed):
+    # the copy is built from the four invariants alone: it is the SVD twin's
+    # S V S^T to 1e-12 ||V||, its off-pattern entries are exact zeros, not
+    # rounding noise, and local operations leave its entanglement unchanged.
+    # That too is held to 1e-12 ||V||: on these pairs V's own rounding moves
+    # its log-negativity by up to about 3e-12 at ||V|| of a few hundred, as
+    # much for the twin's S V S^T as for the copy
+    V = _random_pair(np.random.default_rng(seed))
+    tol = 1e-12 * np.linalg.norm(V, 2)
+    state = GaussianState(V)
+    copy = optomech._relay_copy(state)
+    S = standard_form_per_block(V)[4]
+    np.testing.assert_allclose(copy.cov, S @ V @ S.T, rtol=0, atol=tol)
+    assert _OFF_PATTERN.sum() == 8 and (copy.cov[_OFF_PATTERN] == 0.0).all()
+    assert log_negativity(copy, [0]) == pytest.approx(log_negativity(state, [0]), abs=tol)
 
 
 def test_mechanical_swap_never_beats_input():

@@ -408,7 +408,9 @@ _XS = {
     # (d, xs): the frontier's first x has z_max = 0, a zero-width interval,
     # which sends np.linspace down its (j / (P - 1)) * width branch for every
     # x; j * step and (j / (P - 1)) * width differ in the last bit for some,
-    # and so does the last grid point z_max from 96 steps
+    # and so does the last grid point z_max from 96 steps. The package's
+    # interior points may differ from np.linspace's in those bits, but in
+    # both grids each row's least y - z^2/x is its last column, z_max itself
     "zero-width member": (0.3, np.linspace(1.6, 10.0, _FRONTIER_GRID)),
     "zero-width member, d < 0": (-0.4, np.linspace(1.0, 9.2, _FRONTIER_GRID)),
     "positive widths": (-0.7, np.random.default_rng(24).uniform(1.5, 50.0, 400)),
@@ -445,6 +447,27 @@ def test_best_over_z_matches_the_linspace_reference_bit_for_bit(case):
     refused = case.endswith(("1e+150", "1e+200"))
     assert np.isfinite(want).all() != refused
     assert got.shape == want.shape and np.array_equal(got, np.maximum(want, 0.0), equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.floats(-1e3, 1e3),
+    lo=st.floats(1.0, 1e300),
+    ratio=st.floats(1.0, 1e8),
+    size=st.integers(1, 8),
+)
+def test_best_over_z_reads_each_row_at_its_last_column(d, lo, ratio, size):
+    # every interior z is below z_max, and z^2, z^2/x and y - z^2/x each
+    # round monotonically, so every row of the grid takes its least
+    # y - z^2/x in its last column, z = z_max: the search's value is that
+    # column's alone, bit for bit, a NaN or an inf included
+    xs = np.geomspace(lo, min(lo * ratio, 1.7e308), size)
+    ys = xs - 2.0 * d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zm = np.sqrt(np.maximum(xs * ys - 1.0 - np.abs(xs - ys), 0.0))
+        last = np.maximum(-np.log(ys - zm * zm / xs), 0.0)
+        got = _best_over_z(d, xs)
+    assert np.array_equal(got, last, equal_nan=True)
 
 
 def test_frontier_matches_the_linspace_reference_on_the_fig2b_grid():
